@@ -1,10 +1,12 @@
-//! Host-engine performance: SPA fast path vs the hash reference path.
+//! Host-engine performance: the SPA host kernel vs the hash reference.
 //!
 //! Times the three host kernels (PageRank, the `FindBestCommunity` sweeps,
-//! and `Convert2SuperNode`) on the dblp-like and pokec-like stand-ins with
-//! the accumulator forced to each path. Both paths produce the identical
-//! decision stream, so partitions and codelengths must match bit-for-bit;
-//! the run asserts that before reporting the sweep-phase speedup.
+//! and `Convert2SuperNode`) on the dblp-like and pokec-like stand-ins, once
+//! through the production host engine and once through the hash reference
+//! engine (`HashEngine`: the generic kernel over `FastAccumulator`). Both
+//! produce the identical decision stream, so partitions and codelengths
+//! must match bit-for-bit; the run asserts that before reporting the
+//! sweep-phase speedup.
 //!
 //! Writes `BENCH_hostperf.json` into the working directory (override with
 //! `ASA_HOSTPERF_OUT`); repetitions via `ASA_HOSTPERF_REPS` (default 5,
@@ -15,12 +17,16 @@
 //! dispatched kernel (AVX2 where compiled with `--features simd` and the
 //! CPU has it) and the forced-scalar portable kernel — reporting each
 //! leg's sweep time and its accumulate/gather/scan phase split, asserting
-//! all legs' partitions match the hash path bit-for-bit, and emitting
-//! `kernel_breakdown` + `sweep_speedup_spa_scalar_over_hash` JSON fields.
+//! all legs' partitions and codelengths match the hash path bit-for-bit,
+//! and emitting `kernel_breakdown` + `sweep_speedup_spa_scalar_over_hash`
+//! JSON fields. The phase split comes from one extra run per leg through
+//! an engine defined here, whose per-vertex closure times the kernel's
+//! three public phase calls (`DualSpa::accumulate`, `DualSpa::gather`,
+//! `kernel::scan`) on the same chunk driver as the host engine.
 //!
 //! Telemetry: `--obs-out <path>` streams per-sweep convergence records
-//! (sweep index, moves, codelength, ΔL, SPA-vs-hash path, scratch-pool
-//! hit rate) as JSONL and prints the hierarchical phase-time summary at
+//! of the host-engine legs (sweep index, moves, codelength, ΔL, kernel
+//! path, scratch-pool hit rate) as JSONL and prints the hierarchical phase-time summary at
 //! exit; `--progress` adds per-sweep heartbeat lines on stderr. Both also
 //! respect `ASA_OBS_OUT` / `ASA_PROGRESS=1`.
 //!
@@ -43,13 +49,19 @@
 //! failing if any instrumented run is more than `ASA_OBS_TOL` percent
 //! slower (default 5). CI runs this as the overhead smoke gate.
 
+use std::time::Instant;
+
 use asa_bench::{
     fmt_secs, infomap_config, load_network, render_table, run_metadata, scale_div, ObsArgs,
 };
 use asa_graph::generators::PaperNetwork;
-use asa_infomap::config::AccumulatorKind;
+use asa_graph::CsrGraph;
+use asa_infomap::driver::{run_with_engine, HashEngine};
+use asa_infomap::find_best::MoveDecision;
 use asa_infomap::kernel;
-use asa_infomap::{detect_communities_observed, InfomapConfig, InfomapResult};
+use asa_infomap::local_move::{parallel_decide, ChunkScratch, ScratchPool, WorkerScratch};
+use asa_infomap::schedule::{DecideEngine, SweepCtx};
+use asa_infomap::{detect_communities_observed, CancelToken, InfomapResult};
 use asa_obs::{record, NullSink, Obs};
 
 fn reps() -> usize {
@@ -60,8 +72,8 @@ fn reps() -> usize {
         .unwrap_or(5)
 }
 
-/// Best-of-`reps` timings for one accumulator path (all repetitions agree
-/// on the answer; the fastest sweep phase is reported).
+/// Best-of-`reps` timings for one engine (all repetitions agree on the
+/// answer; the fastest sweep phase is reported).
 struct PathTiming {
     result: InfomapResult,
     pagerank: f64,
@@ -69,19 +81,10 @@ struct PathTiming {
     convert: f64,
 }
 
-fn run_path(
-    graph: &asa_graph::CsrGraph,
-    kind: AccumulatorKind,
-    reps: usize,
-    obs: &Obs,
-) -> PathTiming {
-    let cfg = InfomapConfig {
-        accumulator: kind,
-        ..infomap_config()
-    };
+fn best_of(reps: usize, path: &str, run: impl Fn() -> InfomapResult) -> PathTiming {
     let mut best: Option<PathTiming> = None;
     for _ in 0..reps {
-        let result = detect_communities_observed(graph, &cfg, obs);
+        let result = run();
         let t = result.timings;
         let cur = PathTiming {
             pagerank: t.pagerank.as_secs_f64(),
@@ -94,7 +97,7 @@ fn run_path(
                 assert_eq!(
                     b.result.partition.labels(),
                     cur.result.partition.labels(),
-                    "{kind:?} path must be deterministic across repetitions"
+                    "{path} path must be deterministic across repetitions"
                 );
                 if cur.find_best < b.find_best {
                     best = Some(cur);
@@ -104,6 +107,26 @@ fn run_path(
         }
     }
     best.unwrap()
+}
+
+/// The production host engine, best of `reps`.
+fn run_spa(graph: &CsrGraph, reps: usize, obs: &Obs) -> PathTiming {
+    best_of(reps, "spa", || {
+        detect_communities_observed(graph, &infomap_config(), obs)
+    })
+}
+
+/// The hash reference engine, best of `reps`.
+fn run_hash(graph: &CsrGraph, reps: usize, obs: &Obs) -> PathTiming {
+    best_of(reps, "hash", || {
+        run_with_engine(
+            graph,
+            &infomap_config(),
+            &mut HashEngine::default(),
+            obs,
+            &CancelToken::none(),
+        )
+    })
 }
 
 /// `--obs-overhead`: the disabled path vs three instrumented legs — an
@@ -120,25 +143,25 @@ fn obs_overhead_check(reps: usize) {
     let (graph, _) = load_network(PaperNetwork::Dblp);
 
     // Warm up caches/allocator so no side pays first-run costs.
-    let _ = run_path(&graph, AccumulatorKind::Spa, 1, &Obs::disabled());
+    let _ = run_spa(&graph, 1, &Obs::disabled());
 
-    let off = run_path(&graph, AccumulatorKind::Spa, reps, &Obs::disabled());
+    let off = run_spa(&graph, reps, &Obs::disabled());
     let noop = Obs::new_enabled();
     noop.add_sink(Box::new(NullSink));
-    let on = run_path(&graph, AccumulatorKind::Spa, reps, &noop);
+    let on = run_spa(&graph, reps, &noop);
     let traced = Obs::new_enabled();
     traced.add_sink(Box::new(NullSink));
     traced.attach_recorder(asa_bench::trace_capacity());
-    let rec = run_path(&graph, AccumulatorKind::Spa, reps, &traced);
+    let rec = run_spa(&graph, reps, &traced);
     let collected = Obs::new_enabled();
     collected.add_sink(Box::new(NullSink));
     collected.attach_collector(asa_obs::TimeSeriesConfig::default());
-    let col = run_path(&graph, AccumulatorKind::Spa, reps, &collected);
+    let col = run_spa(&graph, reps, &collected);
     collected.stop_collector();
     let profiled = Obs::new_enabled();
     profiled.add_sink(Box::new(NullSink));
     profiled.attach_profiler(asa_bench::prof_interval());
-    let prof = run_path(&graph, AccumulatorKind::Spa, reps, &profiled);
+    let prof = run_spa(&graph, reps, &profiled);
     profiled.stop_profiler();
 
     for (leg, timing) in [
@@ -178,6 +201,50 @@ fn obs_overhead_check(reps: usize) {
     }
 }
 
+/// Host-kernel scratch plus the accumulate/gather/scan nanoseconds its
+/// chunks spent.
+#[derive(Default)]
+struct TimedScratch {
+    ws: WorkerScratch,
+    ns: [u64; 3],
+}
+
+impl ChunkScratch for TimedScratch {
+    fn begin(&mut self, modules: usize) {
+        self.ws.begin(modules);
+    }
+}
+
+/// The host kernel with each of its three phases timed per vertex: the
+/// same calls `find_best_community_vec` makes, through the same chunk
+/// driver and scratch as the host engine.
+#[derive(Default)]
+struct PhaseTimedEngine {
+    pool: ScratchPool<TimedScratch>,
+}
+
+impl DecideEngine for PhaseTimedEngine {
+    fn decide(&mut self, ctx: &SweepCtx<'_>) -> Vec<MoveDecision> {
+        let simd = kernel::simd_for(ctx.flow.num_nodes());
+        let symmetric = ctx.flow.is_symmetric();
+        parallel_decide(ctx, &self.pool, |t, u| {
+            let t0 = Instant::now();
+            t.ws.dual.accumulate(ctx.flow, ctx.labels, u, simd);
+            let t1 = Instant::now();
+            t.ws.dual.gather(symmetric, simd);
+            let t2 = Instant::now();
+            let my_module = ctx.labels[u as usize];
+            let lanes = t.ws.dual.lanes();
+            let d = kernel::scan(ctx.flow, ctx.state, &mut t.ws.cache, u, my_module, lanes);
+            let t3 = Instant::now();
+            t.ns[0] += (t1 - t0).as_nanos() as u64;
+            t.ns[1] += (t2 - t1).as_nanos() as u64;
+            t.ns[2] += (t3 - t2).as_nanos() as u64;
+            d
+        })
+    }
+}
+
 /// Whether `ASA_FORCE_SCALAR` asks for the portable kernel (the state to
 /// restore after the breakdown's forced-scalar leg).
 fn env_force_scalar() -> bool {
@@ -188,48 +255,52 @@ fn env_force_scalar() -> bool {
 
 /// One `--kernel-breakdown` leg: the dispatched (SIMD where compiled and
 /// available) or forced-scalar sweep kernel, with its sweep time and
-/// per-phase attribution.
+/// per-phase attribution in seconds (accumulate, gather, scan).
 struct KernelLeg {
     label: &'static str,
     kernel_path: &'static str,
     sweep_seconds: f64,
-    breakdown: kernel::KernelBreakdown,
+    phases: [f64; 3],
     result: InfomapResult,
 }
 
-/// Runs the SPA path twice for one leg: untimed (best-of-`reps` sweep
-/// seconds, so phase-timing overhead never taints the headline numbers)
-/// and once with per-phase attribution enabled for the gather/accumulate/
-/// scan split.
+/// Runs one leg twice: through the host engine (best-of-`reps` sweep
+/// seconds, so timer overhead never taints the headline numbers) and once
+/// through [`PhaseTimedEngine`] for the accumulate/gather/scan split.
 fn run_kernel_leg(
-    graph: &asa_graph::CsrGraph,
+    graph: &CsrGraph,
     label: &'static str,
     force_scalar: bool,
     reps: usize,
 ) -> KernelLeg {
     kernel::set_force_scalar(force_scalar || env_force_scalar());
     let kernel_path = kernel::kernel_path_name();
-    let timing = run_path(graph, AccumulatorKind::Spa, reps, &Obs::disabled());
-    kernel::set_phase_timing(true);
-    let before = kernel::global_phase_times().snapshot();
-    let timed = run_path(graph, AccumulatorKind::Spa, 1, &Obs::disabled());
-    let after = kernel::global_phase_times().snapshot();
-    kernel::set_phase_timing(false);
+    let timing = run_spa(graph, reps, &Obs::disabled());
+    let mut engine = PhaseTimedEngine::default();
+    let timed = run_with_engine(
+        graph,
+        &infomap_config(),
+        &mut engine,
+        &Obs::disabled(),
+        &CancelToken::none(),
+    );
     kernel::set_force_scalar(env_force_scalar());
     assert_eq!(
         timing.result.partition.labels(),
-        timed.result.partition.labels(),
+        timed.partition.labels(),
         "phase timing must not change the answer ({label})"
     );
+    let mut ns = [0u64; 3];
+    engine.pool.for_each(|t| {
+        for (sum, x) in ns.iter_mut().zip(t.ns) {
+            *sum += x;
+        }
+    });
     KernelLeg {
         label,
         kernel_path,
         sweep_seconds: timing.find_best,
-        breakdown: kernel::KernelBreakdown {
-            accumulate_seconds: after.accumulate_seconds - before.accumulate_seconds,
-            gather_seconds: after.gather_seconds - before.gather_seconds,
-            scan_seconds: after.scan_seconds - before.scan_seconds,
-        },
+        phases: ns.map(|x| x as f64 * 1e-9),
         result: timing.result,
     }
 }
@@ -268,8 +339,8 @@ fn main() {
             "nodes": graph.num_nodes(),
             "arcs": graph.num_arcs(),
         });
-        let hash = run_path(&graph, AccumulatorKind::Hash, reps, &obs);
-        let spa = run_path(&graph, AccumulatorKind::Spa, reps, &obs);
+        let hash = run_hash(&graph, reps, &obs);
+        let spa = run_spa(&graph, reps, &obs);
 
         // Semantics first: the SPA fast path is a pure perf substitution.
         assert_eq!(
@@ -316,8 +387,8 @@ fn main() {
             ];
             let mut legs_json = Vec::new();
             for leg in &legs {
-                // Partitions are bit-identical across hash / scalar SPA /
-                // SIMD SPA — the dispatch is a pure perf substitution.
+                // Partitions and codelengths are bit-identical across hash
+                // / scalar SPA / SIMD SPA — a pure perf substitution.
                 assert_eq!(
                     hash.result.partition.labels(),
                     leg.result.partition.labels(),
@@ -325,15 +396,23 @@ fn main() {
                     network.name(),
                     leg.label
                 );
+                assert_eq!(
+                    hash.result.codelength.to_bits(),
+                    leg.result.codelength.to_bits(),
+                    "{} codelengths diverged on the {} kernel leg",
+                    network.name(),
+                    leg.label
+                );
+                let [accumulate, gather, scan] = leg.phases;
                 let leg_speedup = hash.find_best / leg.sweep_seconds;
                 breakdown_rows.push(vec![
                     format!("{}-like", network.name()),
                     leg.label.to_string(),
                     leg.kernel_path.to_string(),
                     fmt_secs(leg.sweep_seconds),
-                    fmt_secs(leg.breakdown.accumulate_seconds),
-                    fmt_secs(leg.breakdown.gather_seconds),
-                    fmt_secs(leg.breakdown.scan_seconds),
+                    fmt_secs(accumulate),
+                    fmt_secs(gather),
+                    fmt_secs(scan),
                     format!("{leg_speedup:.2}x"),
                 ]);
                 legs_json.push((
@@ -341,9 +420,9 @@ fn main() {
                     serde_json::json!({
                         "kernel_path": leg.kernel_path,
                         "sweep_seconds": leg.sweep_seconds,
-                        "accumulate_seconds": leg.breakdown.accumulate_seconds,
-                        "gather_seconds": leg.breakdown.gather_seconds,
-                        "scan_seconds": leg.breakdown.scan_seconds,
+                        "accumulate_seconds": accumulate,
+                        "gather_seconds": gather,
+                        "scan_seconds": scan,
                     }),
                 ));
             }

@@ -2,42 +2,6 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Which flow accumulator the host decision phase uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum AccumulatorKind {
-    /// SPA when the level's node count fits `spa_budget`, hash otherwise.
-    #[default]
-    Auto,
-    /// Always the sparse-accumulator fast path
-    /// ([`crate::local_move::SpaAccumulator`]).
-    Spa,
-    /// Always the hash path ([`crate::local_move::FastAccumulator`]) — the
-    /// pre-SPA reference used for benchmarking.
-    Hash,
-}
-
-/// The order vertices are visited within one local-move sweep.
-///
-/// Reordering is *free* semantically: per-vertex decisions are evaluated
-/// against a frozen label snapshot and the decision stream is re-sorted by
-/// vertex id before application, so every order yields bit-identical
-/// partitions. What changes is cache behaviour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum VertexOrder {
-    /// The active set's natural (ascending vertex id) order.
-    #[default]
-    Input,
-    /// Descending degree: hubs first, so their large neighbour rows are
-    /// walked while the module-flow arrays are still warm and the long
-    /// tail of low-degree vertices reuses hot lines.
-    DegreeDesc,
-    /// Cache-blocked: vertices grouped into fixed-size id blocks
-    /// ([`crate::kernel::SWEEP_BLOCK`]), descending degree within a block.
-    /// Consecutive sweep vertices then share neighbour and label cache
-    /// lines (graph locality) while keeping the hub-first benefit locally.
-    Blocked,
-}
-
 /// Parameters of the Infomap run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct InfomapConfig {
@@ -69,17 +33,6 @@ pub struct InfomapConfig {
     /// to the host, native, and simulated drivers (they share the
     /// schedule).
     pub outer_loops: usize,
-    /// Accumulator selection for the host decision phase. Semantics are
-    /// identical across kinds; only wall-clock cost differs.
-    pub accumulator: AccumulatorKind,
-    /// Largest per-level node count the SPA fast path accepts under
-    /// [`AccumulatorKind::Auto`]. Each worker's dense arrays (one value +
-    /// one stamp array per flow direction) cost 24 bytes per node at this
-    /// size.
-    pub spa_budget: usize,
-    /// Sweep visit order (cache locality only; results are identical
-    /// across orders).
-    pub vertex_order: VertexOrder,
 }
 
 impl InfomapConfig {
@@ -105,9 +58,6 @@ impl Default for InfomapConfig {
             threads: 0,
             recorded_teleport: false,
             outer_loops: 2,
-            accumulator: AccumulatorKind::default(),
-            spa_budget: 1 << 22,
-            vertex_order: VertexOrder::default(),
         }
     }
 }

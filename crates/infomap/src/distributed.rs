@@ -1,43 +1,42 @@
-//! Distributed-memory emulation of the vertex-level phase.
+//! Distributed-memory emulation of the decision phase.
 //!
 //! HyPC-Map (the paper's substrate) is a *hybrid* parallel Infomap:
 //! shared-memory threads within a node and distributed ranks across nodes
 //! (Faysal et al. 2021; the distributed design follows Faysal &
-//! Arifuzzaman 2019). This module emulates the distributed layer on one
-//! machine with real message passing over channels, so the harness can
-//! report the communication volumes a cluster run would incur:
+//! Arifuzzaman 2019). [`DistEngine`] emulates the distributed layer on one
+//! machine as a [`DecideEngine`], so the harness can report the
+//! communication volumes a cluster run would incur:
 //!
-//! * vertices are block-partitioned across `ranks`; each rank owns its
-//!   labels and keeps *ghost* copies of remote neighbours' labels,
-//! * a superstep = every rank decides moves for its vertices against its
-//!   current (possibly stale) ghosts, then applies its accepted moves and
-//!   sends `(vertex, new_label)` updates to every rank that borders the
-//!   moved vertex,
+//! * each level's vertices are block-partitioned across `ranks`; every
+//!   rank (a real thread) decides moves for its owned slice of the active
+//!   set on the host kernel, against the sweep's frozen labels — the ghost
+//!   state a cluster rank would hold after the previous exchange,
+//! * a superstep is one sweep: the applied moves are announced as
+//!   `(vertex, new_label)` updates to every rank that borders the moved
+//!   vertex,
 //! * module statistics are refreshed by an emulated all-reduce whose byte
 //!   volume is counted.
 //!
-//! Decisions within a superstep use frozen state (exactly like the
-//! shared-memory phase), and conflicting moves are re-validated against
-//! the refreshed global state at the start of the next superstep, so the
-//! codelength is monotone and the final partition matches the
-//! shared-memory optimizer's fixed points.
+//! Decisions use frozen state (exactly like the shared-memory phase) and
+//! the schedule applies them in vertex order, so the partition matches the
+//! shared-memory optimizer's bit for bit.
 
 use std::cell::Cell;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use asa_graph::{CsrGraph, NodeId, Partition};
+use asa_graph::CsrGraph;
 use asa_obs::{Counter, Gauge, Obs, Value};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use serde::{Deserialize, Serialize};
 
 use crate::cancel::CancelToken;
 use crate::config::InfomapConfig;
-use crate::find_best::{find_best_community, FindBestScratch, MoveDecision};
+use crate::driver::run_with_engine;
+use crate::find_best::MoveDecision;
 use crate::flow::FlowNetwork;
-use crate::local_move::{apply_decisions, decide_range, AppliedMoves, FastAccumulator};
-use crate::mapeq::{plogp, MapState};
+use crate::kernel::{self, find_best_community_vec};
+use crate::local_move::{decide_chunk, AppliedMoves, WorkerScratch};
 use crate::result::InfomapResult;
-use crate::schedule::{optimize_multilevel_cancellable, DecideEngine, SweepCtx};
+use crate::schedule::{DecideEngine, SweepCtx};
 
 /// Communication statistics of a distributed run.
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
@@ -66,215 +65,23 @@ impl CommStats {
     }
 }
 
-/// Result of the distributed vertex-level optimization.
-#[derive(Debug, Clone)]
-pub struct DistributedResult {
-    /// Final label per vertex.
-    pub partition: Partition,
-    /// Final codelength (vertex level only; no coarsening here).
-    pub codelength: f64,
-    /// Moves applied in total.
-    pub moves: usize,
-    /// Communication accounting.
-    pub comm: CommStats,
-    /// Whether a [`CancelToken`] stopped the run at a superstep boundary.
-    pub interrupted: bool,
-}
-
-/// One rank's view: owned range plus ghost labels for remote neighbours.
-struct Rank {
-    range: std::ops::Range<usize>,
-    /// Full label vector; entries outside `range` are ghosts.
-    labels: Vec<u32>,
-    /// Ranks neighbouring each owned vertex (deduplicated), for routing
-    /// updates.
-    subscribers: Vec<Vec<usize>>,
-}
-
-fn owner_of(ranges: &[std::ops::Range<usize>], v: usize) -> usize {
-    ranges
-        .iter()
-        .position(|r| r.contains(&v))
-        .expect("vertex outside all ranges")
-}
-
-/// Runs the distributed vertex-level phase on `flow` with `ranks` emulated
-/// processes, up to `cfg.max_sweeps` supersteps.
-pub fn distributed_local_moves(
-    flow: &FlowNetwork,
-    cfg: &InfomapConfig,
-    ranks: usize,
-) -> DistributedResult {
-    distributed_local_moves_cancellable(flow, cfg, ranks, &CancelToken::none())
-}
-
-/// [`distributed_local_moves`] with cooperative cancellation: `cancel` is
-/// polled once per completed superstep (the distributed analogue of the
-/// shared-memory sweep boundary). A tripped token stops the run there;
-/// the partition is complete and the codelength describes it exactly,
-/// with [`DistributedResult::interrupted`] set.
-pub fn distributed_local_moves_cancellable(
-    flow: &FlowNetwork,
-    cfg: &InfomapConfig,
-    ranks: usize,
-    cancel: &CancelToken,
-) -> DistributedResult {
-    assert!(ranks >= 1);
-    let n = flow.num_nodes();
-    let ranges = asa_simarch::machine::block_partition(n, ranks);
-
-    // Static routing: which ranks need to hear about each vertex's moves.
-    let mut cut_arcs = 0u64;
-    let mut rank_views: Vec<Rank> = ranges
-        .iter()
-        .cloned()
-        .map(|range| Rank {
-            subscribers: vec![Vec::new(); range.len()],
-            range,
-            labels: (0..n as u32).collect(),
-        })
-        .collect();
-    for (ri, range) in ranges.iter().enumerate() {
-        for v in range.clone() {
-            let mut subs: Vec<usize> = flow
-                .out_arcs(v as u32)
-                .chain(flow.in_arcs(v as u32))
-                .map(|(t, _)| owner_of(&ranges, t as usize))
-                .filter(|&o| o != ri)
-                .collect();
-            subs.sort_unstable();
-            subs.dedup();
-            cut_arcs += flow
-                .out_arcs(v as u32)
-                .filter(|&(t, _)| owner_of(&ranges, t as usize) != ri)
-                .count() as u64;
-            rank_views[ri].subscribers[v - range.start] = subs;
-        }
-    }
-
-    // Channels: one inbox per rank. An update message is `(vertex, label)`.
-    type Update = (u32, u32);
-    let channels: Vec<(Sender<Update>, Receiver<Update>)> =
-        (0..ranks).map(|_| unbounded()).collect();
-    let senders: Vec<Sender<Update>> = channels.iter().map(|(s, _)| s.clone()).collect();
-
-    // Coordinator state (emulates the all-reduced module statistics).
-    let node_plogp0: f64 = flow.node_flows().iter().copied().map(plogp).sum();
-    let mut partition = Partition::singletons(n);
-    let mut state = MapState::with_options(flow, &partition, node_plogp0, cfg.teleport_mode());
-    let mut comm = CommStats {
-        cut_arcs,
-        ..Default::default()
-    };
-    let mut total_moves = 0usize;
-    let mut interrupted = false;
-    // Bytes of one all-reduce: every rank contributes (exit, flow) per
-    // module; we count one gather + broadcast of the module table.
-    let allreduce_bytes_per_step = (state.num_modules() * 16 * 2 * ranks) as u64;
-
-    for _superstep in 0..cfg.max_sweeps {
-        comm.supersteps += 1;
-        comm.allreduce_bytes += allreduce_bytes_per_step;
-
-        // --- Parallel decision phase: real threads, one per rank.
-        let decisions: Vec<Vec<MoveDecision>> = crossbeam::thread::scope(|scope| {
-            let state_ref = &state;
-            let handles: Vec<_> = rank_views
-                .iter()
-                .map(|rank| {
-                    scope.spawn(move |_| {
-                        let mut acc = FastAccumulator::default();
-                        let mut scratch = FindBestScratch::default();
-                        let mut sink = asa_simarch::events::NullSink;
-                        let mut out = Vec::new();
-                        for v in rank.range.clone() {
-                            let d = find_best_community(
-                                flow,
-                                &rank.labels,
-                                state_ref,
-                                v as NodeId,
-                                &mut acc,
-                                &mut sink,
-                                &mut scratch,
-                            );
-                            if d.best_module != rank.labels[v] {
-                                out.push(d);
-                            }
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        })
-        .expect("rank threads");
-
-        // --- Apply at the coordinator (deterministic order), as the
-        // owner-side resolution of conflicting moves.
-        let mut all: Vec<MoveDecision> = decisions.into_iter().flatten().collect();
-        all.sort_unstable_by_key(|d| d.vertex);
-        let applied = apply_decisions(flow, &mut partition, &mut state, &all, cfg.min_improvement);
-        total_moves += applied.applied;
-
-        // --- Exchange: each moved vertex's new label goes to every
-        // subscribing rank through its channel.
-        for &v in &applied.moved {
-            let ri = owner_of(&ranges, v as usize);
-            let new_label = partition.community_of(v);
-            let local = v as usize - ranges[ri].start;
-            for &sub in &rank_views[ri].subscribers[local] {
-                senders[sub].send((v, new_label)).expect("send");
-                comm.messages += 1;
-                comm.update_bytes += 8;
-            }
-        }
-        // Owners update their own copy; ranks drain their inboxes.
-        for (ri, rank) in rank_views.iter_mut().enumerate() {
-            for v in rank.range.clone() {
-                rank.labels[v] = partition.community_of(v as u32);
-            }
-            while let Ok((v, l)) = channels[ri].1.try_recv() {
-                rank.labels[v as usize] = l;
-            }
-        }
-
-        if applied.applied == 0 {
-            break;
-        }
-        if cancel.poll() {
-            interrupted = true;
-            break;
-        }
-    }
-
-    DistributedResult {
-        codelength: state.codelength(),
-        partition,
-        moves: total_moves,
-        comm,
-        interrupted,
-    }
-}
-
-/// The distributed decision engine, promoted from a standalone prototype
-/// into a [`DecideEngine`] the multilevel schedule — and therefore a
-/// serving-engine shard — can run as its internal parallel phase.
+/// The distributed decision engine: a [`DecideEngine`] the multilevel
+/// schedule — and therefore a serving-engine shard — can run as its
+/// internal parallel phase.
 ///
 /// Each sweep block-partitions the level's vertices across `ranks`
-/// emulated processes (real threads); every rank decides moves for its
-/// owned slice of the active set against the sweep's frozen labels —
-/// exactly the ghost state a cluster rank would hold after the previous
-/// superstep's exchange. Because decisions are per-vertex functions of
-/// frozen state and the schedule applies them in vertex order, the
-/// decision stream — and so the partition and codelength — is
-/// **bit-identical** to [`crate::HostEngine`]'s hash path (and therefore
-/// to the SPA and SIMD kernels, which are proven identical to it).
+/// emulated processes (real threads); every rank runs the host kernel
+/// ([`find_best_community_vec`]) over its owned slice of the active set
+/// with its own [`WorkerScratch`], kept across sweeps. Because decisions
+/// are per-vertex functions of frozen state and the schedule applies them
+/// in vertex order, the decision stream — and so the partition and
+/// codelength — is **bit-identical** to [`crate::driver::HostEngine`]'s.
 ///
-/// What the promotion adds is *accounting*: the communication a real
-/// cluster would incur — label-update messages to subscribing ranks, the
-/// per-superstep module-statistics all-reduce, and cut arcs per level
-/// layout — accumulates in a [`CommStats`] and streams through `obs`
-/// counters (`infomap.dist.*`), so a serving layer can export per-request
+/// What it adds is *accounting*: the communication a real cluster would
+/// incur — label-update messages to subscribing ranks, the per-superstep
+/// module-statistics all-reduce, and cut arcs per level layout —
+/// accumulates in a [`CommStats`] and streams through `obs` counters
+/// (`infomap.dist.*`), so a serving layer can export per-request
 /// communication cost next to its routing/steal counters.
 pub struct DistEngine {
     ranks: usize,
@@ -285,6 +92,8 @@ pub struct DistEngine {
     /// passes return to the vertex-level node count and reuse its layout.
     layout_nodes: usize,
     ranges: Vec<std::ops::Range<usize>>,
+    /// Per-rank kernel scratch and decision buffer, reused every sweep.
+    workers: Vec<(WorkerScratch, Vec<MoveDecision>)>,
     /// `(messages, update_bytes)` at the previous sweep record, so
     /// convergence records carry per-sweep deltas.
     seen: Cell<(u64, u64)>,
@@ -325,6 +134,7 @@ impl DistEngine {
             comm: CommStats::default(),
             layout_nodes: usize::MAX,
             ranges: Vec::new(),
+            workers: (0..ranks).map(|_| Default::default()).collect(),
             seen: Cell::new((0, 0)),
             c_messages: obs.counter("infomap.dist.messages"),
             c_update_bytes: obs.counter("infomap.dist.update_bytes"),
@@ -380,41 +190,31 @@ impl DecideEngine for DistEngine {
         // of the (sorted) active set. Ranges ascend, so the concatenated
         // per-rank outputs are already in vertex order — the ordering the
         // schedule's apply step requires.
-        let ranges = &self.ranges;
-        let mut decisions: Vec<MoveDecision> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = ranges
-                .iter()
-                .cloned()
-                .map(|range| {
-                    scope.spawn(move |_| {
-                        let lo = ctx.active.partition_point(|&v| (v as usize) < range.start);
-                        let hi = ctx.active.partition_point(|&v| (v as usize) < range.end);
-                        let mut acc = FastAccumulator::default();
-                        let mut sink = asa_simarch::events::NullSink;
-                        let mut scratch = FindBestScratch::default();
-                        let mut out = Vec::new();
-                        decide_range(
+        let simd = kernel::simd_for(ctx.flow.num_nodes());
+        std::thread::scope(|scope| {
+            for (range, (ws, out)) in self.ranges.iter().zip(self.workers.iter_mut()) {
+                scope.spawn(move || {
+                    let lo = ctx.active.partition_point(|&v| (v as usize) < range.start);
+                    let hi = ctx.active.partition_point(|&v| (v as usize) < range.end);
+                    out.clear();
+                    decide_chunk(ctx, &ctx.active[lo..hi], ws, out, |ws, u| {
+                        find_best_community_vec(
                             ctx.flow,
                             ctx.labels,
                             ctx.state,
-                            &ctx.active[lo..hi],
-                            &mut acc,
-                            &mut sink,
-                            &mut scratch,
-                            &mut out,
-                        );
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().unwrap())
-                .collect()
-        })
-        .expect("rank threads");
-        decisions.sort_unstable_by_key(|d| d.vertex);
-        decisions
+                            u,
+                            &mut ws.dual,
+                            &mut ws.cache,
+                            simd,
+                        )
+                    });
+                });
+            }
+        });
+        self.workers
+            .iter()
+            .flat_map(|(_, out)| out.iter().copied())
+            .collect()
     }
 
     fn after_sweep(&mut self, ctx: &SweepCtx<'_>, applied: &AppliedMoves, _elapsed: Duration) {
@@ -447,7 +247,7 @@ impl DecideEngine for DistEngine {
     }
 
     fn sweep_fields(&self, fields: &mut Vec<(&'static str, Value)>) {
-        fields.push(("path", Value::from("dist-hash")));
+        fields.push(("path", Value::from("dist-spa")));
         fields.push(("ranks", Value::from(self.ranks as u64)));
         let (seen_m, seen_b) = self.seen.get();
         self.seen.set((self.comm.messages, self.comm.update_bytes));
@@ -472,32 +272,9 @@ pub fn detect_communities_distributed_cancellable(
     obs: &Obs,
     cancel: &CancelToken,
 ) -> (InfomapResult, CommStats) {
-    let _run = obs.span("infomap");
-    let t = Instant::now();
-    let flow = {
-        let _sp = obs.span("pagerank");
-        FlowNetwork::from_graph(graph, cfg)
-    };
-    let pagerank = t.elapsed();
     let mut engine = DistEngine::with_obs(ranks, obs);
-    let outcome = {
-        let _sp = obs.span("optimize");
-        optimize_multilevel_cancellable(&flow, cfg, &mut engine, cancel)
-    };
-    let mut timings = outcome.timings;
-    timings.pagerank = pagerank;
-    (
-        InfomapResult {
-            partition: outcome.partition,
-            codelength: outcome.codelength,
-            initial_codelength: outcome.initial_codelength,
-            levels: outcome.levels,
-            level_partitions: outcome.level_partitions,
-            timings,
-            interrupted: outcome.interrupted,
-        },
-        engine.comm(),
-    )
+    let result = run_with_engine(graph, cfg, &mut engine, obs, cancel);
+    (result, engine.comm())
 }
 
 #[cfg(test)]
@@ -506,8 +283,8 @@ mod tests {
     use asa_graph::generators::{planted_partition, PlantedConfig};
     use asa_graph::GraphBuilder;
 
-    fn planted_flow() -> (FlowNetwork, Partition) {
-        let (g, truth) = planted_partition(
+    fn planted_graph() -> CsrGraph {
+        planted_partition(
             &PlantedConfig {
                 communities: 6,
                 community_size: 30,
@@ -515,85 +292,29 @@ mod tests {
                 k_out: 1.0,
             },
             5,
-        );
-        (
-            FlowNetwork::from_graph(&g, &InfomapConfig::default()),
-            truth,
+        )
+        .0
+    }
+
+    fn run(graph: &CsrGraph, ranks: usize, cancel: &CancelToken) -> (InfomapResult, CommStats) {
+        detect_communities_distributed_cancellable(
+            graph,
+            &InfomapConfig::default(),
+            ranks,
+            &Obs::disabled(),
+            cancel,
         )
     }
 
     #[test]
-    fn matches_single_rank_result() {
-        let (flow, _) = planted_flow();
-        let cfg = InfomapConfig::default();
-        let single = distributed_local_moves(&flow, &cfg, 1);
-        let multi = distributed_local_moves(&flow, &cfg, 4);
-        // Identical decision schedule (frozen-state sweeps + ordered
-        // apply): ranks only change where decisions are computed.
-        assert_eq!(single.partition.labels(), multi.partition.labels());
-        assert!((single.codelength - multi.codelength).abs() < 1e-9);
-        assert_eq!(single.comm.messages, 0, "one rank never communicates");
-        assert!(multi.comm.messages > 0, "ranks must exchange labels");
-    }
-
-    #[test]
-    fn recovers_planted_structure() {
-        // The vertex-level phase alone (no coarsening) may leave planted
-        // communities split into fragments, but it must not *mix* them:
-        // every detected community lies inside one planted community.
-        let (flow, truth) = planted_flow();
-        let mut result = distributed_local_moves(&flow, &InfomapConfig::default(), 3);
-        result.partition.compact();
-        assert!(result.partition.num_communities() >= truth.num_communities());
-        let mut seen = std::collections::HashMap::new();
-        for u in 0..flow.num_nodes() as u32 {
-            let d = result.partition.community_of(u);
-            let t = truth.community_of(u);
-            let entry = seen.entry(d).or_insert(t);
-            assert_eq!(
-                *entry, t,
-                "detected community {d} mixes planted communities"
-            );
-        }
-    }
-
-    #[test]
-    fn communication_shrinks_over_supersteps() {
-        // Messages are per moved vertex; as the optimization converges,
-        // moves dry up, so total messages stay far below the worst case of
-        // (cut arcs × supersteps).
-        let (flow, _) = planted_flow();
-        let result = distributed_local_moves(&flow, &InfomapConfig::default(), 4);
-        let worst = result.comm.cut_arcs * result.comm.supersteps as u64;
-        assert!(result.comm.messages < worst / 2);
-        assert!(result.comm.supersteps >= 2);
-        assert!(result.comm.update_bytes == 8 * result.comm.messages);
-    }
-
-    #[test]
     fn engine_pipeline_bit_identical_to_host() {
-        // The promoted engine runs the full multilevel schedule; partition
-        // and codelength must be bit-identical to the host path for every
+        // The engine runs the full multilevel schedule; partition and
+        // codelength must be bit-identical to the host path for every
         // rank count — this is the contract a serving shard relies on.
-        let (g, _) = planted_partition(
-            &PlantedConfig {
-                communities: 6,
-                community_size: 30,
-                k_in: 10.0,
-                k_out: 1.0,
-            },
-            5,
-        );
-        let cfg = InfomapConfig::default();
-        let host = crate::detect_communities(&g, &cfg);
+        let g = planted_graph();
+        let host = crate::detect_communities(&g, &InfomapConfig::default());
         for ranks in [1usize, 3, 4] {
-            let (dist, comm) = detect_communities_distributed_cancellable(
-                &g,
-                &cfg,
-                ranks,
-                &Obs::disabled(),
-                &CancelToken::none(),
-            );
+            let (dist, comm) = run(&g, ranks, &CancelToken::none());
             assert_eq!(
                 host.partition.labels(),
                 dist.partition.labels(),
@@ -613,17 +334,27 @@ mod tests {
     }
 
     #[test]
+    fn communication_shrinks_over_supersteps() {
+        // Messages are per moved vertex; as the optimization converges,
+        // moves dry up, so total messages stay far below the worst case of
+        // (cut arcs × supersteps).
+        let (_, comm) = run(&planted_graph(), 4, &CancelToken::none());
+        let worst = comm.cut_arcs * comm.supersteps as u64;
+        assert!(comm.messages < worst / 2, "{comm:?}");
+        assert!(comm.supersteps >= 2);
+        assert_eq!(comm.update_bytes, 8 * comm.messages);
+    }
+
+    #[test]
     fn cancellation_truncates_supersteps() {
-        let (flow, _) = planted_flow();
-        let cfg = InfomapConfig::default();
-        let full = distributed_local_moves(&flow, &cfg, 4);
+        let g = planted_graph();
+        let (full, full_comm) = run(&g, 4, &CancelToken::none());
         assert!(!full.interrupted);
-        assert!(full.comm.supersteps >= 2);
-        let cancel = CancelToken::after_polls(1);
-        let cut = distributed_local_moves_cancellable(&flow, &cfg, 4, &cancel);
+        assert!(full_comm.supersteps >= 2);
+        let (cut, cut_comm) = run(&g, 4, &CancelToken::after_polls(1));
         assert!(cut.interrupted);
-        assert_eq!(cut.comm.supersteps, 1, "stops at the superstep boundary");
-        assert!(cut.comm.supersteps < full.comm.supersteps);
+        assert_eq!(cut_comm.supersteps, 1, "stops at the superstep boundary");
+        assert!(cut_comm.supersteps < full_comm.supersteps);
     }
 
     #[test]
@@ -658,9 +389,9 @@ mod tests {
     }
 
     #[test]
-    fn disconnected_cliques_need_no_messages_after_convergence() {
-        // Two cliques fully contained in different ranks: once each clique
-        // collapses (superstep 1 moves), later supersteps move nothing.
+    fn disconnected_cliques_need_no_messages() {
+        // Two cliques fully contained in different ranks: no arc crosses a
+        // rank boundary at any level, so no label update is ever sent.
         let mut b = GraphBuilder::undirected(8);
         for &(u, v) in &[(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)] {
             b.add_edge(u, v, 1.0);
@@ -668,12 +399,9 @@ mod tests {
         for &(u, v) in &[(4, 5), (5, 6), (6, 7), (7, 4), (4, 6), (5, 7)] {
             b.add_edge(u, v, 1.0);
         }
-        let flow = FlowNetwork::from_graph(&b.build(), &InfomapConfig::default());
-        let result = distributed_local_moves(&flow, &InfomapConfig::default(), 2);
-        assert_eq!(result.comm.cut_arcs, 0);
-        assert_eq!(result.comm.messages, 0);
-        let mut p = result.partition;
-        p.compact();
-        assert_eq!(p.num_communities(), 2);
+        let (result, comm) = run(&b.build(), 2, &CancelToken::none());
+        assert_eq!(comm.cut_arcs, 0);
+        assert_eq!(comm.messages, 0);
+        assert_eq!(result.num_communities(), 2);
     }
 }

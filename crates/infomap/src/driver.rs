@@ -8,34 +8,28 @@ use std::time::Instant;
 
 use asa_graph::CsrGraph;
 use asa_obs::{Obs, Value};
+use asa_simarch::events::NullSink;
 
 use crate::cancel::CancelToken;
-use crate::config::{AccumulatorKind, InfomapConfig, VertexOrder};
-use crate::find_best::MoveDecision;
+use crate::config::InfomapConfig;
+use crate::find_best::{find_best_community, FindBestScratch, MoveDecision};
 use crate::flow::FlowNetwork;
-use crate::kernel;
-use crate::local_move::{parallel_decide, parallel_decide_spa_phased, KernelCounters, ScratchPool};
+use crate::kernel::{self, find_best_community_vec};
+use crate::local_move::{parallel_decide, FastAccumulator, KernelCounters, ScratchPool};
 use crate::result::InfomapResult;
 use crate::schedule::{optimize_multilevel_cancellable, DecideEngine, SweepCtx};
 
-/// The host-parallel decision engine: rayon work over the active set with
-/// pooled per-worker scratch. Depending on the configured
-/// [`AccumulatorKind`] and budget, each sweep runs either the
-/// [`crate::local_move::SpaAccumulator`] fast path or the
-/// [`crate::local_move::FastAccumulator`] hash path — both produce the
-/// identical decision stream.
+/// The host-parallel decision engine: the vectorized dual-SPA kernel
+/// ([`find_best_community_vec`]) over rayon chunks of the active set, with
+/// pooled per-worker scratch. AVX2 where compiled in, supported, and the
+/// level fits its `i32` index lanes ([`kernel::simd_for`]); the portable
+/// loops otherwise — both produce the identical decision stream.
 #[derive(Debug, Default)]
 pub struct HostEngine {
-    kind: AccumulatorKind,
-    spa_budget: usize,
-    order: VertexOrder,
-    /// Reused buffer for the reordered sweep schedule (empty while
-    /// `VertexOrder::Input`, which iterates the active set directly).
-    order_buf: Vec<u32>,
     scratch: ScratchPool,
     obs: Obs,
-    /// Whether the most recent sweep took the SPA fast path.
-    last_spa: bool,
+    /// Whether the most recent sweep ran the AVX2 path.
+    simd: bool,
     /// Scratch-pool (hits, misses) at the previous sweep record, so each
     /// convergence record carries per-sweep deltas rather than lifetime
     /// totals. `Cell` because `sweep_fields` takes `&self`.
@@ -45,66 +39,45 @@ pub struct HostEngine {
 }
 
 impl HostEngine {
-    /// An engine following `cfg`'s accumulator selection.
+    /// A fresh engine. The configuration selects nothing: every host run
+    /// takes the one kernel.
     pub fn from_config(cfg: &InfomapConfig) -> Self {
         Self::with_obs(cfg, &Obs::disabled())
     }
 
     /// [`HostEngine::from_config`] plus a telemetry handle: the schedule
     /// will time decide/apply phases against it and emit per-sweep
-    /// convergence records carrying this engine's path and scratch stats.
-    pub fn with_obs(cfg: &InfomapConfig, obs: &Obs) -> Self {
+    /// convergence records carrying this engine's kernel path and scratch
+    /// stats.
+    pub fn with_obs(_cfg: &InfomapConfig, obs: &Obs) -> Self {
         Self {
-            kind: cfg.accumulator,
-            spa_budget: cfg.spa_budget,
-            order: cfg.vertex_order,
-            order_buf: Vec::new(),
-            scratch: ScratchPool::new(),
             obs: obs.clone(),
-            last_spa: false,
-            scratch_seen: Cell::new((0, 0)),
-            kernel_seen: Cell::new(KernelCounters::default()),
+            ..Self::default()
         }
     }
 }
 
 impl DecideEngine for HostEngine {
     fn decide(&mut self, ctx: &SweepCtx<'_>) -> Vec<MoveDecision> {
-        self.last_spa = match self.kind {
-            AccumulatorKind::Spa => true,
-            AccumulatorKind::Hash => false,
-            AccumulatorKind::Auto => ctx.flow.num_nodes() <= self.spa_budget,
-        };
-        // Reorder the sweep schedule for cache locality; decisions are
-        // re-sorted by vertex id downstream, so results are unaffected.
-        let order = kernel::sweep_order(ctx.flow, ctx.active, self.order, &mut self.order_buf);
+        let simd = kernel::simd_for(ctx.flow.num_nodes());
+        self.simd = simd;
         // Sampling-profiler leaf label: flamegraphs of a serving engine
-        // distinguish hash vs portable-SPA vs AVX2 sweeps (and their
-        // schedule order) without a span per sweep.
+        // distinguish portable vs AVX2 sweeps without a span per sweep.
         if self.obs.profiler_enabled() {
-            self.obs.prof_label(&format!(
-                "kernel={},order={}",
-                if self.last_spa {
-                    kernel::kernel_path_name()
-                } else {
-                    "hash"
-                },
-                kernel::order_name(self.order),
-            ));
+            self.obs
+                .prof_label(&format!("kernel={}", kernel::path_name(simd)));
         }
-        let decisions = if self.last_spa {
-            let phases = kernel::phase_timing().then(kernel::global_phase_times);
-            parallel_decide_spa_phased(
+        let decisions = parallel_decide(ctx, &self.scratch, |ws, u| {
+            find_best_community_vec(
                 ctx.flow,
                 ctx.labels,
                 ctx.state,
-                order,
-                &self.scratch,
-                phases,
+                u,
+                &mut ws.dual,
+                &mut ws.cache,
+                simd,
             )
-        } else {
-            parallel_decide(ctx.flow, ctx.labels, ctx.state, order)
-        };
+        });
         if self.obs.profiler_enabled() {
             self.obs.prof_label("");
         }
@@ -116,19 +89,8 @@ impl DecideEngine for HostEngine {
     }
 
     fn sweep_fields(&self, fields: &mut Vec<(&'static str, Value)>) {
-        fields.push((
-            "path",
-            Value::from(if self.last_spa { "spa" } else { "hash" }),
-        ));
-        fields.push((
-            "kernel",
-            Value::from(if self.last_spa {
-                kernel::kernel_path_name()
-            } else {
-                "hash"
-            }),
-        ));
-        fields.push(("order", Value::from(kernel::order_name(self.order))));
+        fields.push(("path", Value::from("spa")));
+        fields.push(("kernel", Value::from(kernel::path_name(self.simd))));
         let (hits, misses) = self.scratch.stats();
         let (seen_h, seen_m) = self.scratch_seen.get();
         self.scratch_seen.set((hits, misses));
@@ -206,32 +168,77 @@ impl Infomap {
         obs: &Obs,
         cancel: &CancelToken,
     ) -> InfomapResult {
-        let _run = obs.span("infomap");
-        // --- PageRank kernel: stationary visit rates + flow network.
-        let t = Instant::now();
-        let flow = {
-            let _sp = obs.span("pagerank");
-            FlowNetwork::from_graph(graph, &self.cfg)
-        };
-        let pagerank = t.elapsed();
+        run_with_engine(
+            graph,
+            &self.cfg,
+            &mut HostEngine::with_obs(&self.cfg, obs),
+            obs,
+            cancel,
+        )
+    }
+}
 
-        let mut engine = HostEngine::with_obs(&self.cfg, obs);
-        let outcome = {
-            let _sp = obs.span("optimize");
-            optimize_multilevel_cancellable(&flow, &self.cfg, &mut engine, cancel)
-        };
-        let mut timings = outcome.timings;
-        timings.pagerank = pagerank;
+/// The hash reference engine: the generic kernel
+/// ([`find_best_community`]) over the [`FastAccumulator`] hash table —
+/// the paper's Algorithm 1 on the host — through the same chunk driver as
+/// [`HostEngine`]. Never selected by configuration: callers construct it
+/// explicitly as the equivalence oracle and as the baseline the host
+/// kernel is benchmarked against.
+#[derive(Debug, Default)]
+pub struct HashEngine {
+    scratch: ScratchPool<(FastAccumulator, FindBestScratch)>,
+}
 
-        InfomapResult {
-            partition: outcome.partition,
-            codelength: outcome.codelength,
-            initial_codelength: outcome.initial_codelength,
-            levels: outcome.levels,
-            level_partitions: outcome.level_partitions,
-            timings,
-            interrupted: outcome.interrupted,
-        }
+impl DecideEngine for HashEngine {
+    fn decide(&mut self, ctx: &SweepCtx<'_>) -> Vec<MoveDecision> {
+        parallel_decide(ctx, &self.scratch, |(acc, scratch), u| {
+            find_best_community(
+                ctx.flow,
+                ctx.labels,
+                ctx.state,
+                u,
+                acc,
+                &mut NullSink,
+                scratch,
+            )
+        })
+    }
+}
+
+/// One full run on `graph` with `engine` as the decision phase: builds the
+/// flow network (timed as PageRank), runs the multilevel schedule, and
+/// assembles the [`InfomapResult`]. Spans `infomap` → `pagerank` /
+/// `optimize` go to `obs`; `cancel` is polled at every sweep boundary.
+/// Every host-side entry point ([`Infomap`], the distributed engine, the
+/// hash reference) goes through here.
+pub fn run_with_engine<E: DecideEngine>(
+    graph: &CsrGraph,
+    cfg: &InfomapConfig,
+    engine: &mut E,
+    obs: &Obs,
+    cancel: &CancelToken,
+) -> InfomapResult {
+    let _run = obs.span("infomap");
+    let t = Instant::now();
+    let flow = {
+        let _sp = obs.span("pagerank");
+        FlowNetwork::from_graph(graph, cfg)
+    };
+    let pagerank = t.elapsed();
+    let outcome = {
+        let _sp = obs.span("optimize");
+        optimize_multilevel_cancellable(&flow, cfg, engine, cancel)
+    };
+    let mut timings = outcome.timings;
+    timings.pagerank = pagerank;
+    InfomapResult {
+        partition: outcome.partition,
+        codelength: outcome.codelength,
+        initial_codelength: outcome.initial_codelength,
+        levels: outcome.levels,
+        level_partitions: outcome.level_partitions,
+        timings,
+        interrupted: outcome.interrupted,
     }
 }
 
@@ -271,9 +278,7 @@ pub fn detect_communities_observed(
 /// are those of the renumbered run — bit-identical module *content*, but
 /// the sweep visits vertices in a different order than an un-renumbered
 /// run, so the partitions may differ the way any two legal sweep orders
-/// may. Combine with [`VertexOrder::Input`] to let the renumbering alone
-/// define locality, or [`VertexOrder::Blocked`] to additionally block the
-/// sweep.
+/// may.
 pub fn detect_communities_renumbered(graph: &CsrGraph, cfg: &InfomapConfig) -> InfomapResult {
     let perm = asa_graph::degree_order(graph);
     let renumbered = asa_graph::renumber(graph, &perm);

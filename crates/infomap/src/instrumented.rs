@@ -28,9 +28,8 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::config::InfomapConfig;
-use crate::find_best::{FindBestScratch, MoveDecision};
+use crate::find_best::{find_best_community, FindBestScratch, MoveDecision};
 use crate::flow::FlowNetwork;
-use crate::local_move::decide_range;
 use crate::schedule::{optimize_multilevel, DecideEngine, SweepCtx};
 
 /// Concatenates per-rank decision buffers in rank order. The ranks hold
@@ -401,16 +400,12 @@ fn decide_parallel<A: FlowAccumulator + Send, S: EventSink + Send>(
         .enumerate()
         .for_each(|(i, (((sink, acc), scratch), out))| {
             out.clear();
-            decide_range(
-                flow,
-                labels,
-                state,
-                &active[ranges[i].clone()],
-                acc,
-                sink,
-                scratch,
-                out,
-            );
+            for &u in &active[ranges[i].clone()] {
+                let d = find_best_community(flow, labels, state, u, acc, sink, scratch);
+                if d.best_module != labels[u as usize] {
+                    out.push(d);
+                }
+            }
         });
 }
 

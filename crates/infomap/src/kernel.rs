@@ -24,14 +24,18 @@
 //!    [`MoveEval`] + [`ModTermCache`]: three `plogp` calls per candidate
 //!    instead of ten, bit-identical to [`MapState::delta_move`].
 //!
-//! Every phase preserves the exact FP operation order of the scalar
-//! reference ([`crate::local_move::find_best_community_spa`]), so the
-//! decision stream — and therefore partitions and codelengths — are
-//! bit-identical across the scalar, portable-vector, and AVX2 paths.
+//! Every phase preserves the exact FP operation order of the generic
+//! event-emitting kernel ([`crate::find_best::find_best_community`], the
+//! reference every accumulation device runs through), so the decision
+//! stream — and therefore partitions and codelengths — are bit-identical
+//! across the hash reference, portable, and AVX2 paths.
+//!
+//! Each worker's [`DualSpa`] costs 32 bytes per node of the level it
+//! sweeps (one [`SpaSlot`] per module id), allocated once at the
+//! vertex level and reused by every coarser level.
 
 use asa_graph::NodeId;
 
-use crate::config::VertexOrder;
 use crate::find_best::MoveDecision;
 use crate::flow::FlowNetwork;
 use crate::mapeq::{MapState, ModTermCache, ModuleFlows, MoveEval};
@@ -85,71 +89,36 @@ pub fn simd_active() -> bool {
     }
 }
 
-/// The dispatch target's name, for obs records and bench JSON:
-/// `"spa-simd-avx2"` or `"spa-scalar"`.
-pub fn kernel_path_name() -> &'static str {
-    if simd_active() {
+/// Whether the AVX2 gathers can index a level of `nodes` nodes. They
+/// compute indices in `i32` lanes: node ids as label offsets, and
+/// `4 * module + lane` as slot-lane offsets, so every id must stay at or
+/// below `i32::MAX / 4`.
+#[inline]
+const fn avx2_index_fits(nodes: usize) -> bool {
+    nodes <= i32::MAX as usize / 4
+}
+
+/// Whether the AVX2 path runs for a level of `nodes` nodes: compiled in,
+/// supported, not forced off, and the level's ids fit the `i32` lanes.
+#[inline]
+pub fn simd_for(nodes: usize) -> bool {
+    simd_active() && avx2_index_fits(nodes)
+}
+
+/// The name of the kernel path `simd` selects, for obs records and bench
+/// JSON: `"spa-simd-avx2"` or `"spa-scalar"`.
+pub(crate) fn path_name(simd: bool) -> &'static str {
+    if simd {
         "spa-simd-avx2"
     } else {
         "spa-scalar"
     }
 }
 
-// ---------------------------------------------------------------------------
-// Sweep visit order
-// ---------------------------------------------------------------------------
-
-/// Id-block width of [`VertexOrder::Blocked`]: 4096 vertices is 16 KiB of
-/// labels plus (at the typical ~10 arcs/vertex) a few hundred KiB of CSR
-/// rows — a block's working set stays within L2 while consecutive sweep
-/// vertices share neighbour and label lines.
-pub const SWEEP_BLOCK: u32 = 4096;
-
-/// Total degree (out + in rows) of `u`, the sort key of the degree orders.
-#[inline]
-fn total_degree(flow: &FlowNetwork, u: NodeId) -> usize {
-    flow.out_arc_slices(u).0.len() + flow.in_arc_slices(u).0.len()
-}
-
-/// Builds the sweep visit order for `active` into `buf` and returns the
-/// slice to iterate (the input itself for [`VertexOrder::Input`]).
-///
-/// Reordering never changes results: decisions are taken against a frozen
-/// snapshot and re-sorted by vertex id before application, so only cache
-/// behaviour differs.
-pub fn sweep_order<'a>(
-    flow: &FlowNetwork,
-    active: &'a [NodeId],
-    order: VertexOrder,
-    buf: &'a mut Vec<NodeId>,
-) -> &'a [NodeId] {
-    match order {
-        VertexOrder::Input => active,
-        VertexOrder::DegreeDesc => {
-            buf.clear();
-            buf.extend_from_slice(active);
-            // Ties broken ascending-id so the order is deterministic.
-            buf.sort_unstable_by_key(|&u| (std::cmp::Reverse(total_degree(flow, u)), u));
-            buf
-        }
-        VertexOrder::Blocked => {
-            buf.clear();
-            buf.extend_from_slice(active);
-            buf.sort_unstable_by_key(|&u| {
-                (u / SWEEP_BLOCK, std::cmp::Reverse(total_degree(flow, u)), u)
-            });
-            buf
-        }
-    }
-}
-
-/// Display name of a [`VertexOrder`], for obs records and bench JSON.
-pub fn order_name(order: VertexOrder) -> &'static str {
-    match order {
-        VertexOrder::Input => "input",
-        VertexOrder::DegreeDesc => "degree-desc",
-        VertexOrder::Blocked => "blocked",
-    }
+/// The dispatch target's name, for obs records and bench JSON:
+/// `"spa-simd-avx2"` when [`simd_active`], else `"spa-scalar"`.
+pub fn kernel_path_name() -> &'static str {
+    path_name(simd_active())
 }
 
 // ---------------------------------------------------------------------------
@@ -254,7 +223,8 @@ fn gather_labels_portable(labels: &[u32], targets: &[NodeId], out: &mut Vec<u32>
 ///
 /// # Safety
 /// Caller must ensure AVX2 is available and every target id indexes into
-/// `labels` (the CSR construction guarantees targets < num_nodes).
+/// `labels` (the CSR construction guarantees targets < num_nodes) and
+/// fits a non-negative `i32` lane ([`avx2_index_fits`]).
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 #[target_feature(enable = "avx2")]
 unsafe fn gather_labels_avx2(labels: &[u32], targets: &[NodeId], out: &mut Vec<u32>) {
@@ -284,8 +254,10 @@ unsafe fn gather_labels_avx2(labels: &[u32], targets: &[NodeId], out: &mut Vec<u
 fn gather_labels(labels: &[u32], targets: &[NodeId], out: &mut Vec<u32>, simd: bool) {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     if simd {
-        // SAFETY: `simd` implies avx2_available(); targets are valid node
-        // ids < labels.len() by CSR construction.
+        // SAFETY: `DualSpa::accumulate` passes `simd` only after
+        // `simd_for` (AVX2 detected, node ids fit `i32` lanes) and
+        // `labels.len() >= num_nodes` held; targets are node ids
+        // < num_nodes by CSR construction.
         unsafe { gather_labels_avx2(labels, targets, out) };
         return;
     }
@@ -322,14 +294,13 @@ const SCATTER_PREFETCH: usize = 8;
 /// Fused sparse accumulator for both flow directions of one vertex, with
 /// compact candidate lanes.
 ///
-/// Unlike the two independent epoch-stamped [`SpaAccumulator`]s of the
-/// scalar reference, both directions share one stamp and one touched
-/// list: a module is appended on its *first* touch from either direction
-/// and its other-direction sum is zeroed, so accumulation into either
-/// direction is a plain indexed add afterwards. Stamp and sums share one
-/// 32-byte [`SpaSlot`] and are cleared through the touched list — the
-/// reset is O(touched this vertex), never O(communities), with lifetime
-/// counters proving it.
+/// Both directions share one stamp and one touched list: a module is
+/// appended on its *first* touch from either direction and its
+/// other-direction sum is zeroed, so accumulation into either direction
+/// is a plain indexed add afterwards. Stamp and sums share one 32-byte
+/// [`SpaSlot`] and are cleared through the touched list — the reset is
+/// O(touched this vertex), never O(communities), with lifetime counters
+/// proving it. The slots cost 32 bytes × the level's node count.
 #[derive(Debug, Default)]
 pub struct DualSpa {
     /// Dense per-module accumulator slots.
@@ -415,10 +386,15 @@ impl DualSpa {
 
     /// Phase 1: accumulate both directions of vertex `u`'s flow per
     /// neighbouring module. Per-module additions happen in arc order — the
-    /// identical FP sequence as the hash and scalar-SPA paths.
+    /// identical FP sequence as the generic kernel's hash path. `simd`
+    /// requests the AVX2 label gather; it runs only where it is sound.
     #[inline]
     pub fn accumulate(&mut self, flow: &FlowNetwork, labels: &[u32], u: NodeId, simd: bool) {
         debug_assert!(self.touched.is_empty(), "gather must precede accumulate");
+        // The AVX2 gather reads `labels[target]` unchecked: every CSR
+        // target is < num_nodes, so `labels` must cover them all, and the
+        // ids must fit its `i32` lanes.
+        let simd = simd && simd_for(flow.num_nodes()) && labels.len() >= flow.num_nodes();
         let (targets, flows) = flow.out_arc_slices(u);
         // Split the indexed label loads from the scatter-adds: the gather
         // half is branch-free and 8-wide (vpgatherdd on the SIMD path).
@@ -455,9 +431,13 @@ impl DualSpa {
 
     /// Phase 2: sort the touched union ascending (the candidate visit
     /// order the tie-break contract requires), pull the slot sums into
-    /// the compact lanes, and clear exactly the touched stamps.
+    /// the compact lanes, and clear exactly the touched stamps. `simd`
+    /// requests the AVX2 lane gather; it runs only where it is sound.
     #[inline]
     pub fn gather(&mut self, symmetric: bool, simd: bool) {
+        // Touched ids passed the scatter's checked `slots` indexing; the
+        // AVX2 gather needs `4 * id + lane` to fit its `i32` lanes.
+        let simd = simd && simd_for(self.slots.len());
         self.touched.sort_unstable();
         let n = self.touched.len();
         self.keys.clear();
@@ -541,7 +521,8 @@ fn gather_lane_portable(slots: &[SpaSlot], idx: &[u32], out: &mut Vec<f64>, lane
 ///
 /// # Safety
 /// Caller must ensure AVX2 is available, every index is < `slots.len()`,
-/// and `4 * slots.len()` fits in `i32`.
+/// and `4 * index + lane` fits in `i32` ([`avx2_index_fits`] of
+/// `slots.len()`).
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 #[target_feature(enable = "avx2")]
 unsafe fn gather_lane_avx2(slots: &[SpaSlot], idx: &[u32], out: &mut Vec<f64>, lane: usize) {
@@ -573,9 +554,10 @@ unsafe fn gather_lane_avx2(slots: &[SpaSlot], idx: &[u32], out: &mut Vec<f64>, l
 fn gather_lane(slots: &[SpaSlot], idx: &[u32], out: &mut Vec<f64>, lane: usize, simd: bool) {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     if simd {
-        // SAFETY: `simd` implies avx2_available(); indices are module ids
-        // < slots.len() (ensure_capacity covers the level's module count),
-        // and module counts are u32 node counts well inside `i32 / 4`.
+        // SAFETY: `DualSpa::gather` passes `simd` only after
+        // `simd_for(slots.len())` held (AVX2 detected, `4 * id + lane`
+        // fits an `i32` lane); indices are module ids that already indexed
+        // `slots` through the scatter's bounds-checked access.
         unsafe { gather_lane_avx2(slots, idx, out, lane) };
         return;
     }
@@ -590,7 +572,7 @@ fn gather_lane(slots: &[SpaSlot], idx: &[u32], out: &mut Vec<f64>, lane: usize, 
 /// Phase 3: evaluate every candidate module in the lanes and return the
 /// best move for `u`. Visit order is ascending module id and the epsilon
 /// tie-break mirrors the generic kernel exactly, so the decision is
-/// bit-identical to the scalar reference.
+/// bit-identical to the generic kernel's.
 #[inline]
 pub fn scan(
     flow: &FlowNetwork,
@@ -647,7 +629,7 @@ pub fn scan(
 }
 
 // ---------------------------------------------------------------------------
-// Whole-vertex kernel + phase-timed variant
+// Whole-vertex kernel
 // ---------------------------------------------------------------------------
 
 /// `FindBestCommunity` for one vertex on the vectorized path: the three
@@ -667,125 +649,15 @@ pub fn find_best_community_vec(
     scan(flow, state, cache, u, labels[u as usize], spa.lanes())
 }
 
-/// Per-phase wall-clock attribution of the sweep kernel, shared across
-/// worker threads. Chunk-local nanosecond counters are flushed here once
-/// per chunk, so the atomics stay off the per-vertex path.
-#[derive(Debug, Default)]
-pub struct KernelPhaseTimes {
-    accumulate_ns: std::sync::atomic::AtomicU64,
-    gather_ns: std::sync::atomic::AtomicU64,
-    scan_ns: std::sync::atomic::AtomicU64,
-}
-
-/// One chunk's (or one process's) phase totals, in seconds.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct KernelBreakdown {
-    /// Seconds in phase 1 (label gather + scatter-add).
-    pub accumulate_seconds: f64,
-    /// Seconds in phase 2 (touched sort + lane gather + reset).
-    pub gather_seconds: f64,
-    /// Seconds in phase 3 (candidate evaluation).
-    pub scan_seconds: f64,
-}
-
-impl KernelBreakdown {
-    /// Total kernel seconds across the three phases.
-    pub fn total_seconds(&self) -> f64 {
-        self.accumulate_seconds + self.gather_seconds + self.scan_seconds
-    }
-}
-
-impl KernelPhaseTimes {
-    /// A zeroed counter set, const so it can live in a `static`.
-    pub const fn new() -> Self {
-        Self {
-            accumulate_ns: std::sync::atomic::AtomicU64::new(0),
-            gather_ns: std::sync::atomic::AtomicU64::new(0),
-            scan_ns: std::sync::atomic::AtomicU64::new(0),
-        }
-    }
-
-    /// Flushes one chunk's nanosecond totals.
-    pub fn add_ns(&self, accumulate: u64, gather: u64, scan: u64) {
-        use std::sync::atomic::Ordering;
-        self.accumulate_ns.fetch_add(accumulate, Ordering::Relaxed);
-        self.gather_ns.fetch_add(gather, Ordering::Relaxed);
-        self.scan_ns.fetch_add(scan, Ordering::Relaxed);
-    }
-
-    /// Snapshot of the accumulated totals.
-    pub fn snapshot(&self) -> KernelBreakdown {
-        use std::sync::atomic::Ordering;
-        let s = |ns: u64| ns as f64 * 1e-9;
-        KernelBreakdown {
-            accumulate_seconds: s(self.accumulate_ns.load(Ordering::Relaxed)),
-            gather_seconds: s(self.gather_ns.load(Ordering::Relaxed)),
-            scan_seconds: s(self.scan_ns.load(Ordering::Relaxed)),
-        }
-    }
-}
-
-/// Process-wide phase-time accumulator, so `hostperf --kernel-breakdown`
-/// can attribute gather/accumulate/scan seconds without threading a handle
-/// through the public `detect_communities` API. Off by default; the
-/// production sweep path is untouched unless [`set_phase_timing`] enables
-/// it.
-static GLOBAL_PHASE_TIMES: KernelPhaseTimes = KernelPhaseTimes::new();
-static PHASE_TIMING: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-
-/// Enables/disables per-phase kernel timing into [`global_phase_times`].
-pub fn set_phase_timing(on: bool) {
-    PHASE_TIMING.store(on, std::sync::atomic::Ordering::Relaxed);
-}
-
-/// Whether per-phase kernel timing is currently enabled.
-#[inline]
-pub fn phase_timing() -> bool {
-    PHASE_TIMING.load(std::sync::atomic::Ordering::Relaxed)
-}
-
-/// The process-wide phase-time accumulator. Callers snapshot before and
-/// after a run and report the delta.
-pub fn global_phase_times() -> &'static KernelPhaseTimes {
-    &GLOBAL_PHASE_TIMES
-}
-
-/// [`find_best_community_vec`] with per-phase timing into chunk-local
-/// counters (flush them to a [`KernelPhaseTimes`] at chunk end). Identical
-/// decision output — timing wraps the same phase calls.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-pub fn find_best_community_vec_timed(
-    flow: &FlowNetwork,
-    labels: &[u32],
-    state: &MapState,
-    u: NodeId,
-    spa: &mut DualSpa,
-    cache: &mut ModTermCache,
-    simd: bool,
-    ns: &mut (u64, u64, u64),
-) -> MoveDecision {
-    let t0 = std::time::Instant::now();
-    spa.accumulate(flow, labels, u, simd);
-    let t1 = std::time::Instant::now();
-    spa.gather(flow.is_symmetric(), simd);
-    let t2 = std::time::Instant::now();
-    let d = scan(flow, state, cache, u, labels[u as usize], spa.lanes());
-    let t3 = std::time::Instant::now();
-    ns.0 += (t1 - t0).as_nanos() as u64;
-    ns.1 += (t2 - t1).as_nanos() as u64;
-    ns.2 += (t3 - t2).as_nanos() as u64;
-    d
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::InfomapConfig;
-    use crate::local_move::find_best_community_spa;
-    use crate::local_move::SpaAccumulator;
+    use crate::find_best::{find_best_community, FindBestScratch};
+    use crate::local_move::FastAccumulator;
     use asa_graph::generators::{planted_partition, PlantedConfig};
     use asa_graph::{GraphBuilder, Partition};
+    use asa_simarch::events::NullSink;
 
     fn directed_flow(n: u32, arcs: u32, seed: u64) -> FlowNetwork {
         let mut b = GraphBuilder::directed(n as usize);
@@ -803,25 +675,27 @@ mod tests {
         FlowNetwork::from_graph(&b.build(), &InfomapConfig::default())
     }
 
-    fn check_vec_matches_scalar(flow: &FlowNetwork, labels: &[u32], modules: usize) {
+    /// Every vertex's decision on the vectorized kernel (portable and, where
+    /// available, AVX2) equals the generic kernel's over the hash
+    /// accumulator, to the bit.
+    fn check_vec_matches_generic(flow: &FlowNetwork, labels: &[u32], modules: usize) {
         let state = MapState::new(flow, &Partition::from_labels(labels.to_vec()));
-        let mut out_spa = SpaAccumulator::with_capacity(modules);
-        let mut in_spa = SpaAccumulator::with_capacity(modules);
-        let mut keys = Vec::new();
+        let mut acc = FastAccumulator::default();
+        let mut scratch = FindBestScratch::default();
         let mut dual = DualSpa::default();
         dual.ensure_capacity(modules);
         let mut cache = ModTermCache::default();
         cache.begin(modules);
         for simd in [false, simd_active()] {
             for u in 0..flow.num_nodes() as u32 {
-                let a = find_best_community_spa(
+                let a = find_best_community(
                     flow,
                     labels,
                     &state,
                     u,
-                    &mut out_spa,
-                    &mut in_spa,
-                    &mut keys,
+                    &mut acc,
+                    &mut NullSink,
+                    &mut scratch,
                 );
                 let b =
                     find_best_community_vec(flow, labels, &state, u, &mut dual, &mut cache, simd);
@@ -839,7 +713,7 @@ mod tests {
     }
 
     #[test]
-    fn vec_kernel_matches_scalar_spa_undirected() {
+    fn vec_kernel_matches_generic_undirected() {
         let (g, _) = planted_partition(
             &PlantedConfig {
                 communities: 5,
@@ -852,7 +726,7 @@ mod tests {
         let n = g.num_nodes();
         let flow = FlowNetwork::from_graph(&g, &InfomapConfig::default());
         let singleton: Vec<u32> = (0..n as u32).collect();
-        check_vec_matches_scalar(&flow, &singleton, n);
+        check_vec_matches_generic(&flow, &singleton, n);
 
         // A graph whose undirected flow really carries the symmetric flag
         // (uniform arc flows), exercising the lane-mirror fast path.
@@ -863,15 +737,15 @@ mod tests {
         let sym = FlowNetwork::from_graph(&b.build(), &InfomapConfig::default());
         assert!(sym.is_symmetric());
         let labels: Vec<u32> = (0..6).collect();
-        check_vec_matches_scalar(&sym, &labels, 6);
+        check_vec_matches_generic(&sym, &labels, 6);
     }
 
     #[test]
-    fn vec_kernel_matches_scalar_spa_directed() {
+    fn vec_kernel_matches_generic_directed() {
         let flow = directed_flow(60, 400, 23);
         assert!(!flow.is_symmetric());
         let labels: Vec<u32> = (0..60).collect();
-        check_vec_matches_scalar(&flow, &labels, 60);
+        check_vec_matches_generic(&flow, &labels, 60);
     }
 
     #[test]
@@ -932,6 +806,21 @@ mod tests {
     }
 
     #[test]
+    fn avx2_only_where_ids_fit_i32_lanes() {
+        let limit = i32::MAX as usize / 4;
+        assert!(avx2_index_fits(0) && avx2_index_fits(limit));
+        assert!(!avx2_index_fits(limit + 1) && !avx2_index_fits(u32::MAX as usize));
+        // The largest admitted module id still forms a valid slot-lane
+        // offset for either lane.
+        assert!(4 * (limit as i64 - 1) + LANE_IN as i64 <= i32::MAX as i64);
+        assert!(
+            !simd_for(limit + 1),
+            "oversized levels take the portable kernel"
+        );
+        assert_eq!(simd_for(limit), simd_active());
+    }
+
+    #[test]
     fn force_scalar_override_wins() {
         let env_on = std::env::var(FORCE_SCALAR_ENV)
             .map(|v| v != "0" && !v.is_empty())
@@ -944,17 +833,5 @@ mod tests {
         // ASA_FORCE_SCALAR=1 CI leg) and check the dispatch came back.
         set_force_scalar(env_on);
         assert_eq!(simd_active(), was);
-    }
-
-    #[test]
-    fn phase_times_accumulate() {
-        let times = KernelPhaseTimes::default();
-        times.add_ns(1_000_000, 2_000_000, 3_000_000);
-        times.add_ns(1_000_000, 0, 500_000);
-        let b = times.snapshot();
-        assert!((b.accumulate_seconds - 0.002).abs() < 1e-12);
-        assert!((b.gather_seconds - 0.002).abs() < 1e-12);
-        assert!((b.scan_seconds - 0.0035).abs() < 1e-12);
-        assert!((b.total_seconds() - 0.0075).abs() < 1e-12);
     }
 }

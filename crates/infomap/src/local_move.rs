@@ -14,17 +14,15 @@ use std::sync::Mutex;
 
 use asa_graph::{NodeId, Partition};
 use asa_simarch::accum::FlowAccumulator;
-use asa_simarch::events::{EventSink, NullSink};
+use asa_simarch::events::EventSink;
 use rayon::prelude::*;
 use rustc_hash::FxHashMap;
 
-use crate::config::AccumulatorKind;
-use crate::find_best::{find_best_community, FindBestScratch, MoveDecision};
+use crate::find_best::{FindBestScratch, MoveDecision};
 use crate::flow::FlowNetwork;
-use crate::kernel::{
-    self, find_best_community_vec, find_best_community_vec_timed, DualSpa, KernelPhaseTimes,
-};
-use crate::mapeq::{module_flows_pair, MapState, ModTermCache, ModuleFlows};
+use crate::kernel::{self, DualSpa};
+use crate::mapeq::{module_flows_pair, MapState, ModTermCache};
+use crate::schedule::SweepCtx;
 
 /// Host-speed accumulator for uninstrumented runs: an `FxHashMap` with no
 /// event emission. This is what the *algorithm* uses when we only care
@@ -53,154 +51,86 @@ impl FlowAccumulator for FastAccumulator {
     }
 }
 
-/// Software sparse accumulator (SPA): a dense value array indexed directly
-/// by module id, an epoch-stamp array marking which slots are live this
-/// round, and a touched list for gathering. `accumulate` is one stamped
-/// array write — no hashing, no probing — which is why it wins whenever
-/// the dense arrays fit in memory (and mostly in cache). `begin` is O(1):
-/// advancing the epoch invalidates every stale slot at once.
-///
-/// Capacity must cover the largest key accumulated; callers size it to the
-/// current level's node count (module labels are node ids before
-/// compaction).
-#[derive(Debug, Default)]
-pub struct SpaAccumulator {
-    values: Vec<f64>,
-    stamp: Vec<u32>,
-    touched: Vec<u32>,
-    epoch: u32,
-}
-
-impl SpaAccumulator {
-    /// An accumulator admitting keys `0..capacity`.
-    pub fn with_capacity(capacity: usize) -> Self {
-        let mut spa = Self::default();
-        spa.ensure_capacity(capacity);
-        spa
-    }
-
-    /// Grows the dense arrays to admit keys `0..capacity`. Never shrinks,
-    /// so coarse levels reuse the vertex-level allocation.
-    pub fn ensure_capacity(&mut self, capacity: usize) {
-        if self.values.len() < capacity {
-            self.values.resize(capacity, 0.0);
-            self.stamp.resize(capacity, 0);
-        }
-    }
-
-    /// Largest admissible key + 1.
-    pub fn capacity(&self) -> usize {
-        self.values.len()
-    }
-
-    fn next_epoch(&mut self) {
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            // One reset every 2^32 rounds keeps stale stamps from aliasing
-            // the restarted counter.
-            self.stamp.fill(0);
-            self.epoch = 1;
-        }
-    }
-
-    /// Whether `key` was accumulated since the last `begin`/`gather`.
-    #[inline]
-    fn live(&self, key: u32) -> bool {
-        self.stamp[key as usize] == self.epoch
-    }
-
-    /// The accumulated value of `key` this round, or 0.0 if untouched.
-    #[inline]
-    fn value(&self, key: u32) -> f64 {
-        if self.live(key) {
-            self.values[key as usize]
-        } else {
-            0.0
-        }
+/// Per-worker state the chunk driver ([`parallel_decide`]) checks out of
+/// a [`ScratchPool`] once per chunk.
+pub trait ChunkScratch: Default + Send {
+    /// Readies the scratch for a sweep over a frozen state of `modules`
+    /// modules. Called once per checkout, before the chunk's first vertex.
+    fn begin(&mut self, modules: usize) {
+        let _ = modules;
     }
 }
 
-impl FlowAccumulator for SpaAccumulator {
-    #[inline]
-    fn begin<S: EventSink>(&mut self, _sink: &mut S) {
-        self.touched.clear();
-        self.next_epoch();
-    }
-
-    #[inline]
-    fn accumulate<S: EventSink>(&mut self, key: u32, value: f64, _sink: &mut S) {
-        let k = key as usize;
-        debug_assert!(k < self.values.len(), "SPA key {key} beyond capacity");
-        if self.stamp[k] == self.epoch {
-            self.values[k] += value;
-        } else {
-            self.stamp[k] = self.epoch;
-            self.values[k] = value;
-            self.touched.push(key);
-        }
-    }
-
-    fn gather<S: EventSink>(&mut self, out: &mut Vec<(u32, f64)>, _sink: &mut S) {
-        out.clear();
-        out.extend(self.touched.iter().map(|&k| (k, self.values[k as usize])));
-        self.touched.clear();
-        // Invalidate the drained slots so accumulation may restart without
-        // an intervening `begin`.
-        self.next_epoch();
-    }
-
-    fn name(&self) -> &'static str {
-        "spa-host"
-    }
-}
-
-/// Per-worker reusable state for the SPA decision phase: the fused
-/// dual-direction [`DualSpa`] (SoA lanes for both flow directions), the
-/// per-module scan-term cache, and the decision output buffer. Checked out
-/// of a [`ScratchPool`] per rayon chunk instead of being re-allocated.
+/// Per-worker reusable state of the host kernel: the fused
+/// dual-direction [`DualSpa`] and the per-module scan-term cache.
 #[derive(Debug, Default)]
 pub struct WorkerScratch {
-    dual: DualSpa,
-    cache: ModTermCache,
-    decisions: Vec<MoveDecision>,
+    /// The kernel's dense accumulator (32 bytes × level nodes).
+    pub dual: DualSpa,
+    /// Scan-term cache, invalidated once per checkout.
+    pub cache: ModTermCache,
 }
 
-/// A checkout pool of [`WorkerScratch`]es shared across sweeps and levels.
-/// Sized lazily: at most one scratch per concurrently running chunk ever
-/// exists, and each is reused for the rest of the run.
-#[derive(Debug, Default)]
-pub struct ScratchPool {
-    slots: Mutex<Vec<WorkerScratch>>,
+impl ChunkScratch for WorkerScratch {
+    fn begin(&mut self, modules: usize) {
+        // Module labels index the state arrays; the level's module count
+        // bounds every key the kernel accumulates.
+        self.dual.ensure_capacity(modules);
+        self.cache.begin(modules);
+    }
+}
+
+/// Scratch of the generic kernel over the hash accumulator: the
+/// reference path ([`crate::driver::HashEngine`]).
+impl ChunkScratch for (FastAccumulator, FindBestScratch) {}
+
+/// A checkout pool of chunk scratches (each with its decision buffer)
+/// shared across sweeps and levels. Sized lazily: at most one scratch per
+/// concurrently running chunk ever exists, and each is reused for the
+/// rest of the run.
+#[derive(Debug)]
+pub struct ScratchPool<W = WorkerScratch> {
+    slots: Mutex<Vec<(W, Vec<MoveDecision>)>>,
     hits: std::sync::atomic::AtomicU64,
     misses: std::sync::atomic::AtomicU64,
 }
 
-impl ScratchPool {
+impl<W> Default for ScratchPool<W> {
+    fn default() -> Self {
+        Self {
+            slots: Mutex::new(Vec::new()),
+            hits: Default::default(),
+            misses: Default::default(),
+        }
+    }
+}
+
+impl<W: ChunkScratch> ScratchPool<W> {
     /// An empty pool.
     pub fn new() -> Self {
         Self::default()
     }
 
-    fn checkout(&self) -> WorkerScratch {
+    fn checkout(&self) -> (W, Vec<MoveDecision>) {
         use std::sync::atomic::Ordering;
         match self.slots.lock().unwrap().pop() {
-            Some(ws) => {
+            Some(slot) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                ws
+                slot
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                WorkerScratch::default()
+                Default::default()
             }
         }
     }
 
-    fn restore(&self, scratch: WorkerScratch) {
-        self.slots.lock().unwrap().push(scratch);
+    fn restore(&self, slot: (W, Vec<MoveDecision>)) {
+        self.slots.lock().unwrap().push(slot);
     }
 
     /// Lifetime `(hits, misses)` of the checkout fast path — a hit reuses a
-    /// warmed-up [`WorkerScratch`], a miss allocates a fresh one.
+    /// warmed-up scratch, a miss allocates a fresh one.
     pub fn stats(&self) -> (u64, u64) {
         use std::sync::atomic::Ordering;
         (
@@ -209,22 +139,30 @@ impl ScratchPool {
         )
     }
 
+    /// Visits every pooled scratch. Call between sweeps, when all
+    /// scratches are checked back in; checked-out ones are not visited.
+    pub fn for_each(&self, mut f: impl FnMut(&W)) {
+        for (w, _) in self.slots.lock().unwrap().iter() {
+            f(w);
+        }
+    }
+}
+
+impl ScratchPool<WorkerScratch> {
     /// Aggregated kernel counters over every pooled scratch: the SPA
     /// touched-list clears (`reset_calls`/`reset_entries` — the O(touched)
     /// discipline the obs layer asserts) and the scan-term cache's
-    /// `(fills, hits)`. Query between sweeps, when all scratches are
-    /// checked back in; checked-out scratches are not counted.
+    /// `(fills, hits)`.
     pub fn kernel_stats(&self) -> KernelCounters {
-        let slots = self.slots.lock().unwrap();
         let mut out = KernelCounters::default();
-        for ws in slots.iter() {
+        self.for_each(|ws| {
             let (calls, entries) = ws.dual.reset_stats();
             let (fills, hits) = ws.cache.stats();
             out.spa_reset_calls += calls;
             out.spa_reset_entries += entries;
             out.term_cache_fills += fills;
             out.term_cache_hits += hits;
-        }
+        });
         out
     }
 }
@@ -244,23 +182,21 @@ pub struct KernelCounters {
     pub term_cache_hits: u64,
 }
 
-/// Decides moves for a slice of vertices against frozen labels, using the
-/// provided device, sink, and kernel scratch. Only improving decisions are
-/// returned.
-#[allow(clippy::too_many_arguments)]
-pub fn decide_range<A: FlowAccumulator, S: EventSink>(
-    flow: &FlowNetwork,
-    labels: &[u32],
-    state: &MapState,
+/// Decides `vertices` (a sorted slice of `ctx.active`) with `decide`,
+/// appending the moving decisions to `out` in vertex order. The body of
+/// one [`parallel_decide`] chunk and of one distributed rank.
+pub(crate) fn decide_chunk<W: ChunkScratch>(
+    ctx: &SweepCtx<'_>,
     vertices: &[NodeId],
-    acc: &mut A,
-    sink: &mut S,
-    scratch: &mut FindBestScratch,
+    ws: &mut W,
     out: &mut Vec<MoveDecision>,
+    decide: impl Fn(&mut W, NodeId) -> MoveDecision,
 ) {
-    for &u in vertices {
-        let d = find_best_community(flow, labels, state, u, acc, sink, scratch);
-        if d.best_module != labels[u as usize] {
+    ws.begin(ctx.state.num_modules());
+    for (i, &u) in vertices.iter().enumerate() {
+        kernel::prefetch_ahead(ctx.flow, ctx.labels, vertices, i);
+        let d = decide(ws, u);
+        if d.best_module != ctx.labels[u as usize] {
             out.push(d);
         }
     }
@@ -270,231 +206,34 @@ fn decide_chunk_size(active_len: usize) -> usize {
     (active_len / (rayon::current_num_threads() * 8)).max(512)
 }
 
-/// The SPA fast-path kernel: `FindBestCommunity` for one vertex with the
-/// out- and in-flow accumulations held in two dense [`SpaAccumulator`]s.
-///
-/// Bit-identical to [`find_best_community`] over any accumulator: per-key
-/// additions happen in arc order (the same FP sequence as the hash path),
-/// and the candidate modules are visited in ascending id — exactly the
-/// order the generic kernel's sort + merge-join produces. What it *skips*
-/// is the materialization: no `(module, flow)` pair lists, no two pair
-/// sorts, no merge-join — just one u32 sort of the touched-module union
-/// and direct dense-array reads.
-pub fn find_best_community_spa(
-    flow: &FlowNetwork,
-    labels: &[u32],
-    state: &MapState,
-    u: NodeId,
-    out_acc: &mut SpaAccumulator,
-    in_acc: &mut SpaAccumulator,
-    keys: &mut Vec<u32>,
-) -> MoveDecision {
-    let my_module = labels[u as usize];
-    let mut sink = NullSink;
-
-    out_acc.begin(&mut sink);
-    for (v, f) in flow.out_arcs(u) {
-        out_acc.accumulate(labels[v as usize], f, &mut sink);
-    }
-    // On symmetric networks the in-arc stream is the out-arc stream, so
-    // the per-module in-flow sums are the out sums bit-for-bit — skip the
-    // second accumulation entirely.
-    let symmetric = flow.is_symmetric();
-    if !symmetric {
-        in_acc.begin(&mut sink);
-        for (v, f) in flow.in_arcs(u) {
-            in_acc.accumulate(labels[v as usize], f, &mut sink);
-        }
-    }
-
-    // Candidate modules: the union of touched keys, ascending.
-    keys.clear();
-    keys.extend_from_slice(&out_acc.touched);
-    if !symmetric {
-        for &k in &in_acc.touched {
-            if !out_acc.live(k) {
-                keys.push(k);
-            }
-        }
-    }
-    keys.sort_unstable();
-
-    let mf_of = |m: u32| {
-        let out_flow = out_acc.value(m);
-        ModuleFlows {
-            out_flow,
-            in_flow: if symmetric { out_flow } else { in_acc.value(m) },
-        }
-    };
-    let flows_old = mf_of(my_module);
-    let node = flow.node_summary(u);
-
-    let mut best = MoveDecision {
-        vertex: u,
-        best_module: my_module,
-        delta: 0.0,
-    };
-    for &m in keys.iter() {
-        if m == my_module {
-            continue;
-        }
-        let mf = mf_of(m);
-        let delta = state.delta_move(my_module, m, &node, flows_old, mf);
-        // Tie-break deterministically on module id so parallel and
-        // sequential schedules agree (mirrors the generic kernel exactly).
-        let improves =
-            delta < best.delta - 1e-15 || (delta < best.delta + 1e-15 && m < best.best_module);
-        if improves && delta < -1e-15 {
-            best.best_module = m;
-            best.delta = delta;
-        }
-    }
-    best
-}
-
-/// Parallel decision phase over the active set, with per-chunk
-/// [`FastAccumulator`]s and no instrumentation — the hash-based reference
-/// path the SPA fast path is benchmarked against. Deterministic: the
-/// result is ordered by vertex id regardless of thread scheduling.
-pub fn parallel_decide(
-    flow: &FlowNetwork,
-    labels: &[u32],
-    state: &MapState,
-    active: &[NodeId],
-) -> Vec<MoveDecision> {
-    let chunk = decide_chunk_size(active.len());
-    let mut decisions: Vec<MoveDecision> = active
-        .par_chunks(chunk)
-        .map(|vertices| {
-            let mut acc = FastAccumulator::default();
-            let mut sink = NullSink;
-            let mut scratch = FindBestScratch::default();
-            let mut out = Vec::new();
-            decide_range(
-                flow,
-                labels,
-                state,
-                vertices,
-                &mut acc,
-                &mut sink,
-                &mut scratch,
-                &mut out,
-            );
-            out
-        })
-        .flatten()
-        .collect();
-    decisions.sort_unstable_by_key(|d| d.vertex);
-    decisions
-}
-
-/// Parallel decision phase on the SPA fast path, running the vectorized
-/// kernel ([`find_best_community_vec`]): every chunk checks a
-/// [`WorkerScratch`] out of the pool, so no accumulator, lane buffer, or
-/// decision buffer is allocated after warm-up. Produces the identical
-/// decision stream as [`parallel_decide`] (per-vertex evaluations are
-/// independent, per-key addition order matches the hash path, and the
-/// final sort restores vertex order).
-pub fn parallel_decide_spa(
-    flow: &FlowNetwork,
-    labels: &[u32],
-    state: &MapState,
-    active: &[NodeId],
-    pool: &ScratchPool,
-) -> Vec<MoveDecision> {
-    parallel_decide_spa_phased(flow, labels, state, active, pool, None)
-}
-
-/// [`parallel_decide_spa`] with optional per-phase wall-clock attribution
-/// (`hostperf --kernel-breakdown`). Timing is chunk-local and flushed once
-/// per chunk, so the untimed path is bit-for-bit the same code.
-pub fn parallel_decide_spa_phased(
-    flow: &FlowNetwork,
-    labels: &[u32],
-    state: &MapState,
-    active: &[NodeId],
-    pool: &ScratchPool,
-    phases: Option<&KernelPhaseTimes>,
-) -> Vec<MoveDecision> {
-    let chunk = decide_chunk_size(active.len());
-    // Module labels index the state arrays; the level's module count bounds
-    // every key the kernel accumulates.
-    let capacity = state.num_modules();
-    let simd = kernel::simd_active();
+/// The parallel decision phase: rayon chunks of `ctx.active`, each with a
+/// scratch checked out of `pool` (so nothing is allocated after warm-up),
+/// running `decide` per vertex. Returns the moving decisions ordered by
+/// vertex id regardless of thread scheduling — per-vertex evaluations are
+/// independent functions of the frozen snapshot.
+pub fn parallel_decide<W, F>(
+    ctx: &SweepCtx<'_>,
+    pool: &ScratchPool<W>,
+    decide: F,
+) -> Vec<MoveDecision>
+where
+    W: ChunkScratch,
+    F: Fn(&mut W, NodeId) -> MoveDecision + Sync,
+{
+    let chunk = decide_chunk_size(ctx.active.len());
     let collected: Mutex<Vec<MoveDecision>> = Mutex::new(Vec::new());
-    active.par_chunks(chunk).for_each(|vertices| {
-        let mut ws = pool.checkout();
-        ws.dual.ensure_capacity(capacity);
-        ws.cache.begin(capacity);
-        ws.decisions.clear();
-        if let Some(times) = phases {
-            let mut ns = (0u64, 0u64, 0u64);
-            for (i, &u) in vertices.iter().enumerate() {
-                kernel::prefetch_ahead(flow, labels, vertices, i);
-                let d = find_best_community_vec_timed(
-                    flow,
-                    labels,
-                    state,
-                    u,
-                    &mut ws.dual,
-                    &mut ws.cache,
-                    simd,
-                    &mut ns,
-                );
-                if d.best_module != labels[u as usize] {
-                    ws.decisions.push(d);
-                }
-            }
-            times.add_ns(ns.0, ns.1, ns.2);
-        } else {
-            for (i, &u) in vertices.iter().enumerate() {
-                kernel::prefetch_ahead(flow, labels, vertices, i);
-                let d = find_best_community_vec(
-                    flow,
-                    labels,
-                    state,
-                    u,
-                    &mut ws.dual,
-                    &mut ws.cache,
-                    simd,
-                );
-                if d.best_module != labels[u as usize] {
-                    ws.decisions.push(d);
-                }
-            }
+    ctx.active.par_chunks(chunk).for_each(|vertices| {
+        let (mut ws, mut out) = pool.checkout();
+        out.clear();
+        decide_chunk(ctx, vertices, &mut ws, &mut out, &decide);
+        if !out.is_empty() {
+            collected.lock().unwrap().extend_from_slice(&out);
         }
-        if !ws.decisions.is_empty() {
-            collected.lock().unwrap().extend_from_slice(&ws.decisions);
-        }
-        pool.restore(ws);
+        pool.restore((ws, out));
     });
     let mut decisions = collected.into_inner().unwrap();
     decisions.sort_unstable_by_key(|d| d.vertex);
     decisions
-}
-
-/// Accumulator selection: the SPA path runs when requested, or (on `Auto`)
-/// when the level's dense arrays fit the configured budget; anything else
-/// falls back to the hash path.
-pub fn parallel_decide_with(
-    flow: &FlowNetwork,
-    labels: &[u32],
-    state: &MapState,
-    active: &[NodeId],
-    kind: AccumulatorKind,
-    spa_budget: usize,
-    pool: &ScratchPool,
-) -> Vec<MoveDecision> {
-    let use_spa = match kind {
-        AccumulatorKind::Spa => true,
-        AccumulatorKind::Hash => false,
-        AccumulatorKind::Auto => flow.num_nodes() <= spa_budget,
-    };
-    if use_spa {
-        parallel_decide_spa(flow, labels, state, active, pool)
-    } else {
-        parallel_decide(flow, labels, state, active)
-    }
 }
 
 /// Result of applying one sweep's decisions.
@@ -588,7 +327,9 @@ pub fn next_active_into(
 mod tests {
     use super::*;
     use crate::config::InfomapConfig;
+    use crate::driver::{HashEngine, HostEngine};
     use crate::mapeq::codelength;
+    use crate::schedule::DecideEngine;
     use asa_graph::generators::{planted_partition, PlantedConfig};
     use asa_graph::GraphBuilder;
 
@@ -600,6 +341,23 @@ mod tests {
         FlowNetwork::from_graph(&b.build(), &InfomapConfig::default())
     }
 
+    fn ctx<'a>(
+        flow: &'a FlowNetwork,
+        labels: &'a [u32],
+        state: &'a MapState,
+        active: &'a [NodeId],
+    ) -> SweepCtx<'a> {
+        SweepCtx {
+            flow,
+            labels,
+            state,
+            active,
+            outer: 0,
+            level: 0,
+            sweep: 0,
+        }
+    }
+
     fn sweep_once(
         flow: &FlowNetwork,
         partition: &mut Partition,
@@ -607,7 +365,7 @@ mod tests {
         active: &[NodeId],
     ) -> AppliedMoves {
         let labels = partition.labels().to_vec();
-        let decisions = parallel_decide(flow, &labels, state, active);
+        let decisions = HostEngine::default().decide(&ctx(flow, &labels, state, active));
         apply_decisions(flow, partition, state, &decisions, 1e-12)
     }
 
@@ -699,34 +457,6 @@ mod tests {
     }
 
     #[test]
-    fn spa_accumulator_contract() {
-        use asa_simarch::accum::OracleAccumulator;
-        let mut spa = SpaAccumulator::with_capacity(8);
-        let mut oracle = OracleAccumulator::default();
-        let mut sink = NullSink;
-        for round in 0..3 {
-            spa.begin(&mut sink);
-            oracle.begin(&mut sink);
-            for (k, v) in [(4u32, 1.0), (2, 0.5), (4, 2.0), (7, 0.25), (2, 0.125)] {
-                let k = (k + round) % 8;
-                spa.accumulate(k, v, &mut sink);
-                oracle.accumulate(k, v, &mut sink);
-            }
-            let mut a = Vec::new();
-            let mut b = Vec::new();
-            spa.gather(&mut a, &mut sink);
-            oracle.gather(&mut b, &mut sink);
-            a.sort_unstable_by_key(|&(k, _)| k);
-            assert_eq!(a, b, "round {round}");
-        }
-        // Gather resets without an intervening begin.
-        spa.accumulate(3, 1.5, &mut sink);
-        let mut a = Vec::new();
-        spa.gather(&mut a, &mut sink);
-        assert_eq!(a, vec![(3, 1.5)]);
-    }
-
-    #[test]
     fn spa_path_matches_hash_path_decisions() {
         let (g, _) = planted_partition(
             &PlantedConfig {
@@ -742,12 +472,13 @@ mod tests {
         let state = MapState::new(&flow, &partition);
         let active: Vec<NodeId> = (0..g.num_nodes() as u32).collect();
         let labels = partition.labels().to_vec();
-        let pool = ScratchPool::new();
-        let hash = parallel_decide(&flow, &labels, &state, &active);
-        let spa = parallel_decide_spa(&flow, &labels, &state, &active, &pool);
+        let ctx = ctx(&flow, &labels, &state, &active);
+        let hash = HashEngine::default().decide(&ctx);
+        let mut host = HostEngine::default();
+        let spa = host.decide(&ctx);
         assert_eq!(hash, spa, "decision streams must be bit-identical");
         // A second sweep through the same pool reuses the scratches.
-        let again = parallel_decide_spa(&flow, &labels, &state, &active, &pool);
+        let again = host.decide(&ctx);
         assert_eq!(hash, again);
     }
 
@@ -766,6 +497,7 @@ mod tests {
     #[test]
     fn fast_accumulator_contract() {
         use asa_simarch::accum::{FlowAccumulator, OracleAccumulator};
+        use asa_simarch::events::NullSink;
         let mut fast = FastAccumulator::default();
         let mut oracle = OracleAccumulator::default();
         let mut sink = NullSink;

@@ -465,16 +465,9 @@ pub fn optimize_multilevel_cancellable<E: DecideEngine>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::local_move::parallel_decide;
+    use crate::driver::HostEngine;
     use asa_graph::generators::{planted_partition, PlantedConfig};
     use asa_graph::GraphBuilder;
-
-    struct HostEngine;
-    impl DecideEngine for HostEngine {
-        fn decide(&mut self, ctx: &SweepCtx<'_>) -> Vec<MoveDecision> {
-            parallel_decide(ctx.flow, ctx.labels, ctx.state, ctx.active)
-        }
-    }
 
     fn planted_flow() -> FlowNetwork {
         let (g, _) = planted_partition(
@@ -498,7 +491,7 @@ mod tests {
                 outer_loops: 1,
                 ..Default::default()
             },
-            &mut HostEngine,
+            &mut HostEngine::default(),
         );
         let refined = optimize_multilevel(
             &flow,
@@ -506,7 +499,7 @@ mod tests {
                 outer_loops: 3,
                 ..Default::default()
             },
-            &mut HostEngine,
+            &mut HostEngine::default(),
         );
         assert!(refined.codelength <= one_pass.codelength + 1e-9);
         assert!(refined.levels.len() >= one_pass.levels.len());
@@ -521,7 +514,7 @@ mod tests {
                 outer_loops: 2,
                 ..Default::default()
             },
-            &mut HostEngine,
+            &mut HostEngine::default(),
         );
         // With 2 outer loops there is exactly one refinement pass recorded
         // (possibly with zero moves).
@@ -550,7 +543,7 @@ mod tests {
                     outer_loops: 3,
                     ..Default::default()
                 },
-                &mut HostEngine,
+                &mut HostEngine::default(),
             );
             assert!(outcome.codelength.is_finite());
         }
@@ -563,7 +556,8 @@ mod tests {
             b.add_edge(u, v, 1.0);
         }
         let flow = FlowNetwork::from_graph(&b.build(), &InfomapConfig::default());
-        let outcome = optimize_multilevel(&flow, &InfomapConfig::default(), &mut HostEngine);
+        let outcome =
+            optimize_multilevel(&flow, &InfomapConfig::default(), &mut HostEngine::default());
         assert_eq!(outcome.partition.num_communities(), 2);
         assert!(outcome.codelength < outcome.initial_codelength);
         assert_eq!(

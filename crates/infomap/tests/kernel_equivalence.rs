@@ -1,25 +1,33 @@
-//! Equivalence: the three sweep-kernel execution paths are interchangeable.
+//! Equivalence: the sweep-kernel execution paths are interchangeable.
 //!
-//! The hash path ([`asa_infomap::local_move::FastAccumulator`], the
-//! paper's Algorithm 1 reference), the scalar dual-SPA path, and the
-//! vectorized/dispatched dual-SPA path (AVX2 when built with
-//! `--features simd` on a capable CPU; the portable loops otherwise) must
-//! produce identical partitions and 0-ULP codelengths on every network —
-//! the fast paths are pure perf substitutions.
+//! The hash reference ([`asa_infomap::driver::HashEngine`], the generic
+//! kernel over `FastAccumulator` — the paper's Algorithm 1), the host
+//! kernel on its dispatched path (AVX2 when built with `--features simd`
+//! on a capable CPU; the portable loops otherwise), the host kernel forced
+//! onto the portable loops, and the distributed engine at 1 and 3 ranks
+//! must produce identical partitions and 0-ULP codelengths on every
+//! network — the fast paths are pure perf substitutions. As an absolute
+//! anchor, every reported codelength must also match a from-scratch
+//! recomputation on the returned partition.
 //!
 //! Random weighted graphs, symmetric (undirected) and asymmetric
 //! (directed), run under degraded configurations too: recorded
-//! teleportation, single outer loop, tiny sweep budgets, and every
-//! [`VertexOrder`]. CI runs this suite at `RAYON_NUM_THREADS=1` and `8`,
-//! with and without `--features simd`, and under `ASA_FORCE_SCALAR=1`.
+//! teleportation, single outer loop, and tiny sweep budgets. CI runs this
+//! suite at `RAYON_NUM_THREADS=1` and `8`, with and without
+//! `--features simd`, and under `ASA_FORCE_SCALAR=1`.
 //!
 //! The force-scalar toggle is a process-global; flipping it concurrently
 //! with another test only changes which kernel executes, never the
 //! result — which is exactly the property under test.
 
-use asa_graph::{CsrGraph, GraphBuilder};
-use asa_infomap::config::{AccumulatorKind, VertexOrder};
-use asa_infomap::{detect_communities, kernel, InfomapConfig};
+use asa_graph::{CsrGraph, GraphBuilder, Partition};
+use asa_infomap::driver::{run_with_engine, HashEngine};
+use asa_infomap::mapeq::{self, plogp, MapState};
+use asa_infomap::{
+    detect_communities, detect_communities_distributed_cancellable, kernel, CancelToken,
+    FlowNetwork, InfomapConfig,
+};
+use asa_obs::Obs;
 use proptest::prelude::*;
 
 /// Builds a graph from raw proptest edge triples, dropping self-loops.
@@ -46,11 +54,24 @@ fn env_force_scalar() -> bool {
         .unwrap_or(false)
 }
 
+/// The codelength of `partition` recomputed from scratch on `graph`'s flow
+/// network, independent of the optimizer's incremental bookkeeping.
+fn recomputed_codelength(graph: &CsrGraph, cfg: &InfomapConfig, partition: &Partition) -> f64 {
+    let flow = FlowNetwork::from_graph(graph, cfg);
+    if cfg.recorded_teleport {
+        let node_plogp = flow.node_flows().iter().copied().map(plogp).sum();
+        MapState::with_options(&flow, partition, node_plogp, cfg.teleport_mode()).codelength()
+    } else {
+        mapeq::codelength(&flow, partition)
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    // hash == scalar SPA == dispatched SPA: identical partitions,
-    // codelengths equal to the bit.
+    // hash == dispatched == forced-scalar == distributed (1 and 3 ranks):
+    // identical partitions, codelengths equal to the bit, and equal to a
+    // from-scratch recomputation within 1e-9 relative.
     #[test]
     fn three_paths_bit_identical(
         edges in prop::collection::vec((0u32..90, 0u32..90, 1u32..6), 60..400),
@@ -59,63 +80,42 @@ proptest! {
         recorded in any::<bool>(),
         outer in 1usize..3,
         max_sweeps in prop::sample::select(vec![2usize, 5, 20]),
-        order in prop::sample::select(vec![
-            VertexOrder::Input,
-            VertexOrder::DegreeDesc,
-            VertexOrder::Blocked,
-        ]),
     ) {
         let graph = build_graph(&edges, nodes, directed);
-        let base = InfomapConfig {
+        let cfg = InfomapConfig {
             recorded_teleport: recorded,
             outer_loops: outer,
             max_sweeps,
-            vertex_order: order,
             ..InfomapConfig::default()
         };
-        let hash = detect_communities(&graph, &InfomapConfig {
-            accumulator: AccumulatorKind::Hash,
-            ..base.clone()
-        });
-        let spa_cfg = InfomapConfig {
-            accumulator: AccumulatorKind::Spa,
-            ..base
-        };
-        let spa = detect_communities(&graph, &spa_cfg);
+        let (obs, none) = (Obs::disabled(), CancelToken::none());
+        let hash = run_with_engine(&graph, &cfg, &mut HashEngine::default(), &obs, &none);
+        let spa = detect_communities(&graph, &cfg);
         prop_assert_eq!(hash.partition.labels(), spa.partition.labels());
         prop_assert_eq!(hash.codelength.to_bits(), spa.codelength.to_bits());
 
-        // Forced-scalar SPA (the portable kernel, even when the binary
-        // carries the AVX2 path) agrees with whatever the dispatcher chose.
+        let fresh = recomputed_codelength(&graph, &cfg, &spa.partition);
+        prop_assert!(
+            (fresh - spa.codelength).abs() <= 1e-9 * spa.codelength.abs().max(1.0),
+            "reported {} vs recomputed {}",
+            spa.codelength,
+            fresh
+        );
+
+        // Forced-scalar (the portable kernel, even when the binary carries
+        // the AVX2 path) agrees with whatever the dispatcher chose.
         kernel::set_force_scalar(true);
-        let scalar = detect_communities(&graph, &spa_cfg);
+        let scalar = detect_communities(&graph, &cfg);
         kernel::set_force_scalar(env_force_scalar());
         prop_assert_eq!(scalar.partition.labels(), spa.partition.labels());
         prop_assert_eq!(scalar.codelength.to_bits(), spa.codelength.to_bits());
-    }
 
-    // Sweep order is semantically free: every `VertexOrder` yields the
-    // bit-identical result (decisions are made against a frozen snapshot
-    // and re-sorted by vertex id before application).
-    #[test]
-    fn vertex_order_is_semantically_free(
-        edges in prop::collection::vec((0u32..120, 0u32..120, 1u32..4), 80..500),
-        nodes in 40u32..120,
-        directed in any::<bool>(),
-    ) {
-        let graph = build_graph(&edges, nodes, directed);
-        let run = |order: VertexOrder| {
-            detect_communities(&graph, &InfomapConfig {
-                accumulator: AccumulatorKind::Spa,
-                vertex_order: order,
-                ..InfomapConfig::default()
-            })
-        };
-        let input = run(VertexOrder::Input);
-        for order in [VertexOrder::DegreeDesc, VertexOrder::Blocked] {
-            let other = run(order);
-            prop_assert_eq!(input.partition.labels(), other.partition.labels());
-            prop_assert_eq!(input.codelength.to_bits(), other.codelength.to_bits());
+        // The distributed engine runs the host kernel per rank.
+        for ranks in [1usize, 3] {
+            let (dist, _) =
+                detect_communities_distributed_cancellable(&graph, &cfg, ranks, &obs, &none);
+            prop_assert_eq!(dist.partition.labels(), spa.partition.labels());
+            prop_assert_eq!(dist.codelength.to_bits(), spa.codelength.to_bits());
         }
     }
 

@@ -532,7 +532,7 @@ impl Obs {
     }
 
     /// Sets this thread's profiler leaf label (e.g. the active
-    /// kernel/order, `"kernel=avx2,order=degree"`); samples taken while
+    /// kernel path, `"kernel=spa-scalar"`); samples taken while
     /// the label is set carry it as an extra leaf frame. `""` clears. A
     /// no-op without an attached profiler.
     pub fn prof_label(&self, label: &str) {

@@ -10,8 +10,7 @@
 //! workload thread keeps recording into the next buffer.
 //!
 //! Backpressure is bounded by construction rather than by a bounded
-//! channel (the offline `crossbeam` stand-in only provides unbounded
-//! ones): exactly [`SimPipelineConfig::buffers_per_core`] buffers
+//! channel: exactly [`SimPipelineConfig::buffers_per_core`] buffers
 //! circulate per core between the workload side and its simulation
 //! thread's free list, so a workload thread that runs too far ahead
 //! blocks in `free_rx.recv()` until a buffer comes back — at which point

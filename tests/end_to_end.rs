@@ -14,10 +14,12 @@ use infomap_asa::simarch::MachineConfig;
 
 #[test]
 fn spa_and_hash_paths_agree_end_to_end() {
-    // The SPA fast path is a pure perf substitution: forcing either
-    // accumulator through the full multi-level driver must yield the
+    // The host kernel is a pure perf substitution: the hash reference
+    // engine through the same multi-level schedule must yield the
     // identical partition and codelength, bit for bit.
-    use infomap_asa::infomap::config::AccumulatorKind;
+    use infomap_asa::infomap::driver::HashEngine;
+    use infomap_asa::infomap::schedule::optimize_multilevel;
+    use infomap_asa::infomap::FlowNetwork;
     let (graph, _) = planted_partition(
         &PlantedConfig {
             communities: 8,
@@ -27,27 +29,13 @@ fn spa_and_hash_paths_agree_end_to_end() {
         },
         29,
     );
-    let spa = detect_communities(
-        &graph,
-        &InfomapConfig {
-            accumulator: AccumulatorKind::Spa,
-            ..Default::default()
-        },
-    );
-    let hash = detect_communities(
-        &graph,
-        &InfomapConfig {
-            accumulator: AccumulatorKind::Hash,
-            ..Default::default()
-        },
-    );
+    let cfg = InfomapConfig::default();
+    let spa = detect_communities(&graph, &cfg);
+    let flow = FlowNetwork::from_graph(&graph, &cfg);
+    let hash = optimize_multilevel(&flow, &cfg, &mut HashEngine::default());
     assert_eq!(spa.partition.labels(), hash.partition.labels());
     assert_eq!(spa.codelength.to_bits(), hash.codelength.to_bits());
     assert_eq!(spa.levels.len(), hash.levels.len());
-    // The default Auto selection matches both on a graph this small.
-    let auto = detect_communities(&graph, &InfomapConfig::default());
-    assert_eq!(auto.partition.labels(), spa.partition.labels());
-    assert_eq!(auto.codelength.to_bits(), spa.codelength.to_bits());
 }
 
 #[test]

@@ -13,7 +13,7 @@ use infomap_asa::graph::io::{read_edge_list, write_edge_list, ReadOptions};
 use infomap_asa::graph::{GraphBuilder, Partition};
 use infomap_asa::hashsim::{ChainedAccumulator, LinearProbeAccumulator};
 use infomap_asa::infomap::flow::FlowNetwork;
-use infomap_asa::infomap::local_move::SpaAccumulator;
+use infomap_asa::infomap::kernel::DualSpa;
 use infomap_asa::infomap::mapeq::{codelength, module_flows_of, MapState};
 use infomap_asa::infomap::InfomapConfig;
 use infomap_asa::simarch::accum::{FlowAccumulator, OracleAccumulator};
@@ -42,6 +42,38 @@ fn pairs_equal(a: &[(u32, f64)], b: &[(u32, f64)]) -> bool {
 
 fn stream_strategy() -> impl Strategy<Value = Vec<(u32, f64)>> {
     prop::collection::vec((0u32..200, 0.001f64..10.0), 0..400)
+}
+
+/// `(key, value)` pairs.
+type Pairs = Vec<(u32, f64)>;
+
+/// Runs a key/value stream through the host kernel's [`DualSpa`]: the
+/// stream becomes the out-arcs of vertex 0 of a directed star whose leaf
+/// `i` carries label `stream[i].0`, so `accumulate` adds the arc flows
+/// per key in stream order. Returns the gathered lanes and the oracle's
+/// sums over the same `(label, arc flow)` stream.
+fn run_dual_spa(spa: &mut DualSpa, stream: &[(u32, f64)]) -> (Pairs, Pairs) {
+    let mut b = GraphBuilder::directed(stream.len() + 1);
+    for (i, &(_, v)) in stream.iter().enumerate() {
+        b.add_edge(0, i as u32 + 1, v);
+    }
+    let flow = FlowNetwork::from_graph(&b.build(), &InfomapConfig::default());
+    let mut labels = vec![0u32];
+    labels.extend(stream.iter().map(|&(k, _)| k));
+    let arcs: Pairs = flow
+        .out_arcs(0)
+        .map(|(v, f)| (labels[v as usize], f))
+        .collect();
+    spa.accumulate(&flow, &labels, 0, false);
+    spa.gather(flow.is_symmetric(), false);
+    let lanes = spa.lanes();
+    let got = lanes
+        .keys
+        .iter()
+        .copied()
+        .zip(lanes.out.iter().copied())
+        .collect();
+    (got, run_device(&mut OracleAccumulator::default(), &arcs))
 }
 
 proptest! {
@@ -84,13 +116,13 @@ proptest! {
         stream in stream_strategy(),
         extra_capacity in 0usize..300,
     ) {
-        // The SPA contract: a dense epoch-stamped array behaves exactly
-        // like a BTreeMap<u32, f64> for any capacity admitting the keys.
-        // Both add per-key values in arrival order, so the sums must be
-        // bit-identical, not merely close.
-        let oracle = run_device(&mut OracleAccumulator::default(), &stream);
-        let mut spa = SpaAccumulator::with_capacity(200 + extra_capacity);
-        let got = run_device(&mut spa, &stream);
+        // The SPA contract: the host kernel's dense stamped slots behave
+        // exactly like a BTreeMap<u32, f64> for any capacity admitting the
+        // keys. Both add per-key values in arrival order, so the sums must
+        // be bit-identical, not merely close.
+        let mut spa = DualSpa::default();
+        spa.ensure_capacity(200 + extra_capacity);
+        let (got, oracle) = run_dual_spa(&mut spa, &stream);
         prop_assert_eq!(oracle.len(), got.len());
         for (o, g) in oracle.iter().zip(got.iter()) {
             prop_assert_eq!(o.0, g.0);
@@ -104,10 +136,10 @@ proptest! {
     ) {
         // One SPA reused across rounds (as the decision phase drives it)
         // must match fresh BTreeMap oracles every round.
-        let mut spa = SpaAccumulator::with_capacity(200);
+        let mut spa = DualSpa::default();
+        spa.ensure_capacity(200);
         for stream in &rounds {
-            let oracle = run_device(&mut OracleAccumulator::default(), stream);
-            let got = run_device(&mut spa, stream);
+            let (got, oracle) = run_dual_spa(&mut spa, stream);
             prop_assert_eq!(&oracle, &got);
         }
     }
