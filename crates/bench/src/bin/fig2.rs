@@ -9,8 +9,8 @@
 
 use asa_bench::{fmt_pct, fmt_secs, infomap_config, load_network, render_table, simulate};
 use asa_graph::generators::PaperNetwork;
+use asa_infomap::detect_communities;
 use asa_infomap::instrumented::Device;
-use asa_infomap::Infomap;
 
 fn main() {
     let networks = [PaperNetwork::Pokec, PaperNetwork::Orkut];
@@ -33,7 +33,7 @@ fn main() {
             .expect("single-thread pool");
         let best = (0..3)
             .map(|_| {
-                pool.install(|| Infomap::new(infomap_config()).run(&graph))
+                pool.install(|| detect_communities(&graph, &infomap_config()))
                     .timings
             })
             .min_by(|a, b| {

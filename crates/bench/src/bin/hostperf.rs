@@ -61,7 +61,7 @@ use asa_infomap::find_best::MoveDecision;
 use asa_infomap::kernel;
 use asa_infomap::local_move::{parallel_decide, ChunkScratch, ScratchPool, WorkerScratch};
 use asa_infomap::schedule::{DecideEngine, SweepCtx};
-use asa_infomap::{detect_communities_observed, CancelToken, InfomapResult};
+use asa_infomap::{detect_communities_cancellable, CancelToken, InfomapResult};
 use asa_obs::{record, NullSink, Obs};
 
 fn reps() -> usize {
@@ -112,7 +112,7 @@ fn best_of(reps: usize, path: &str, run: impl Fn() -> InfomapResult) -> PathTimi
 /// The production host engine, best of `reps`.
 fn run_spa(graph: &CsrGraph, reps: usize, obs: &Obs) -> PathTiming {
     best_of(reps, "spa", || {
-        detect_communities_observed(graph, &infomap_config(), obs)
+        detect_communities_cancellable(graph, &infomap_config(), obs, &CancelToken::none())
     })
 }
 

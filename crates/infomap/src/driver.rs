@@ -41,15 +41,14 @@ pub struct HostEngine {
 impl HostEngine {
     /// A fresh engine. The configuration selects nothing: every host run
     /// takes the one kernel.
-    pub fn from_config(cfg: &InfomapConfig) -> Self {
-        Self::with_obs(cfg, &Obs::disabled())
+    pub fn from_config(_cfg: &InfomapConfig) -> Self {
+        Self::default()
     }
 
-    /// [`HostEngine::from_config`] plus a telemetry handle: the schedule
-    /// will time decide/apply phases against it and emit per-sweep
-    /// convergence records carrying this engine's kernel path and scratch
-    /// stats.
-    pub fn with_obs(_cfg: &InfomapConfig, obs: &Obs) -> Self {
+    /// A fresh engine with a telemetry handle: the schedule will time
+    /// decide/apply phases against it and emit per-sweep convergence
+    /// records carrying this engine's kernel path and scratch stats.
+    pub fn with_obs(obs: &Obs) -> Self {
         Self {
             obs: obs.clone(),
             ..Self::default()
@@ -125,59 +124,6 @@ impl DecideEngine for HostEngine {
     }
 }
 
-/// The community-detection pipeline. See [`detect_communities`] for the
-/// one-call entry point.
-#[derive(Debug, Clone, Default)]
-pub struct Infomap {
-    cfg: InfomapConfig,
-}
-
-impl Infomap {
-    /// Builds a runner with the given configuration.
-    pub fn new(cfg: InfomapConfig) -> Self {
-        Self { cfg }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &InfomapConfig {
-        &self.cfg
-    }
-
-    /// Runs the full multi-level pipeline on `graph`.
-    pub fn run(&self, graph: &CsrGraph) -> InfomapResult {
-        self.run_observed(graph, &Obs::disabled())
-    }
-
-    /// [`Infomap::run`] with a telemetry handle: phase spans (`infomap` →
-    /// `pagerank`/`optimize` → `decide`/`apply`/`coarsen`/`project`) and a
-    /// per-sweep convergence record stream. With `Obs::disabled()` this is
-    /// byte-for-byte the plain run.
-    pub fn run_observed(&self, graph: &CsrGraph, obs: &Obs) -> InfomapResult {
-        self.run_cancellable(graph, obs, &CancelToken::none())
-    }
-
-    /// [`Infomap::run_observed`] with cooperative cancellation: `cancel` is
-    /// polled at every sweep boundary (see
-    /// [`crate::schedule::optimize_multilevel_cancellable`]). When it trips
-    /// the run stops there and returns the best partition found so far with
-    /// [`InfomapResult::interrupted`] set. With `CancelToken::none()` this
-    /// is byte-for-byte the plain run.
-    pub fn run_cancellable(
-        &self,
-        graph: &CsrGraph,
-        obs: &Obs,
-        cancel: &CancelToken,
-    ) -> InfomapResult {
-        run_with_engine(
-            graph,
-            &self.cfg,
-            &mut HostEngine::with_obs(&self.cfg, obs),
-            obs,
-            cancel,
-        )
-    }
-}
-
 /// The hash reference engine: the generic kernel
 /// ([`find_best_community`]) over the [`FastAccumulator`] hash table —
 /// the paper's Algorithm 1 on the host — through the same chunk driver as
@@ -209,8 +155,8 @@ impl DecideEngine for HashEngine {
 /// flow network (timed as PageRank), runs the multilevel schedule, and
 /// assembles the [`InfomapResult`]. Spans `infomap` → `pagerank` /
 /// `optimize` go to `obs`; `cancel` is polled at every sweep boundary.
-/// Every host-side entry point ([`Infomap`], the distributed engine, the
-/// hash reference) goes through here.
+/// Every host-side entry point ([`detect_communities_cancellable`], the
+/// distributed engine, the hash reference) goes through here.
 pub fn run_with_engine<E: DecideEngine>(
     graph: &CsrGraph,
     cfg: &InfomapConfig,
@@ -225,21 +171,12 @@ pub fn run_with_engine<E: DecideEngine>(
         FlowNetwork::from_graph(graph, cfg)
     };
     let pagerank = t.elapsed();
-    let outcome = {
+    let mut result = {
         let _sp = obs.span("optimize");
         optimize_multilevel_cancellable(&flow, cfg, engine, cancel)
     };
-    let mut timings = outcome.timings;
-    timings.pagerank = pagerank;
-    InfomapResult {
-        partition: outcome.partition,
-        codelength: outcome.codelength,
-        initial_codelength: outcome.initial_codelength,
-        levels: outcome.levels,
-        level_partitions: outcome.level_partitions,
-        timings,
-        interrupted: outcome.interrupted,
-    }
+    result.timings.pagerank = pagerank;
+    result
 }
 
 /// Detects communities in `graph` with `cfg`, returning the partition,
@@ -257,17 +194,7 @@ pub fn run_with_engine<E: DecideEngine>(
 /// assert_eq!(result.num_communities(), truth.num_communities());
 /// ```
 pub fn detect_communities(graph: &CsrGraph, cfg: &InfomapConfig) -> InfomapResult {
-    Infomap::new(cfg.clone()).run(graph)
-}
-
-/// [`detect_communities`] with telemetry: spans and per-sweep convergence
-/// records flow into `obs`'s sinks. Identical result to the plain call.
-pub fn detect_communities_observed(
-    graph: &CsrGraph,
-    cfg: &InfomapConfig,
-    obs: &Obs,
-) -> InfomapResult {
-    Infomap::new(cfg.clone()).run_observed(graph, obs)
+    detect_communities_cancellable(graph, cfg, &Obs::disabled(), &CancelToken::none())
 }
 
 /// [`detect_communities`] on the degree-ordered renumbering of `graph`:
@@ -282,7 +209,7 @@ pub fn detect_communities_observed(
 pub fn detect_communities_renumbered(graph: &CsrGraph, cfg: &InfomapConfig) -> InfomapResult {
     let perm = asa_graph::degree_order(graph);
     let renumbered = asa_graph::renumber(graph, &perm);
-    let mut result = Infomap::new(cfg.clone()).run(&renumbered);
+    let mut result = detect_communities(&renumbered, cfg);
     result.partition = perm.map_partition_back(&result.partition);
     for p in &mut result.level_partitions {
         *p = perm.map_partition_back(p);
@@ -290,18 +217,23 @@ pub fn detect_communities_renumbered(graph: &CsrGraph, cfg: &InfomapConfig) -> I
     result
 }
 
-/// [`detect_communities`] with cooperative cancellation: the run stops at
-/// the first sweep boundary after `cancel` trips (deadline, manual cancel,
-/// or poll budget) and returns the best partition found so far, flagged
-/// via [`InfomapResult::interrupted`]. The serving layer threads each
-/// request's deadline token through this entry point.
+/// [`detect_communities`] with telemetry and cooperative cancellation.
+/// Phase spans (`infomap` → `pagerank`/`optimize` →
+/// `level`/`refine` → `sweep` → `decide`/`apply`, plus `coarsen`/
+/// `project`) and the per-sweep convergence records go to `obs`. The run
+/// stops at the first sweep boundary after `cancel` trips (deadline,
+/// manual cancel, or poll budget) and returns the best partition found so
+/// far, flagged via [`InfomapResult::interrupted`]. With
+/// `Obs::disabled()` and `CancelToken::none()` this is bit-for-bit the
+/// plain run. The serving layer threads each request's deadline token
+/// through this entry point.
 pub fn detect_communities_cancellable(
     graph: &CsrGraph,
     cfg: &InfomapConfig,
     obs: &Obs,
     cancel: &CancelToken,
 ) -> InfomapResult {
-    Infomap::new(cfg.clone()).run_cancellable(graph, obs, cancel)
+    run_with_engine(graph, cfg, &mut HostEngine::with_obs(obs), obs, cancel)
 }
 
 #[cfg(test)]

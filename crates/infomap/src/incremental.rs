@@ -13,12 +13,13 @@
 //! 2. **Touched frontier** — the endpoints of changed arcs plus the
 //!    boundary vertices of their modules (members with an arc crossing
 //!    the module boundary) form the initial active set.
-//! 3. **Frontier-restricted sweeps** — local-move sweeps run only over
-//!    the active set, reusing the dual-SPA sweep kernel through
-//!    [`HostEngine`] with a frontier vertex schedule. Each sweep the
-//!    frontier *ripples*: [`next_active_into`] expands it to the
-//!    neighbors of whatever moved, so changes propagate exactly as far
-//!    as they improve the map equation.
+//! 3. **Frontier-restricted sweeps** — the schedule's one sweep body
+//!    (the same one multilevel levels and refinement run) over the
+//!    frontier instead of every vertex, with the dual-SPA kernel through
+//!    [`HostEngine`]. Each sweep the frontier *ripples* to the neighbors
+//!    of whatever moved, so changes propagate exactly as far as they
+//!    improve the map equation. The pass emits the same `decide`/`apply`
+//!    spans and `sweep` records (`refine: true`) as a refinement pass.
 //! 4. **Quality guard** — the incremental codelength is compared against
 //!    the anchor (the codelength of the last full run) under a drift
 //!    budget. Exceeding the budget — or a frontier that rippled across
@@ -44,10 +45,9 @@ use crate::cancel::CancelToken;
 use crate::config::InfomapConfig;
 use crate::driver::HostEngine;
 use crate::flow::FlowNetwork;
-use crate::local_move::{apply_decisions, next_active_into};
 use crate::mapeq::{plogp, MapState};
 use crate::result::{InfomapResult, KernelTimings, LevelInfo};
-use crate::schedule::{optimize_multilevel_cancellable, DecideEngine, SweepCtx, REFINE_LEVEL};
+use crate::schedule::{optimize_multilevel_cancellable, sweep_pass, REFINE_LEVEL};
 
 /// Knobs of the incremental path's quality guard.
 #[derive(Debug, Clone)]
@@ -243,89 +243,46 @@ impl IncrementalState {
         let mode = self.cfg.teleport_mode();
         self.partition.compact();
         let mut state = MapState::with_options(&flow, &self.partition, node_plogp0, mode);
-        let seeded_codelength = state.codelength();
 
         // Touched frontier: endpoints of changed arcs plus the boundary
         // vertices of their modules.
-        let mut active = initial_frontier(&flow, &self.partition, &delta.endpoints());
+        let active = initial_frontier(&flow, &self.partition, &delta.endpoints());
         let frontier_size = active.len();
         obs.gauge("infomap.incr.frontier_size")
             .set(frontier_size as u64);
         obs.trace_instant("infomap.incr.frontier_size", "infomap");
 
-        // Frontier-restricted sweep loop (mirrors the schedule's sweep
-        // body, minus coarsening) over the previous partition.
-        let mut engine = HostEngine::with_obs(&self.cfg, obs);
-        let mut labels: Vec<u32> = Vec::new();
-        let mut mark: Vec<bool> = Vec::new();
-        let mut next: Vec<NodeId> = Vec::new();
+        // Frontier-restricted sweeps over the previous partition: the
+        // schedule's sweep body, minus coarsening, counting every vertex
+        // the rippling frontier touches.
+        let mut engine = HostEngine::with_obs(obs);
         let mut touched = vec![false; n];
         let mut touched_total = 0usize;
-        let mut interrupted = false;
-        let mut info = LevelInfo {
-            nodes: n,
-            sweeps: 0,
-            moves: 0,
-            codelength_before: seeded_codelength,
-            codelength_after: seeded_codelength,
-            sweep_seconds: Vec::new(),
-            sweep_active: Vec::new(),
-            refinement: true,
-        };
-        for sweep in 0..self.cfg.max_sweeps {
-            if active.is_empty() {
-                break;
-            }
-            for &u in &active {
-                if !touched[u as usize] {
-                    touched[u as usize] = true;
-                    touched_total += 1;
+        let (info, interrupted) = sweep_pass(
+            &mut engine,
+            &flow,
+            &mut self.partition,
+            &mut state,
+            active,
+            (0, REFINE_LEVEL),
+            &self.cfg,
+            cancel,
+            &mut timings,
+            |active| {
+                for &u in active {
+                    if !touched[u as usize] {
+                        touched[u as usize] = true;
+                        touched_total += 1;
+                    }
                 }
-            }
-            let _sweep_sp = obs.span("sweep");
-            let t = Instant::now();
-            labels.clear();
-            labels.extend_from_slice(self.partition.labels());
-            let decisions = engine.decide(&SweepCtx {
-                flow: &flow,
-                labels: &labels,
-                state: &state,
-                active: &active,
-                outer: 0,
-                level: REFINE_LEVEL,
-                sweep,
-            });
-            let applied = apply_decisions(
-                &flow,
-                &mut self.partition,
-                &mut state,
-                &decisions,
-                self.cfg.min_improvement,
-            );
-            let dt = t.elapsed();
-            timings.find_best += dt;
-            info.sweeps += 1;
-            info.moves += applied.applied;
-            info.sweep_seconds.push(dt.as_secs_f64());
-            info.sweep_active.push(active.len());
-            if cancel.poll() {
-                interrupted = true;
-                obs.trace_instant("infomap.cancelled", "infomap");
-                break;
-            }
-            if applied.applied == 0 {
-                break;
-            }
-            next_active_into(&flow, &applied.moved, &mut mark, &mut next);
-            std::mem::swap(&mut active, &mut next);
-        }
+            },
+        );
         let ripple_rounds = info.sweeps;
         obs.gauge("infomap.incr.ripple_rounds")
             .set(ripple_rounds as u64);
         obs.trace_instant("infomap.incr.ripple_rounds", "infomap");
 
-        let incremental_codelength = state.codelength();
-        info.codelength_after = incremental_codelength;
+        let incremental_codelength = info.codelength_after;
 
         // Quality guard. A cancelled pass skips it: the fallback would be
         // cancelled immediately too, so the partial incremental answer is
@@ -348,29 +305,18 @@ impl IncrementalState {
                 self.codelength = incremental_codelength;
                 self.snapshot_result(incremental_codelength, vec![info], timings)
             }
-            Some(reason) => {
+            Some(_) => {
                 obs.counter("infomap.incr.fallback").incr();
                 obs.trace_instant("infomap.incr.fallback", "infomap");
                 let _sp = obs.span("incr.fallback");
-                let mut full_engine = HostEngine::with_obs(&self.cfg, obs);
-                let outcome =
-                    optimize_multilevel_cancellable(&flow, &self.cfg, &mut full_engine, cancel);
-                let mut full_timings = outcome.timings;
-                full_timings.pagerank = timings.pagerank;
-                self.partition = outcome.partition.clone();
-                self.codelength = outcome.codelength;
+                let mut full =
+                    optimize_multilevel_cancellable(&flow, &self.cfg, &mut engine, cancel);
+                full.timings.pagerank = timings.pagerank;
+                self.partition = full.partition.clone();
+                self.codelength = full.codelength;
                 // Re-anchor: the full run is the new drift reference.
-                self.anchor_codelength = outcome.codelength;
-                let _ = reason;
-                InfomapResult {
-                    partition: outcome.partition,
-                    codelength: outcome.codelength,
-                    initial_codelength: outcome.initial_codelength,
-                    levels: outcome.levels,
-                    level_partitions: outcome.level_partitions,
-                    timings: full_timings,
-                    interrupted: outcome.interrupted,
-                }
+                self.anchor_codelength = full.codelength;
+                full
             }
         };
         let interrupted = interrupted || result.interrupted;

@@ -19,7 +19,7 @@ use asa_graph::{CsrGraph, Partition};
 use asa_hashsim::{ChainedAccumulator, LinearProbeAccumulator};
 use asa_obs::{Obs, Value};
 use asa_simarch::accum::FlowAccumulator;
-use asa_simarch::events::{phase, EventSink};
+use asa_simarch::events::{phase, EventSink, NullSink};
 use asa_simarch::machine::block_partition_into;
 use asa_simarch::pipeline::SimPipeline;
 use asa_simarch::trace::{BatchedCore, TraceBuf, TraceCapture};
@@ -27,10 +27,12 @@ use asa_simarch::{CoreModel, KernelReport, MachineConfig, SimPipelineConfig};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
+use crate::cancel::CancelToken;
 use crate::config::InfomapConfig;
 use crate::find_best::{find_best_community, FindBestScratch, MoveDecision};
 use crate::flow::FlowNetwork;
-use crate::schedule::{optimize_multilevel, DecideEngine, SweepCtx};
+use crate::result::InfomapResult;
+use crate::schedule::{optimize_multilevel_cancellable, DecideEngine, SweepCtx};
 
 /// Concatenates per-rank decision buffers in rank order. The ranks hold
 /// contiguous slices of the (sorted) active set, so concatenation keeps
@@ -346,7 +348,7 @@ pub struct NativeRun {
 }
 
 /// Runs the identical kernel schedule *natively*: the same per-core device
-/// data structures but a [`asa_simarch::NullSink`], measured with
+/// data structures but a [`NullSink`], measured with
 /// wall-clock timers on `cores` host threads. This is the "Native" column
 /// of the paper's Tables III/IV — the same binary run without the
 /// simulator.
@@ -357,32 +359,27 @@ pub fn native_infomap(
     device: Device,
 ) -> NativeRun {
     let flow = FlowNetwork::from_graph(graph, icfg);
-    match device {
-        Device::SoftwareHash => native_device(
-            flow,
-            icfg,
-            cores,
-            (0..cores).map(|_| ChainedAccumulator::new()).collect(),
-        ),
-        Device::LinearProbe => native_device(
-            flow,
-            icfg,
-            cores,
-            (0..cores).map(|_| LinearProbeAccumulator::new()).collect(),
-        ),
-        Device::Asa(cfg) => native_device(
-            flow,
-            icfg,
-            cores,
-            (0..cores).map(|_| AsaAccumulator::new(cfg)).collect(),
-        ),
+    let (result, _) = run_cores(&flow, icfg, device, vec![NullSink; cores]);
+    // The schedule records each sweep's decide+apply wall time and active
+    // count per level, in execution order.
+    let sweeps = || result.levels.iter();
+    NativeRun {
+        sweep_seconds: sweeps()
+            .flat_map(|l| l.sweep_seconds.iter().copied())
+            .collect(),
+        sweep_active: sweeps()
+            .flat_map(|l| l.sweep_active.iter().copied())
+            .collect(),
+        partition: result.partition,
+        codelength: result.codelength,
     }
 }
 
 /// Runs the per-core decide loop in parallel: rank `i` evaluates
 /// `active[ranges[i]]` against its private accumulator and event sink.
-/// Shared by the native engine (null sinks) and every [`SimMode`] arm of
-/// the simulated engine (core models, batched cores, pipeline pipes).
+/// Shared by the host-cores engine (null or recording sinks) and every
+/// [`SimMode`] arm of the simulated engine (core models, batched cores,
+/// pipeline pipes).
 fn decide_parallel<A: FlowAccumulator + Send, S: EventSink + Send>(
     ctx: &SweepCtx<'_>,
     ranges: &[Range<usize>],
@@ -409,20 +406,19 @@ fn decide_parallel<A: FlowAccumulator + Send, S: EventSink + Send>(
         });
 }
 
-/// Native engine: one host thread per emulated core, null event sinks,
-/// per-sweep wall-clock recorded by the schedule callback.
-struct NativeEngine<A> {
+/// Host-cores engine: one host thread per emulated core, each deciding its
+/// block of the active set against a private device and event sink —
+/// null sinks for native runs, recording sinks for trace capture.
+struct CoresEngine<A, S> {
     pool: rayon::ThreadPool,
     accs: Vec<A>,
-    sinks: Vec<asa_simarch::NullSink>,
+    sinks: Vec<S>,
     scratches: Vec<FindBestScratch>,
     outs: Vec<Vec<MoveDecision>>,
     ranges: Vec<Range<usize>>,
-    sweep_seconds: Vec<f64>,
-    sweep_active: Vec<usize>,
 }
 
-impl<A: FlowAccumulator + Send> DecideEngine for NativeEngine<A> {
+impl<A: FlowAccumulator + Send, S: EventSink + Send> DecideEngine for CoresEngine<A, S> {
     fn decide(&mut self, ctx: &SweepCtx<'_>) -> Vec<MoveDecision> {
         block_partition_into(ctx.active.len(), self.accs.len(), &mut self.ranges);
         let (ranges, sinks) = (&self.ranges, &mut self.sinks);
@@ -431,68 +427,57 @@ impl<A: FlowAccumulator + Send> DecideEngine for NativeEngine<A> {
             .install(|| decide_parallel(ctx, ranges, sinks, accs, scratches, outs));
         concat_decisions(outs)
     }
-
-    fn after_sweep(
-        &mut self,
-        ctx: &SweepCtx<'_>,
-        _applied: &crate::local_move::AppliedMoves,
-        elapsed: std::time::Duration,
-    ) {
-        self.sweep_seconds.push(elapsed.as_secs_f64());
-        self.sweep_active.push(ctx.active.len());
-    }
 }
 
-fn native_device<A: FlowAccumulator + Send>(
-    flow: FlowNetwork,
+/// Runs the full schedule on a [`CoresEngine`] with one pool thread and
+/// one `device` accumulator per sink, returning the result and the sinks.
+fn run_cores<S: EventSink + Send>(
+    flow: &FlowNetwork,
     icfg: &InfomapConfig,
-    cores: usize,
-    accs: Vec<A>,
-) -> NativeRun {
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(cores)
-        .build()
-        .expect("thread pool");
-    let mut engine = NativeEngine {
-        pool,
-        sinks: vec![asa_simarch::NullSink; accs.len()],
-        scratches: (0..accs.len())
-            .map(|_| FindBestScratch::default())
-            .collect(),
-        outs: vec![Vec::new(); accs.len()],
-        ranges: Vec::with_capacity(accs.len()),
-        accs,
-        sweep_seconds: Vec::new(),
-        sweep_active: Vec::new(),
-    };
-    let outcome = optimize_multilevel(&flow, icfg, &mut engine);
-    NativeRun {
-        sweep_seconds: engine.sweep_seconds,
-        sweep_active: engine.sweep_active,
-        partition: outcome.partition,
-        codelength: outcome.codelength,
+    device: Device,
+    sinks: Vec<S>,
+) -> (InfomapResult, Vec<S>) {
+    fn run<A: FlowAccumulator + Send, S: EventSink + Send>(
+        flow: &FlowNetwork,
+        icfg: &InfomapConfig,
+        sinks: Vec<S>,
+        accs: Vec<A>,
+    ) -> (InfomapResult, Vec<S>) {
+        let cores = accs.len();
+        let mut engine = CoresEngine {
+            pool: rayon::ThreadPoolBuilder::new()
+                .num_threads(cores)
+                .build()
+                .expect("thread pool"),
+            accs,
+            sinks,
+            scratches: (0..cores).map(|_| FindBestScratch::default()).collect(),
+            outs: vec![Vec::new(); cores],
+            ranges: Vec::with_capacity(cores),
+        };
+        let result = optimize_multilevel_cancellable(flow, icfg, &mut engine, &CancelToken::none());
+        (result, engine.sinks)
     }
-}
-
-/// Trace-capture engine: the identical kernel schedule driven through
-/// chunked recording sinks, no core models attached.
-struct CaptureEngine<A> {
-    pool: rayon::ThreadPool,
-    accs: Vec<A>,
-    sinks: Vec<TraceCapture>,
-    scratches: Vec<FindBestScratch>,
-    outs: Vec<Vec<MoveDecision>>,
-    ranges: Vec<Range<usize>>,
-}
-
-impl<A: FlowAccumulator + Send> DecideEngine for CaptureEngine<A> {
-    fn decide(&mut self, ctx: &SweepCtx<'_>) -> Vec<MoveDecision> {
-        block_partition_into(ctx.active.len(), self.accs.len(), &mut self.ranges);
-        let (ranges, sinks) = (&self.ranges, &mut self.sinks);
-        let (accs, scratches, outs) = (&mut self.accs, &mut self.scratches, &mut self.outs);
-        self.pool
-            .install(|| decide_parallel(ctx, ranges, sinks, accs, scratches, outs));
-        concat_decisions(outs)
+    let cores = sinks.len();
+    match device {
+        Device::SoftwareHash => run(
+            flow,
+            icfg,
+            sinks,
+            (0..cores).map(|_| ChainedAccumulator::new()).collect(),
+        ),
+        Device::LinearProbe => run(
+            flow,
+            icfg,
+            sinks,
+            (0..cores).map(|_| LinearProbeAccumulator::new()).collect(),
+        ),
+        Device::Asa(cfg) => run(
+            flow,
+            icfg,
+            sinks,
+            (0..cores).map(|_| AsaAccumulator::new(cfg)).collect(),
+        ),
     }
 }
 
@@ -513,54 +498,8 @@ pub fn capture_trace(
     let sinks = (0..cores)
         .map(|_| TraceCapture::new(chunk_events, limit_events))
         .collect();
-    match device {
-        Device::SoftwareHash => capture_device(
-            flow,
-            icfg,
-            sinks,
-            (0..cores).map(|_| ChainedAccumulator::new()).collect(),
-        ),
-        Device::LinearProbe => capture_device(
-            flow,
-            icfg,
-            sinks,
-            (0..cores).map(|_| LinearProbeAccumulator::new()).collect(),
-        ),
-        Device::Asa(cfg) => capture_device(
-            flow,
-            icfg,
-            sinks,
-            (0..cores).map(|_| AsaAccumulator::new(cfg)).collect(),
-        ),
-    }
-}
-
-fn capture_device<A: FlowAccumulator + Send>(
-    flow: FlowNetwork,
-    icfg: &InfomapConfig,
-    sinks: Vec<TraceCapture>,
-    accs: Vec<A>,
-) -> Vec<Vec<TraceBuf>> {
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(accs.len())
-        .build()
-        .expect("thread pool");
-    let mut engine = CaptureEngine {
-        pool,
-        sinks,
-        scratches: (0..accs.len())
-            .map(|_| FindBestScratch::default())
-            .collect(),
-        outs: vec![Vec::new(); accs.len()],
-        ranges: Vec::with_capacity(accs.len()),
-        accs,
-    };
-    optimize_multilevel(&flow, icfg, &mut engine);
-    engine
-        .sinks
-        .into_iter()
-        .map(TraceCapture::into_bufs)
-        .collect()
+    let (_, sinks) = run_cores(&flow, icfg, device, sinks);
+    sinks.into_iter().map(TraceCapture::into_bufs).collect()
 }
 
 /// The per-core simulation state behind a [`SimMode`]: who owns the core
@@ -741,7 +680,7 @@ fn run_device<A: FlowAccumulator + Send>(
     };
     let outcome = {
         let _sp = obs.span("optimize");
-        optimize_multilevel(&flow, icfg, &mut engine)
+        optimize_multilevel_cancellable(&flow, icfg, &mut engine, &CancelToken::none())
     };
 
     let mut total = KernelReport::default();

@@ -15,11 +15,14 @@
 //! 4. **UpdateMembers** ([`asa_graph::Partition::project`]): projecting
 //!    coarse module choices back onto original vertices.
 //!
-//! The [`driver`] runs the multi-level loop with per-kernel wall-clock
-//! timing (Fig. 2a); [`instrumented`] runs the `FindBestCommunity` kernel
-//! on the `asa-simarch` machine model to produce the simulated
-//! instruction/misprediction/CPI/cycle numbers behind Tables III–V and
-//! Figures 6–11.
+//! The [`schedule`] owns the multi-level loop and its one sweep body
+//! (decide → apply → next active set), shared by every level, every
+//! refinement pass and the [`incremental`] frontier pass. Engines plug in
+//! only the decide step: the [`driver`] runs it on the host with
+//! per-kernel wall-clock timing (Fig. 2a); [`instrumented`] runs the
+//! `FindBestCommunity` kernel on the `asa-simarch` machine model to
+//! produce the simulated instruction/misprediction/CPI/cycle numbers
+//! behind Tables III–V and Figures 6–11.
 //!
 //! # Flow model
 //!
@@ -52,8 +55,7 @@ pub use cancel::CancelToken;
 pub use config::InfomapConfig;
 pub use distributed::{detect_communities_distributed_cancellable, CommStats, DistEngine};
 pub use driver::{
-    detect_communities, detect_communities_cancellable, detect_communities_observed,
-    detect_communities_renumbered, Infomap,
+    detect_communities, detect_communities_cancellable, detect_communities_renumbered,
 };
 pub use flow::FlowNetwork;
 pub use incremental::{FallbackReason, IncrementalConfig, IncrementalOutcome, IncrementalState};

@@ -279,19 +279,10 @@ pub fn apply_decisions(
 
 /// The active set for the next sweep: every moved vertex plus its in- and
 /// out-neighbours (their best module may have changed), deduplicated and
-/// sorted.
-pub fn next_active(flow: &FlowNetwork, moved: &[NodeId]) -> Vec<NodeId> {
-    let mut mark = Vec::new();
-    let mut out = Vec::new();
-    next_active_into(flow, moved, &mut mark, &mut out);
-    out
-}
-
-/// [`next_active`] into caller-owned buffers: `mark` is the dedup bitmap
-/// (must be all-false, which this function restores before returning, so a
-/// buffer can be threaded through every sweep) and `out` receives the
-/// sorted active set. O(touched log touched) instead of an O(n) scan, and
-/// allocation-free once the buffers are warm.
+/// sorted into `out`. `mark` is the dedup bitmap (must be all-false, which
+/// this function restores before returning, so a buffer can be threaded
+/// through every sweep). O(touched log touched) instead of an O(n) scan,
+/// and allocation-free once the buffers are warm.
 pub fn next_active_into(
     flow: &FlowNetwork,
     moved: &[NodeId],
@@ -356,6 +347,12 @@ mod tests {
             level: 0,
             sweep: 0,
         }
+    }
+
+    fn next_active(flow: &FlowNetwork, moved: &[NodeId]) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        next_active_into(flow, moved, &mut Vec::new(), &mut out);
+        out
     }
 
     fn sweep_once(

@@ -1,12 +1,13 @@
 //! The multilevel optimization schedule, shared by every driver.
 //!
-//! Three execution modes run the exact same control flow — the host
-//! (rayon) driver, the wall-clock "native" driver, and the simulated
-//! (per-core device) driver — differing only in *how* a sweep's decisions
-//! are computed. This module owns the control flow; drivers plug in a
-//! [`DecideEngine`]. Because the schedule is shared, every mode produces
-//! the identical partition for identical inputs, which the test suite
-//! asserts (the accelerator must change cost, never semantics).
+//! Every execution mode runs the exact same control flow — the host
+//! (rayon) driver, the distributed ranks, the wall-clock "native" and
+//! trace-capture drivers, and the simulated (per-core device) driver —
+//! differing only in *how* a sweep's decisions are computed. This module
+//! owns the control flow; drivers plug in a [`DecideEngine`]. Because the
+//! schedule is shared, every mode produces the identical partition for
+//! identical inputs, which the test suite asserts (the accelerator must
+//! change cost, never semantics).
 //!
 //! The schedule implements Rosvall-style multilevel optimization with
 //! fine-tuning: repeat { local-move sweeps, coarsen, ... } until no level
@@ -14,6 +15,11 @@
 //! within the coarse solution and, if it moved anything, the multilevel
 //! loop restarts from the refined partition
 //! (`InfomapConfig::outer_loops` bounds the alternation).
+//!
+//! One sweep body, `sweep_pass`, has three callers: each multilevel
+//! level, each refinement pass, and the frontier pass of
+//! [`crate::incremental::IncrementalState::apply`]. They differ only in
+//! the flow network, the starting partition and the initial active set.
 
 use std::time::{Duration, Instant};
 
@@ -27,7 +33,7 @@ use crate::find_best::MoveDecision;
 use crate::flow::FlowNetwork;
 use crate::local_move::{apply_decisions, next_active_into, AppliedMoves};
 use crate::mapeq::{plogp, MapState};
-use crate::result::{KernelTimings, LevelInfo};
+use crate::result::{InfomapResult, KernelTimings, LevelInfo};
 
 /// Everything a sweep's decision phase may need.
 pub struct SweepCtx<'a> {
@@ -42,14 +48,15 @@ pub struct SweepCtx<'a> {
     pub active: &'a [NodeId],
     /// Outer (refinement) iteration, 0-based.
     pub outer: usize,
-    /// Hierarchy level within this outer iteration; refinement passes use
-    /// [`REFINE_LEVEL`].
+    /// Hierarchy level within this outer iteration; refinement and
+    /// incremental frontier passes use [`REFINE_LEVEL`].
     pub level: usize,
     /// Sweep index within the level.
     pub sweep: usize,
 }
 
-/// Level marker for refinement passes in [`SweepCtx::level`].
+/// Level marker for refinement (and incremental frontier) passes in
+/// [`SweepCtx::level`].
 pub const REFINE_LEVEL: usize = usize::MAX;
 
 /// A pluggable decision executor.
@@ -79,83 +86,139 @@ pub trait DecideEngine {
     }
 }
 
-/// Emits one per-sweep convergence record. `level` is `None` for
-/// refinement passes (flagged via the `refine` field instead).
+/// Runs sweeps over `active` until one applies no move, the sweep budget
+/// (`cfg.max_sweeps`) runs out, or `cancel` trips — the one sweep body
+/// every pass shares: multilevel levels, refinement, and the incremental
+/// frontier pass. Each sweep snapshots the labels, lets `engine` decide,
+/// applies the decisions to `partition`/`state`, notifies
+/// [`DecideEngine::after_sweep`], emits a `sweep` convergence record
+/// (flagged `refine` when `level` is [`REFINE_LEVEL`]), polls `cancel`,
+/// and ripples the active set to the neighbors of whatever moved.
+/// `on_sweep` sees each sweep's active set before it runs. Returns the
+/// pass's statistics and whether `cancel` stopped it.
 #[allow(clippy::too_many_arguments)]
-fn emit_sweep_record<E: DecideEngine>(
-    obs: &Obs,
-    engine: &E,
-    outer: usize,
-    level: Option<usize>,
-    sweep: usize,
-    active: usize,
-    moves: usize,
-    codelength: f64,
-    prev_codelength: f64,
-    seconds: f64,
-) {
-    let mut fields: Vec<(&'static str, Value)> = Vec::with_capacity(12);
-    fields.push(("outer", Value::from(outer)));
-    if let Some(level) = level {
-        fields.push(("level", Value::from(level)));
+pub(crate) fn sweep_pass<E: DecideEngine>(
+    engine: &mut E,
+    flow: &FlowNetwork,
+    partition: &mut Partition,
+    state: &mut MapState,
+    mut active: Vec<NodeId>,
+    (outer, level): (usize, usize),
+    cfg: &InfomapConfig,
+    cancel: &CancelToken,
+    timings: &mut KernelTimings,
+    mut on_sweep: impl FnMut(&[NodeId]),
+) -> (LevelInfo, bool) {
+    let obs = engine.obs();
+    let before = state.codelength();
+    let mut info = LevelInfo {
+        nodes: flow.num_nodes(),
+        sweeps: 0,
+        moves: 0,
+        codelength_before: before,
+        codelength_after: before,
+        sweep_seconds: Vec::new(),
+        sweep_active: Vec::new(),
+        refinement: level == REFINE_LEVEL,
+    };
+    // The frozen label snapshot and the next-active bitmap and list,
+    // reused across sweeps.
+    let mut labels: Vec<u32> = Vec::new();
+    let mut mark: Vec<bool> = Vec::new();
+    let mut next: Vec<NodeId> = Vec::new();
+    let mut interrupted = false;
+    let mut prev_codelength = before;
+    for sweep in 0..cfg.max_sweeps {
+        if active.is_empty() {
+            break;
+        }
+        on_sweep(&active);
+        let _sweep_sp = obs.span("sweep");
+        let t = Instant::now();
+        labels.clear();
+        labels.extend_from_slice(partition.labels());
+        let decisions = {
+            let _sp = obs.span("decide");
+            engine.decide(&SweepCtx {
+                flow,
+                labels: &labels,
+                state,
+                active: &active,
+                outer,
+                level,
+                sweep,
+            })
+        };
+        let applied = {
+            let _sp = obs.span("apply");
+            apply_decisions(flow, partition, state, &decisions, cfg.min_improvement)
+        };
+        let dt = t.elapsed();
+        let ctx = SweepCtx {
+            flow,
+            labels: &labels,
+            state,
+            active: &active,
+            outer,
+            level,
+            sweep,
+        };
+        engine.after_sweep(&ctx, &applied, dt);
+        timings.find_best += dt;
+        // Convergence record outside the timed region: the extra
+        // codelength evaluation (O(modules)) is telemetry-only and must
+        // not show up in the kernel timings.
+        if obs.enabled() {
+            let cl = state.codelength();
+            let mut fields: Vec<(&'static str, Value)> = Vec::with_capacity(12);
+            fields.push(("outer", Value::from(outer)));
+            if !info.refinement {
+                fields.push(("level", Value::from(level)));
+            }
+            fields.push(("refine", Value::from(info.refinement)));
+            fields.push(("sweep", Value::from(sweep)));
+            fields.push(("active", Value::from(active.len())));
+            fields.push(("moves", Value::from(applied.applied)));
+            fields.push(("codelength", Value::from(cl)));
+            fields.push(("dl", Value::from(cl - prev_codelength)));
+            fields.push(("seconds", Value::from(dt.as_secs_f64())));
+            engine.sweep_fields(&mut fields);
+            obs.emit("sweep", fields);
+            prev_codelength = cl;
+        }
+        info.sweeps += 1;
+        info.moves += applied.applied;
+        info.sweep_seconds.push(dt.as_secs_f64());
+        info.sweep_active.push(active.len());
+        if cancel.poll() {
+            interrupted = true;
+            obs.trace_instant("infomap.cancelled", "infomap");
+            break;
+        }
+        if applied.applied == 0 {
+            break;
+        }
+        next_active_into(flow, &applied.moved, &mut mark, &mut next);
+        std::mem::swap(&mut active, &mut next);
     }
-    fields.push(("refine", Value::from(level.is_none())));
-    fields.push(("sweep", Value::from(sweep)));
-    fields.push(("active", Value::from(active)));
-    fields.push(("moves", Value::from(moves)));
-    fields.push(("codelength", Value::from(codelength)));
-    fields.push(("dl", Value::from(codelength - prev_codelength)));
-    fields.push(("seconds", Value::from(seconds)));
-    engine.sweep_fields(&mut fields);
-    obs.emit("sweep", fields);
-}
-
-/// Result of the full schedule.
-#[derive(Debug, Clone)]
-pub struct MultilevelOutcome {
-    /// Final vertex→module assignment.
-    pub partition: Partition,
-    /// Final codelength (vertex-level node term).
-    pub codelength: f64,
-    /// Codelength of the all-singletons starting point.
-    pub initial_codelength: f64,
-    /// Per-level statistics across all outer iterations (refinement
-    /// passes flagged).
-    pub levels: Vec<LevelInfo>,
-    /// Hierarchy partitions of the final outer iteration.
-    pub level_partitions: Vec<Partition>,
-    /// Kernel timings accumulated by the schedule (`find_best`,
-    /// `convert`, `update`; `pagerank` is filled by the caller).
-    pub timings: KernelTimings,
-    /// Whether a [`CancelToken`] stopped the run at a sweep boundary
-    /// before the schedule converged. The partition is still complete and
-    /// `codelength` describes it exactly; it is simply the best answer
-    /// found within the allotted budget.
-    pub interrupted: bool,
+    info.codelength_after = state.codelength();
+    (info, interrupted)
 }
 
 /// Runs the multilevel schedule over `flow0` with the given engine.
-pub fn optimize_multilevel<E: DecideEngine>(
-    flow0: &FlowNetwork,
-    cfg: &InfomapConfig,
-    engine: &mut E,
-) -> MultilevelOutcome {
-    optimize_multilevel_cancellable(flow0, cfg, engine, &CancelToken::none())
-}
-
-/// [`optimize_multilevel`] with cooperative cancellation: `cancel` is
-/// polled once after every completed sweep (level and refinement passes
-/// alike). When it trips, the schedule stops at that sweep boundary, folds
-/// the current level's partial partition into the composed answer, and
-/// returns with [`MultilevelOutcome::interrupted`] set. Until the poll
-/// trips, control flow — and therefore the per-sweep convergence record
-/// stream — is identical to the uncancelled run.
+/// `cancel` is polled once after every completed sweep (level and
+/// refinement passes alike). When it trips, the schedule stops at that
+/// sweep boundary, folds the current level's partial partition into the
+/// composed answer, and returns with [`InfomapResult::interrupted`] set.
+/// Until the poll trips, control flow — and therefore the per-sweep
+/// convergence record stream — is identical to the uncancelled run.
+/// `timings.pagerank` is zero: the caller built `flow0`.
 pub fn optimize_multilevel_cancellable<E: DecideEngine>(
     flow0: &FlowNetwork,
     cfg: &InfomapConfig,
     engine: &mut E,
     cancel: &CancelToken,
-) -> MultilevelOutcome {
+) -> InfomapResult {
     let n0 = flow0.num_nodes();
     let obs = engine.obs();
     let node_plogp0: f64 = flow0.node_flows().iter().copied().map(plogp).sum();
@@ -166,12 +229,6 @@ pub fn optimize_multilevel_cancellable<E: DecideEngine>(
     let mut composed = Partition::singletons(n0);
     let mut initial_codelength = f64::NAN;
     let mut codelength = f64::NAN;
-    // Sweep-loop buffers threaded through every level and outer pass so the
-    // per-sweep bookkeeping stops allocating: the next-active bitmap and
-    // list, and the frozen label snapshot.
-    let mut mark: Vec<bool> = Vec::new();
-    let mut next: Vec<NodeId> = Vec::new();
-    let mut labels: Vec<u32> = Vec::new();
     let mut interrupted = false;
 
     let outer_loops = cfg.outer_loops.max(1);
@@ -195,105 +252,23 @@ pub fn optimize_multilevel_cancellable<E: DecideEngine>(
             let _level_sp = obs.span("level");
             let mut partition = Partition::singletons(flow.num_nodes());
             let mut state = MapState::with_options(&flow, &partition, node_plogp0, mode);
-            let before = state.codelength();
+            let (info, stopped) = sweep_pass(
+                engine,
+                &flow,
+                &mut partition,
+                &mut state,
+                (0..flow.num_nodes() as u32).collect(),
+                (outer, level),
+                cfg,
+                cancel,
+                &mut timings,
+                |_| {},
+            );
             if initial_codelength.is_nan() {
-                initial_codelength = before;
+                initial_codelength = info.codelength_before;
             }
-            let mut info = LevelInfo {
-                nodes: flow.num_nodes(),
-                sweeps: 0,
-                moves: 0,
-                codelength_before: before,
-                codelength_after: before,
-                sweep_seconds: Vec::new(),
-                sweep_active: Vec::new(),
-                refinement: false,
-            };
-
-            let mut active: Vec<NodeId> = (0..flow.num_nodes() as u32).collect();
-            let mut prev_codelength = before;
-            for sweep in 0..cfg.max_sweeps {
-                if active.is_empty() {
-                    break;
-                }
-                let _sweep_sp = obs.span("sweep");
-                let t = Instant::now();
-                labels.clear();
-                labels.extend_from_slice(partition.labels());
-                let decisions = {
-                    let _sp = obs.span("decide");
-                    let ctx = SweepCtx {
-                        flow: &flow,
-                        labels: &labels,
-                        state: &state,
-                        active: &active,
-                        outer,
-                        level,
-                        sweep,
-                    };
-                    engine.decide(&ctx)
-                };
-                let applied = {
-                    let _sp = obs.span("apply");
-                    apply_decisions(
-                        &flow,
-                        &mut partition,
-                        &mut state,
-                        &decisions,
-                        cfg.min_improvement,
-                    )
-                };
-                let dt = t.elapsed();
-                {
-                    let ctx = SweepCtx {
-                        flow: &flow,
-                        labels: &labels,
-                        state: &state,
-                        active: &active,
-                        outer,
-                        level,
-                        sweep,
-                    };
-                    engine.after_sweep(&ctx, &applied, dt);
-                }
-                timings.find_best += dt;
-                // Convergence record outside the timed region: the extra
-                // codelength evaluation (O(modules)) is telemetry-only and
-                // must not show up in the kernel timings.
-                if obs.enabled() {
-                    let cl = state.codelength();
-                    emit_sweep_record(
-                        &obs,
-                        engine,
-                        outer,
-                        Some(level),
-                        sweep,
-                        active.len(),
-                        applied.applied,
-                        cl,
-                        prev_codelength,
-                        dt.as_secs_f64(),
-                    );
-                    prev_codelength = cl;
-                }
-                info.sweeps += 1;
-                info.moves += applied.applied;
-                info.sweep_seconds.push(dt.as_secs_f64());
-                info.sweep_active.push(active.len());
-                if cancel.poll() {
-                    interrupted = true;
-                    obs.trace_instant("infomap.cancelled", "infomap");
-                    break;
-                }
-                if applied.applied == 0 {
-                    break;
-                }
-                next_active_into(&flow, &applied.moved, &mut mark, &mut next);
-                std::mem::swap(&mut active, &mut next);
-            }
-
-            info.codelength_after = state.codelength();
             codelength = info.codelength_after;
+            interrupted = stopped;
             if interrupted {
                 levels.push(info);
                 // Keep the sweeps already paid for: fold this level's
@@ -341,103 +316,25 @@ pub fn optimize_multilevel_cancellable<E: DecideEngine>(
         let _refine_sp = obs.span("refine");
         composed.compact();
         let mut state = MapState::with_options(flow0, &composed, node_plogp0, mode);
-        let before = state.codelength();
-        let mut info = LevelInfo {
-            nodes: n0,
-            sweeps: 0,
-            moves: 0,
-            codelength_before: before,
-            codelength_after: before,
-            sweep_seconds: Vec::new(),
-            sweep_active: Vec::new(),
-            refinement: true,
-        };
-        let mut active: Vec<NodeId> = (0..n0 as u32).collect();
-        let mut total_moves = 0usize;
-        let mut prev_codelength = before;
-        for sweep in 0..cfg.max_sweeps {
-            if active.is_empty() {
-                break;
-            }
-            let _sweep_sp = obs.span("sweep");
-            let t = Instant::now();
-            labels.clear();
-            labels.extend_from_slice(composed.labels());
-            let decisions = {
-                let _sp = obs.span("decide");
-                let ctx = SweepCtx {
-                    flow: flow0,
-                    labels: &labels,
-                    state: &state,
-                    active: &active,
-                    outer,
-                    level: REFINE_LEVEL,
-                    sweep,
-                };
-                engine.decide(&ctx)
-            };
-            let applied = {
-                let _sp = obs.span("apply");
-                apply_decisions(
-                    flow0,
-                    &mut composed,
-                    &mut state,
-                    &decisions,
-                    cfg.min_improvement,
-                )
-            };
-            let dt = t.elapsed();
-            {
-                let ctx = SweepCtx {
-                    flow: flow0,
-                    labels: &labels,
-                    state: &state,
-                    active: &active,
-                    outer,
-                    level: REFINE_LEVEL,
-                    sweep,
-                };
-                engine.after_sweep(&ctx, &applied, dt);
-            }
-            timings.find_best += dt;
-            if obs.enabled() {
-                let cl = state.codelength();
-                emit_sweep_record(
-                    &obs,
-                    engine,
-                    outer,
-                    None,
-                    sweep,
-                    active.len(),
-                    applied.applied,
-                    cl,
-                    prev_codelength,
-                    dt.as_secs_f64(),
-                );
-                prev_codelength = cl;
-            }
-            info.sweeps += 1;
-            info.moves += applied.applied;
-            info.sweep_seconds.push(dt.as_secs_f64());
-            info.sweep_active.push(active.len());
-            total_moves += applied.applied;
-            if cancel.poll() {
-                interrupted = true;
-                obs.trace_instant("infomap.cancelled", "infomap");
-                break;
-            }
-            if applied.applied == 0 {
-                break;
-            }
-            next_active_into(flow0, &applied.moved, &mut mark, &mut next);
-            std::mem::swap(&mut active, &mut next);
-        }
-        info.codelength_after = state.codelength();
+        let (info, stopped) = sweep_pass(
+            engine,
+            flow0,
+            &mut composed,
+            &mut state,
+            (0..n0 as u32).collect(),
+            (outer, REFINE_LEVEL),
+            cfg,
+            cancel,
+            &mut timings,
+            |_| {},
+        );
         codelength = info.codelength_after;
+        interrupted = stopped;
+        let moves = info.moves;
         levels.push(info);
         // Refinement edits `composed` in place, so an interrupt here needs
         // no folding — the partial refinement is already the answer.
-        if interrupted || total_moves == 0 {
+        if interrupted || moves == 0 {
             break;
         }
     }
@@ -451,7 +348,7 @@ pub fn optimize_multilevel_cancellable<E: DecideEngine>(
         *level_partitions.last_mut().unwrap() = composed.clone();
     }
 
-    MultilevelOutcome {
+    InfomapResult {
         partition: composed,
         codelength,
         initial_codelength,
@@ -482,24 +379,26 @@ mod tests {
         FlowNetwork::from_graph(&g, &InfomapConfig::default())
     }
 
+    fn run(flow: &FlowNetwork, cfg: &InfomapConfig) -> InfomapResult {
+        optimize_multilevel_cancellable(flow, cfg, &mut HostEngine::default(), &CancelToken::none())
+    }
+
     #[test]
     fn refinement_never_hurts() {
         let flow = planted_flow();
-        let one_pass = optimize_multilevel(
+        let one_pass = run(
             &flow,
             &InfomapConfig {
                 outer_loops: 1,
                 ..Default::default()
             },
-            &mut HostEngine::default(),
         );
-        let refined = optimize_multilevel(
+        let refined = run(
             &flow,
             &InfomapConfig {
                 outer_loops: 3,
                 ..Default::default()
             },
-            &mut HostEngine::default(),
         );
         assert!(refined.codelength <= one_pass.codelength + 1e-9);
         assert!(refined.levels.len() >= one_pass.levels.len());
@@ -508,13 +407,12 @@ mod tests {
     #[test]
     fn refinement_levels_flagged() {
         let flow = planted_flow();
-        let outcome = optimize_multilevel(
+        let outcome = run(
             &flow,
             &InfomapConfig {
                 outer_loops: 2,
                 ..Default::default()
             },
-            &mut HostEngine::default(),
         );
         // With 2 outer loops there is exactly one refinement pass recorded
         // (possibly with zero moves).
@@ -537,13 +435,12 @@ mod tests {
                 seed,
             );
             let flow = FlowNetwork::from_graph(&lfr.graph, &InfomapConfig::default());
-            let outcome = optimize_multilevel(
+            let outcome = run(
                 &flow,
                 &InfomapConfig {
                     outer_loops: 3,
                     ..Default::default()
                 },
-                &mut HostEngine::default(),
             );
             assert!(outcome.codelength.is_finite());
         }
@@ -556,8 +453,7 @@ mod tests {
             b.add_edge(u, v, 1.0);
         }
         let flow = FlowNetwork::from_graph(&b.build(), &InfomapConfig::default());
-        let outcome =
-            optimize_multilevel(&flow, &InfomapConfig::default(), &mut HostEngine::default());
+        let outcome = run(&flow, &InfomapConfig::default());
         assert_eq!(outcome.partition.num_communities(), 2);
         assert!(outcome.codelength < outcome.initial_codelength);
         assert_eq!(

@@ -14,18 +14,24 @@
 //!   (or vice versa) restores the base fingerprint chain head, because
 //!   the chain hashes the *net* overlay content.
 //!
+//! As an absolute anchor, the codelength the state reports after every
+//! applied batch must match a from-scratch recomputation on its partition.
+//! The frontier pass runs the schedule's sweep body, so it also streams
+//! one `sweep` convergence record per ripple round.
+//!
 //! CI runs this suite at `RAYON_NUM_THREADS=1` and `8` and under
 //! `ASA_FORCE_SCALAR=1`.
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use asa_graph::delta::EdgeDelta;
 use asa_graph::generators::{planted_partition, PlantedConfig};
-use asa_graph::CsrGraph;
+use asa_graph::{CsrGraph, Partition};
 use asa_infomap::incremental::{IncrementalConfig, IncrementalState};
-use asa_infomap::{detect_communities, CancelToken, InfomapConfig};
-use asa_obs::Obs;
+use asa_infomap::mapeq::{self, plogp, MapState};
+use asa_infomap::{detect_communities, CancelToken, FlowNetwork, InfomapConfig};
+use asa_obs::{FlushReport, Obs, Record, Sink, Value};
 use proptest::prelude::*;
 
 /// 150 vertices in five strongly planted communities.
@@ -53,6 +59,64 @@ fn seed_state(base: Arc<CsrGraph>) -> IncrementalState {
     .0
 }
 
+/// The codelength of `partition` recomputed from scratch on `graph`'s flow
+/// network, independent of the optimizer's incremental bookkeeping.
+fn recomputed_codelength(graph: &CsrGraph, cfg: &InfomapConfig, partition: &Partition) -> f64 {
+    let flow = FlowNetwork::from_graph(graph, cfg);
+    if cfg.recorded_teleport {
+        let node_plogp = flow.node_flows().iter().copied().map(plogp).sum();
+        MapState::with_options(&flow, partition, node_plogp, cfg.teleport_mode()).codelength()
+    } else {
+        mapeq::codelength(&flow, partition)
+    }
+}
+
+/// Collects the `sweep` convergence records an [`Obs`] streams.
+struct SweepRecords(Arc<Mutex<Vec<Record>>>);
+
+impl Sink for SweepRecords {
+    fn record(&mut self, rec: &Record) {
+        if rec.kind == "sweep" {
+            self.0.lock().unwrap().push(rec.clone());
+        }
+    }
+
+    fn flush(&mut self, _report: &FlushReport) {}
+}
+
+fn field<'a>(record: &'a Record, name: &str) -> &'a Value {
+    record
+        .fields
+        .iter()
+        .find(|(k, _)| *k == name)
+        .map(|(_, v)| v)
+        .unwrap_or_else(|| panic!("sweep record lacks {name}"))
+}
+
+#[test]
+fn incremental_pass_streams_one_refine_record_per_ripple_round() {
+    let mut st = seed_state(planted(3));
+    let obs = Obs::new_enabled();
+    let records = Arc::new(Mutex::new(Vec::new()));
+    obs.add_sink(Box::new(SweepRecords(Arc::clone(&records))));
+    // Strengthen a few intra-community edges: local work only.
+    let mut d = EdgeDelta::new();
+    d.insert(0, 1, 0.5).insert(2, 3, 0.5).insert(30, 31, 0.5);
+    let out = st.apply(&d, &obs, &CancelToken::none());
+    assert!(out.incremental(), "local edit must not trigger fallback");
+    assert!(out.ripple_rounds >= 1);
+
+    let records = records.lock().unwrap();
+    assert_eq!(records.len(), out.ripple_rounds);
+    for r in records.iter() {
+        assert!(matches!(field(r, "refine"), Value::Bool(true)), "{r:?}");
+    }
+    match field(records.last().unwrap(), "codelength") {
+        Value::F64(cl) => assert_eq!(cl.to_bits(), out.result.codelength.to_bits()),
+        other => panic!("codelength: expected F64, got {other:?}"),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -78,6 +142,13 @@ proptest! {
         }
         prop_assume!(!d.is_empty());
         let out = st.apply(&d, &Obs::disabled(), &CancelToken::none());
+        let recomputed = recomputed_codelength(st.merged(), st.config(), st.partition());
+        prop_assert!(
+            (recomputed - st.codelength()).abs() <= 1e-9 * recomputed.abs(),
+            "reported {} vs recomputed {}",
+            st.codelength(),
+            recomputed,
+        );
         let fresh = detect_communities(st.merged(), st.config());
         if out.incremental() {
             let budget = IncrementalConfig::default().drift_budget;

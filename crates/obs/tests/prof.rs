@@ -2,10 +2,17 @@
 //! trace-id attribution mid-scope, and thread-exit safety under the
 //! barrier interleavings the sampler must survive.
 
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use asa_obs::Obs;
+
+/// Every test here starts a sampler thread, and the join test counts those
+/// threads process-wide, so the tests run one at a time.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// Live `asa-obs-profiler` threads per procfs (comm truncates to 15
 /// chars). `None` when procfs is unavailable (skip the assertion).
@@ -24,6 +31,7 @@ fn profiler_threads() -> Option<usize> {
 
 #[test]
 fn attach_is_idempotent_and_samples_in_background() {
+    let _serial = serial();
     let obs = Obs::new_enabled();
     obs.attach_profiler(Duration::from_millis(2));
     // Second attach with a different interval is a keep-first no-op.
@@ -57,14 +65,25 @@ fn attach_is_idempotent_and_samples_in_background() {
 
 #[test]
 fn dropping_the_last_handle_joins_the_sampler_thread() {
+    let _serial = serial();
     let before = profiler_threads();
     let obs = Obs::new_enabled();
     obs.attach_profiler(Duration::from_millis(2));
-    if let (Some(b), Some(after)) = (before, profiler_threads()) {
-        assert_eq!(after, b + 1, "sampler thread not started");
+    if let Some(b) = before {
+        // A spawned thread sets its own name once it runs, so the count
+        // may lag the spawn briefly.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let mut after = profiler_threads();
+        while after != Some(b + 1) && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+            after = profiler_threads();
+        }
+        assert_eq!(after, Some(b + 1), "sampler thread not started");
     }
     drop(obs);
-    // Drop joins: once it returns, the thread is gone.
+    // Drop joins: once it returns, the thread is gone. Counted at once,
+    // never polled: the sampler also exits on its own once its `Weak`
+    // fails to upgrade, so a wait here would pass without a join.
     if let (Some(b), Some(after)) = (before, profiler_threads()) {
         assert_eq!(after, b, "sampler thread survived the last handle drop");
     }
@@ -72,6 +91,7 @@ fn dropping_the_last_handle_joins_the_sampler_thread() {
 
 #[test]
 fn samples_mid_trace_scope_attribute_to_the_trace_id() {
+    let _serial = serial();
     let obs = Obs::new_enabled();
     obs.attach_recorder(64);
     // Hours-long interval: the background thread stays idle and every
@@ -107,6 +127,7 @@ fn samples_mid_trace_scope_attribute_to_the_trace_id() {
 
 #[test]
 fn thread_exit_mid_sample_never_poisons_the_aggregate() {
+    let _serial = serial();
     let obs = Obs::new_enabled();
     obs.attach_profiler(Duration::from_secs(3600));
     let barrier = Arc::new(Barrier::new(2));
@@ -144,6 +165,7 @@ fn thread_exit_mid_sample_never_poisons_the_aggregate() {
 
 #[test]
 fn rayon_pool_spans_sample_cleanly_under_contention() {
+    let _serial = serial();
     use rayon::prelude::*;
     let obs = Obs::new_enabled();
     obs.attach_profiler(Duration::from_millis(1));

@@ -18,8 +18,8 @@ fn spa_and_hash_paths_agree_end_to_end() {
     // engine through the same multi-level schedule must yield the
     // identical partition and codelength, bit for bit.
     use infomap_asa::infomap::driver::HashEngine;
-    use infomap_asa::infomap::schedule::optimize_multilevel;
-    use infomap_asa::infomap::FlowNetwork;
+    use infomap_asa::infomap::schedule::optimize_multilevel_cancellable;
+    use infomap_asa::infomap::{CancelToken, FlowNetwork};
     let (graph, _) = planted_partition(
         &PlantedConfig {
             communities: 8,
@@ -32,7 +32,12 @@ fn spa_and_hash_paths_agree_end_to_end() {
     let cfg = InfomapConfig::default();
     let spa = detect_communities(&graph, &cfg);
     let flow = FlowNetwork::from_graph(&graph, &cfg);
-    let hash = optimize_multilevel(&flow, &cfg, &mut HashEngine::default());
+    let hash = optimize_multilevel_cancellable(
+        &flow,
+        &cfg,
+        &mut HashEngine::default(),
+        &CancelToken::none(),
+    );
     assert_eq!(spa.partition.labels(), hash.partition.labels());
     assert_eq!(spa.codelength.to_bits(), hash.codelength.to_bits());
     assert_eq!(spa.levels.len(), hash.levels.len());
