@@ -241,6 +241,7 @@ fn run_level(
             }
             Outcome::Overloaded => shed += 1,
             Outcome::DeadlineExceeded => deadline_exceeded += 1,
+            Outcome::Rejected { .. } => unreachable!("the sweep submits only detects"),
         }
         if response.outcome.result().is_some() {
             latencies_us.push(response.total.as_micros() as u64);

@@ -39,42 +39,25 @@ pub struct ResultCache {
     per_shard_capacity: usize,
     ttl: Duration,
     tick: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
     /// Entries dropped because their TTL elapsed (on touch or as a
     /// preferred eviction victim) — distinct from capacity pressure.
-    expired: AtomicU64,
+    expired: Counter,
     /// Live entries evicted by LRU capacity pressure.
-    evicted: AtomicU64,
-    /// Optional telemetry mirrors of the two drop counts
-    /// (`serve.cache.expired` / `serve.cache.evicted` when attached by
-    /// the engine; disabled no-ops otherwise).
-    on_expired: Counter,
-    on_evicted: Counter,
+    evicted: Counter,
 }
 
 impl ResultCache {
     /// A cache of at most `capacity` entries spread over `shards` shards
     /// (each shard holds `ceil(capacity / shards)`), expiring entries
     /// `ttl` after insertion. `capacity == 0` disables caching entirely.
-    pub fn new(capacity: usize, shards: usize, ttl: Duration) -> Self {
-        Self::with_counters(
-            capacity,
-            shards,
-            ttl,
-            Counter::disabled(),
-            Counter::disabled(),
-        )
-    }
-
-    /// [`ResultCache::new`] with telemetry counters mirroring TTL-expiry
-    /// drops (`on_expired`) and LRU-capacity evictions (`on_evicted`).
-    pub fn with_counters(
+    /// Every TTL-expiry drop counts on `expired`, every LRU-capacity
+    /// eviction on `evicted`.
+    pub fn new(
         capacity: usize,
         shards: usize,
         ttl: Duration,
-        on_expired: Counter,
-        on_evicted: Counter,
+        expired: Counter,
+        evicted: Counter,
     ) -> Self {
         let shards = shards.max(1);
         let per_shard_capacity = capacity.div_ceil(shards);
@@ -83,23 +66,9 @@ impl ResultCache {
             per_shard_capacity,
             ttl,
             tick: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            expired: AtomicU64::new(0),
-            evicted: AtomicU64::new(0),
-            on_expired,
-            on_evicted,
+            expired,
+            evicted,
         }
-    }
-
-    fn count_expired(&self) {
-        self.expired.fetch_add(1, Ordering::Relaxed);
-        self.on_expired.incr();
-    }
-
-    fn count_evicted(&self) {
-        self.evicted.fetch_add(1, Ordering::Relaxed);
-        self.on_evicted.incr();
     }
 
     fn shard_of(&self, key: &CacheKey) -> &Mutex<Shard> {
@@ -110,31 +79,24 @@ impl ResultCache {
     }
 
     /// Looks up `key`, refreshing its recency on a hit. Expired entries
-    /// are removed and count as misses.
+    /// are removed and read as absent.
     pub fn get(&self, key: &CacheKey) -> Option<Arc<InfomapResult>> {
         if self.per_shard_capacity == 0 {
-            self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
         }
         let mut shard = self.shard_of(key).lock().unwrap();
-        let hit = match shard.map.get_mut(key) {
+        match shard.map.get_mut(key) {
             Some(entry) if entry.inserted.elapsed() <= self.ttl => {
                 entry.last_used = self.tick.fetch_add(1, Ordering::Relaxed);
                 Some(Arc::clone(&entry.value))
             }
             Some(_) => {
                 shard.map.remove(key);
-                self.count_expired();
+                self.expired.incr();
                 None
             }
             None => None,
-        };
-        drop(shard);
-        match &hit {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        hit
+        }
     }
 
     /// Inserts (or replaces) `key`, evicting the shard's least-recently
@@ -155,9 +117,9 @@ impl ResultCache {
             if let Some((victim, was_expired)) = victim {
                 shard.map.remove(&victim);
                 if was_expired {
-                    self.count_expired();
+                    self.expired.incr();
                 } else {
-                    self.count_evicted();
+                    self.evicted.incr();
                 }
             }
         }
@@ -184,24 +146,6 @@ impl ResultCache {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Lifetime `(hits, misses)` across all shards.
-    pub fn stats(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Lifetime `(ttl_expired, lru_evicted)` drop counts across all
-    /// shards: entries dropped because their TTL elapsed vs live entries
-    /// evicted purely by capacity pressure.
-    pub fn eviction_stats(&self) -> (u64, u64) {
-        (
-            self.expired.load(Ordering::Relaxed),
-            self.evicted.load(Ordering::Relaxed),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -209,6 +153,7 @@ mod tests {
     use super::*;
     use asa_graph::GraphBuilder;
     use asa_infomap::{detect_communities, InfomapConfig};
+    use asa_obs::Obs;
 
     fn result() -> Arc<InfomapResult> {
         let mut b = GraphBuilder::undirected(4);
@@ -218,32 +163,41 @@ mod tests {
         Arc::new(detect_communities(&b.build(), &InfomapConfig::default()))
     }
 
+    /// A cache plus its `(expired, evicted)` drop counters.
+    fn cache(capacity: usize, shards: usize, ttl: Duration) -> (ResultCache, Counter, Counter) {
+        let obs = Obs::new_enabled();
+        let (expired, evicted) = (obs.counter("t.expired"), obs.counter("t.evicted"));
+        let cache = ResultCache::new(capacity, shards, ttl, expired.clone(), evicted.clone());
+        (cache, expired, evicted)
+    }
+
     #[test]
     fn hit_miss_and_counters() {
-        let cache = ResultCache::new(8, 2, Duration::from_secs(60));
+        let (cache, expired, evicted) = cache(8, 2, Duration::from_secs(60));
         let value = result();
         assert!(cache.get(&(1, 1)).is_none());
         cache.insert((1, 1), Arc::clone(&value));
         let got = cache.get(&(1, 1)).expect("hit");
         assert!(Arc::ptr_eq(&got, &value));
-        assert_eq!(cache.stats(), (1, 1));
+        assert_eq!((expired.value(), evicted.value()), (0, 0));
     }
 
     #[test]
     fn ttl_expires_entries() {
-        let cache = ResultCache::new(8, 1, Duration::from_millis(10));
+        let (cache, expired, evicted) = cache(8, 1, Duration::from_millis(10));
         cache.insert((1, 1), result());
         assert!(cache.get(&(1, 1)).is_some());
         std::thread::sleep(Duration::from_millis(20));
         assert!(cache.get(&(1, 1)).is_none(), "entry must expire after TTL");
         assert!(cache.is_empty(), "expired entry is dropped on touch");
+        assert_eq!((expired.value(), evicted.value()), (1, 0));
     }
 
     #[test]
     fn lru_evicts_least_recently_used() {
         // Single shard, capacity 2: touch (1,_) then insert a third key;
         // (2,_) is the LRU victim.
-        let cache = ResultCache::new(2, 1, Duration::from_secs(60));
+        let (cache, expired, evicted) = cache(2, 1, Duration::from_secs(60));
         cache.insert((1, 0), result());
         cache.insert((2, 0), result());
         assert!(cache.get(&(1, 0)).is_some());
@@ -252,11 +206,12 @@ mod tests {
         assert!(cache.get(&(1, 0)).is_some(), "recently used survives");
         assert!(cache.get(&(2, 0)).is_none(), "LRU entry evicted");
         assert!(cache.get(&(3, 0)).is_some());
+        assert_eq!((expired.value(), evicted.value()), (0, 1));
     }
 
     #[test]
     fn zero_capacity_disables() {
-        let cache = ResultCache::new(0, 4, Duration::from_secs(60));
+        let (cache, _, _) = cache(0, 4, Duration::from_secs(60));
         cache.insert((1, 1), result());
         assert!(cache.get(&(1, 1)).is_none());
         assert_eq!(cache.len(), 0);
@@ -264,7 +219,7 @@ mod tests {
 
     #[test]
     fn shards_partition_the_keyspace() {
-        let cache = ResultCache::new(64, 8, Duration::from_secs(60));
+        let (cache, _, _) = cache(64, 8, Duration::from_secs(60));
         for k in 0..64u64 {
             cache.insert((k, k.wrapping_mul(0x9e37)), result());
         }

@@ -6,34 +6,40 @@
 //! Lifecycle of a request (see DESIGN.md § Serving layer and § Sharded
 //! serving for the diagrams):
 //!
-//! 1. **Routing**: the request's graph fingerprint picks its shard —
-//!    home shard `fingerprint % shards`, widened to a round-robined
-//!    routing set once the graph proves hot ([`crate::shard::Router`]).
-//! 2. **Admission** ([`ServeEngine::submit`]): the request is keyed by
-//!    `(graph fingerprint, config hash)` and looked up in the shared
-//!    cache — a hit resolves immediately without queueing. A miss
-//!    enqueues into the routed shard's priority class; a full class
-//!    rejects with [`Outcome::Overloaded`] *now* instead of building
-//!    unbounded backlog.
-//! 3. **Dequeue**: each shard's workers drain interactive before batch.
+//! 1. **Validation** ([`ServeEngine::submit`]): the request is keyed by
+//!    `(graph fingerprint, config hash)`. An update whose delta names a
+//!    vertex outside its base graph resolves [`Outcome::Rejected`] here,
+//!    before routing, so no worker ever folds it.
+//! 2. **Routing**: the fingerprint picks the shard — home shard
+//!    `fingerprint % shards`, widened to a round-robined routing set once
+//!    the graph proves hot ([`crate::shard::Router`]).
+//! 3. **Admission**: the key is looked up in the shared cache — a hit
+//!    resolves immediately without queueing. A miss enqueues into the
+//!    routed shard's priority class; a full class rejects with
+//!    [`Outcome::Overloaded`] *now* instead of building unbounded
+//!    backlog.
+//! 4. **Dequeue**: each shard's workers drain interactive before batch.
 //!    An idle shard steals the oldest batch job from the deepest foreign
 //!    backlog (interactive jobs stay affine). A request whose deadline
 //!    already expired resolves [`Outcome::DeadlineExceeded`] without
 //!    running.
-//! 4. **Degradation ladder**: under queue pressure, batch requests run
+//! 5. **Degradation ladder**: under queue pressure, batch requests run
 //!    with lowered quality knobs (first fewer outer refinement loops, then
 //!    also fewer sweeps) before anything is shed. Interactive requests are
 //!    never degraded by pressure.
-//! 5. **Run**: Infomap executes with a [`CancelToken`] carrying the
+//! 6. **Run**: Infomap executes with a [`CancelToken`] carrying the
 //!    request deadline; an expiry mid-run stops at the next sweep boundary
 //!    and the best partition found so far returns as
-//!    [`Outcome::Degraded`]. With [`ServeConfig::dist_ranks`] ≥ 1 the run
-//!    uses the rank-partitioned distributed engine (bit-identical results,
-//!    plus communication accounting mirrored into `serve.dist.*`).
-//! 6. **Cache fill**: only full-quality, uninterrupted results are
+//!    [`Outcome::Degraded`].
+//! 7. **Cache fill**: only full-quality, uninterrupted results are
 //!    cached — degraded partitions must never be served to a later caller
 //!    who asked for full quality. The cache is engine-wide, so a replica
 //!    shard never recomputes what another shard already answered.
+//!
+//! Every outcome, on the submitting thread or on a worker, resolves
+//! through one `finish`: it moves that outcome's counters, fills the
+//! response slot and closes the trace envelope, so each request resolves
+//! exactly once.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -41,11 +47,11 @@ use std::sync::{Arc, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use asa_graph::fnv1a64;
+use asa_graph::{fnv1a64, EdgeDelta};
 use asa_infomap::incremental::IncrementalOutcome;
 use asa_infomap::{
-    detect_communities_cancellable, detect_communities_distributed_cancellable, CancelToken,
-    IncrementalConfig, IncrementalState, InfomapConfig, InfomapResult,
+    detect_communities_cancellable, CancelToken, IncrementalConfig, IncrementalState,
+    InfomapConfig, InfomapResult,
 };
 use asa_obs::blackbox::{self, SectionGuard};
 use asa_obs::{intern_name, Counter, Gauge, HealthState, Hist, Obs, SloConfig, SloEngine, TraceId};
@@ -56,7 +62,7 @@ use crate::request::{
     DegradeReason, JobHandle, Outcome, Priority, Request, RequestKind, Response, ResponseSlot,
     UpdateInfo,
 };
-use crate::shard::{ReplicationConfig, RouteDecision, Router, ShardStats};
+use crate::shard::{ReplicationConfig, Router, ShardStats};
 use crate::store::PartitionStore;
 
 /// Stable 64-bit hash of an Infomap configuration, for cache keying.
@@ -101,9 +107,6 @@ pub struct ServeConfig {
     /// Hot-graph replication policy (`threshold: 0` disables it, making
     /// routing pure deterministic affinity).
     pub replication: ReplicationConfig,
-    /// Emulated ranks for the shard-internal distributed engine; 0 runs
-    /// the plain host engine. Results are bit-identical either way.
-    pub dist_ranks: usize,
     /// Total result-cache entries (0 disables caching). The cache is
     /// process-wide — one instance shared by every shard.
     pub cache_capacity: usize,
@@ -161,7 +164,6 @@ impl Default for ServeConfig {
             queue_capacity_batch: 256,
             steal: true,
             replication: ReplicationConfig::default(),
-            dist_ranks: 0,
             cache_capacity: 128,
             cache_shards: 8,
             cache_ttl: Duration::from_secs(300),
@@ -187,16 +189,13 @@ struct Metrics {
     degraded_pressure: Counter,
     degraded_deadline: Counter,
     deadline_exceeded: Counter,
+    rejected: Counter,
     cache_hits: Counter,
     cache_misses: Counter,
     cache_expired: Counter,
     cache_evicted: Counter,
     steals: Counter,
     replications: Counter,
-    dist_messages: Counter,
-    dist_update_bytes: Counter,
-    dist_supersteps: Counter,
-    dist_cut_arcs: Counter,
     partition_hits: Counter,
     partition_misses: Counter,
     partition_evicted: Counter,
@@ -221,16 +220,13 @@ impl Metrics {
             degraded_pressure: obs.counter("serve.degraded.pressure"),
             degraded_deadline: obs.counter("serve.degraded.deadline"),
             deadline_exceeded: obs.counter("serve.deadline_exceeded"),
+            rejected: obs.counter("serve.rejected"),
             cache_hits: obs.counter("serve.cache.hits"),
             cache_misses: obs.counter("serve.cache.misses"),
             cache_expired: obs.counter("serve.cache.expired"),
             cache_evicted: obs.counter("serve.cache.evicted"),
             steals: obs.counter("serve.steals"),
             replications: obs.counter("serve.replications"),
-            dist_messages: obs.counter("serve.dist.messages"),
-            dist_update_bytes: obs.counter("serve.dist.update_bytes"),
-            dist_supersteps: obs.counter("serve.dist.supersteps"),
-            dist_cut_arcs: obs.counter("serve.dist.cut_arcs"),
             partition_hits: obs.counter("serve.partition.hits"),
             partition_misses: obs.counter("serve.partition.misses"),
             partition_evicted: obs.counter("serve.partition.evicted"),
@@ -383,6 +379,9 @@ pub struct EngineStats {
     pub degraded_deadline: u64,
     /// Requests that expired before any work ran.
     pub deadline_exceeded: u64,
+    /// Updates rejected at admission (`Rejected`): their delta named a
+    /// vertex outside the base graph.
+    pub rejected: u64,
     /// Requests answered from the cache.
     pub cache_hits: u64,
     /// Requests that had to run Infomap.
@@ -395,15 +394,6 @@ pub struct EngineStats {
     pub steals: u64,
     /// Routing-set growth events (a hot graph gaining a replica shard).
     pub replications: u64,
-    /// Label-update messages the distributed engine would have sent
-    /// (0 unless [`ServeConfig::dist_ranks`] ≥ 1).
-    pub dist_messages: u64,
-    /// Bytes in those label-update messages.
-    pub dist_update_bytes: u64,
-    /// Distributed supersteps executed across all requests.
-    pub dist_supersteps: u64,
-    /// Cut arcs across rank layouts built by distributed runs.
-    pub dist_cut_arcs: u64,
     /// Update-stream lookups that found live incremental state.
     pub partition_hits: u64,
     /// Update-stream lookups that found none (cold seeds).
@@ -452,7 +442,7 @@ impl EngineStats {
     }
 }
 
-/// One queued unit of work.
+/// One request from admission to [`finish`].
 struct Job {
     request: Request,
     key: CacheKey,
@@ -465,6 +455,10 @@ struct Job {
     /// `shard` exactly when routing picked a replica. Drives the
     /// cache-hit affinity attribution.
     home: usize,
+    /// The foreign shard whose worker stole the job, if one did.
+    thief: Option<usize>,
+    /// Time spent queued; set at dequeue, zero for admission exits.
+    queued: Duration,
     /// Flight-recorder id minted at admission; [`TraceId::NONE`] when the
     /// configured [`Obs`] has no recorder attached (every trace call is
     /// then a no-op).
@@ -599,7 +593,7 @@ impl ServeEngine {
         let shared = Arc::new(Shared {
             router: Router::new(cfg.shards, cfg.replication.clone()),
             shards,
-            cache: ResultCache::with_counters(
+            cache: ResultCache::new(
                 cfg.cache_capacity,
                 cfg.cache_shards,
                 cfg.cache_ttl,
@@ -657,122 +651,95 @@ impl ServeEngine {
         self.shared.panic_drill.store(true, Ordering::Relaxed);
     }
 
-    /// Submits a request. Never blocks: cache hits and admission
-    /// rejections resolve the handle before this returns; everything else
-    /// resolves when a worker finishes the job. Every submission
-    /// terminates in exactly one [`Outcome`].
+    /// Submits a request. Never blocks: rejections, cache hits and sheds
+    /// resolve the handle before this returns; everything else resolves
+    /// when a worker finishes the job. Every submission terminates in
+    /// exactly one [`Outcome`].
     ///
     /// When the configured [`Obs`] carries a flight recorder, a
     /// [`TraceId`] is minted here and threaded through every lifecycle
-    /// stage as async trace events (`request` envelope, `cache_probe`,
-    /// `queue`, `dispatch`, `execute`, `respond`); the id comes back in
-    /// [`Response::trace_id`].
+    /// stage as async trace events (`request` envelope, `fingerprint`,
+    /// `cache_probe`, `queue`, `dispatch`, `execute`, `respond`); the id
+    /// comes back in [`Response::trace_id`].
     pub fn submit(&self, request: Request) -> JobHandle {
-        let m = &self.shared.metrics;
-        let obs = &self.shared.cfg.obs;
-        m.submitted.incr();
+        let shared = &*self.shared;
+        let obs = &shared.cfg.obs;
+        shared.metrics.submitted.incr();
         let submitted = Instant::now();
-        let slot = Arc::new(ResponseSlot::default());
-        let handle = JobHandle {
-            slot: Arc::clone(&slot),
-        };
-        let fingerprint = request.graph.fingerprint();
-        let key = (fingerprint, config_hash(&request.config));
         let trace = obs.mint_trace_id();
         obs.trace_async_begin(trace, "request", "request");
-
-        // Update streams route by chain anchor (the base fingerprint all
-        // versions of the stream share) straight to the home shard — the
-        // stream's live state resides there, so replication would only
-        // scatter it. For updates `key` is the *stream* key; the result
-        // cache is probed in `run_update` under the per-version chain
-        // fingerprint, which is unknowable before the stream state is
-        // consulted.
-        let is_update = matches!(request.kind, RequestKind::Update(_));
-        let routed = if is_update {
-            let home = self.shared.router.home(fingerprint);
-            RouteDecision {
-                shard: home,
-                home,
-                replicas: 1,
-                replicated_now: false,
-            }
-        } else {
-            self.shared.router.route(fingerprint)
+        // Hashing the whole CSR is O(arcs); its stage shows that cost in
+        // the tail report.
+        obs.trace_async_begin(trace, "fingerprint", "request");
+        let fingerprint = request.graph.fingerprint();
+        let key = (fingerprint, config_hash(&request.config));
+        // A delta naming a vertex outside its base graph would panic the
+        // worker that folds it: reject it before it is routed.
+        let num_nodes = request.graph.num_nodes();
+        let rejected = match &request.kind {
+            RequestKind::Update(delta) => delta
+                .endpoints()
+                .last()
+                .filter(|&&v| v as usize >= num_nodes)
+                .map(|&vertex| Outcome::Rejected { vertex, num_nodes }),
+            RequestKind::Detect => None,
         };
-        if routed.replicated_now {
-            m.replications.incr();
-            // The replica just added is the newest member of the routing
-            // set: `home + (replicas - 1)`, wrapping.
-            let grown = (routed.home + routed.replicas as usize - 1) % self.shared.shards.len();
-            self.shared.shards[grown].replicas_hosted.incr();
-            obs.trace_instant("serve.shard.replicate", "serve");
-        }
-        let shard = &self.shared.shards[routed.shard];
-
-        // Admission-time cache check: hits never consume queue capacity.
-        // The cache is engine-wide, so a hit lands no matter which shard
-        // computed the entry.
-        let admission_hit = if is_update {
-            None
-        } else {
-            obs.trace_async_begin(trace, "cache_probe", "request");
-            let hit = self.shared.cache.get(&key);
-            obs.trace_async_end(trace, "cache_probe", "request");
-            hit
-        };
-        if let Some(hit) = admission_hit {
-            m.cache_hits.incr();
-            shard.note_cache_hit(routed.shard == routed.home, false);
-            m.completed.incr();
-            let total = submitted.elapsed();
-            m.latency(request.priority).record(total.as_micros() as u64);
-            slot.fill(Response {
-                outcome: Outcome::Ok(hit),
-                queued: Duration::ZERO,
-                service: Duration::ZERO,
-                total,
-                cache_hit: true,
-                trace_id: trace.0,
-                shard: routed.shard,
-                stolen: false,
-                update: None,
-            });
-            obs.trace_async_end(trace, "request", "request");
-            return handle;
-        }
-
-        let priority = request.priority;
-        let deadline = request.deadline.map(|d| submitted + d);
-        let job = Job {
+        let home = shared.router.home(fingerprint);
+        let mut job = Job {
+            deadline: request.deadline.map(|d| submitted + d),
             request,
             key,
-            slot,
+            slot: Arc::new(ResponseSlot::default()),
             submitted,
-            deadline,
-            shard: routed.shard,
-            home: routed.home,
+            shard: home,
+            home,
+            thief: None,
+            queued: Duration::ZERO,
             trace,
         };
+        let handle = JobHandle {
+            slot: Arc::clone(&job.slot),
+        };
+        if let Some(outcome) = rejected {
+            finish(shared, job, Exit::at("fingerprint", outcome));
+            return handle;
+        }
+        obs.trace_async_end(trace, "fingerprint", "request");
+
+        // Update streams stay on the home shard of their chain anchor (the
+        // base fingerprint all versions of the stream share): the stream's
+        // live state resides there, so replication would only scatter it.
+        // For updates `key` is the *stream* key; the result cache is
+        // probed at execute under the per-version chain fingerprint, which
+        // is unknowable before the stream state is consulted.
+        if let RequestKind::Detect = job.request.kind {
+            let routed = shared.router.route(fingerprint);
+            job.shard = routed.shard;
+            if routed.replicated_now {
+                shared.metrics.replications.incr();
+                // The replica just added is the newest member of the
+                // routing set: `home + (replicas - 1)`, wrapping.
+                let grown = (home + routed.replicas as usize - 1) % shared.shards.len();
+                shared.shards[grown].replicas_hosted.incr();
+                obs.trace_instant("serve.shard.replicate", "serve");
+            }
+            // Admission-time cache check: hits never consume queue
+            // capacity. The cache is engine-wide, so a hit lands no matter
+            // which shard computed the entry.
+            obs.trace_async_begin(trace, "cache_probe", "request");
+            if let Some(hit) = shared.cache.get(&key) {
+                finish(shared, job, Exit::hit("cache_probe", hit));
+                return handle;
+            }
+            obs.trace_async_end(trace, "cache_probe", "request");
+        }
+
         obs.trace_async_begin(trace, "queue", "request");
-        match shard.queue.push(priority, job) {
-            Ok(_) => self.shared.note_depth(routed.shard),
+        let (shard, priority) = (job.shard, job.request.priority);
+        match shared.shards[shard].queue.push(priority, job) {
+            Ok(_) => shared.note_depth(shard),
             Err(PushError::Full(job) | PushError::Closed(job)) => {
-                m.shed.incr();
-                shard.shed.incr();
-                obs.trace_async_end(trace, "queue", "request");
-                job.slot.fill(Response {
-                    outcome: Outcome::Overloaded,
-                    queued: Duration::ZERO,
-                    service: Duration::ZERO,
-                    total: submitted.elapsed(),
-                    cache_hit: false,
-                    trace_id: trace.0,
-                    shard: routed.shard,
-                    stolen: false,
-                    update: None,
-                });
-                obs.trace_async_end(trace, "request", "request");
+                finish(shared, job, Exit::at("queue", Outcome::Overloaded));
             }
         }
         handle
@@ -799,16 +766,13 @@ impl ServeEngine {
             degraded_pressure: m.degraded_pressure.value(),
             degraded_deadline: m.degraded_deadline.value(),
             deadline_exceeded: m.deadline_exceeded.value(),
+            rejected: m.rejected.value(),
             cache_hits: m.cache_hits.value(),
             cache_misses: m.cache_misses.value(),
             cache_expired: m.cache_expired.value(),
             cache_evicted: m.cache_evicted.value(),
             steals: m.steals.value(),
             replications: m.replications.value(),
-            dist_messages: m.dist_messages.value(),
-            dist_update_bytes: m.dist_update_bytes.value(),
-            dist_supersteps: m.dist_supersteps.value(),
-            dist_cut_arcs: m.dist_cut_arcs.value(),
             partition_hits: m.partition_hits.value(),
             partition_misses: m.partition_misses.value(),
             partition_evicted: m.partition_evicted.value(),
@@ -1004,7 +968,8 @@ fn steal_one(shared: &Shared, thief: usize) -> Option<Job> {
         .filter(|&(_, depth)| depth > 0)
         .max_by_key(|&(_, depth)| depth)?
         .0;
-    let job = shared.shards[victim].queue.steal_batch()?;
+    let mut job = shared.shards[victim].queue.steal_batch()?;
+    job.thief = Some(thief);
     shared.metrics.steals.incr();
     shared.shards[thief].steals_in.incr();
     shared.shards[victim].steals_out.incr();
@@ -1017,15 +982,15 @@ fn worker_loop(shared: &Shared, me: usize) {
     let steal = shared.cfg.steal && shared.cfg.shards > 1;
     loop {
         match shared.shards[me].queue.pop_wait(STEAL_POLL) {
-            Popped::Item(priority, job) => {
+            Popped::Item(_, job) => {
                 shared.note_depth(me);
                 shared.shards[me].executed_local.incr();
-                run_job(shared, me, priority, job, false);
+                run_job(shared, job);
             }
             Popped::Empty => {
                 if steal {
                     if let Some(job) = steal_one(shared, me) {
-                        run_job(shared, me, Priority::Batch, job, true);
+                        run_job(shared, job);
                     }
                 }
             }
@@ -1039,85 +1004,190 @@ fn worker_loop(shared: &Shared, me: usize) {
     // (Queues are all closed by now, so emptiness is permanent.)
     if steal {
         while let Some(job) = steal_one(shared, me) {
-            run_job(shared, me, Priority::Batch, job, true);
+            run_job(shared, job);
         }
     }
 }
 
-/// Runs one dequeued (or stolen) job to its terminal outcome. `me` is the
-/// executing shard; `job.shard` is the routed one (they differ exactly
-/// when `stolen`).
-fn run_job(shared: &Shared, me: usize, priority: Priority, job: Job, stolen: bool) {
+/// How a request ended: its outcome plus what the execute step adds to
+/// the [`Response`].
+struct Exit {
+    /// The trace stage still open when the request resolved.
+    stage: &'static str,
+    outcome: Outcome,
+    cache_hit: bool,
+    service: Duration,
+    update: Option<UpdateInfo>,
+}
+
+impl Exit {
+    /// `outcome`, with nothing run and nothing served from the cache.
+    fn at(stage: &'static str, outcome: Outcome) -> Self {
+        Exit {
+            stage,
+            outcome,
+            cache_hit: false,
+            service: Duration::ZERO,
+            update: None,
+        }
+    }
+
+    /// A full-quality `result` served from the cache.
+    fn hit(stage: &'static str, result: Arc<InfomapResult>) -> Self {
+        Exit {
+            cache_hit: true,
+            ..Exit::at(stage, Outcome::Ok(result))
+        }
+    }
+}
+
+/// Resolves `job` with `exit`: moves the counters its outcome owns, fills
+/// the response slot, then ends the open trace stage and the `request`
+/// envelope. Every request ends here exactly once, on the submitting
+/// thread (rejection, cache hit, shed) or on a worker.
+fn finish(shared: &Shared, job: Job, exit: Exit) {
+    let m = &shared.metrics;
+    let routed = &shared.shards[job.shard];
+    // Requests refused at admission (shed, rejected) stay out of the
+    // latency histograms.
+    let timed = match exit.outcome {
+        Outcome::Ok(_) | Outcome::Degraded { .. } => {
+            m.completed.incr();
+            if exit.cache_hit {
+                m.cache_hits.incr();
+                routed.note_cache_hit(job.shard == job.home, job.thief.is_some());
+            } else {
+                m.cache_misses.incr();
+            }
+            if let Outcome::Degraded {
+                reason: DegradeReason::Deadline,
+                ..
+            } = exit.outcome
+            {
+                m.degraded_deadline.incr();
+            }
+            true
+        }
+        Outcome::DeadlineExceeded => {
+            m.deadline_exceeded.incr();
+            true
+        }
+        Outcome::Overloaded => {
+            m.shed.incr();
+            routed.shed.incr();
+            false
+        }
+        Outcome::Rejected { .. } => {
+            m.rejected.incr();
+            false
+        }
+    };
+    let total = job.submitted.elapsed();
+    if timed {
+        m.latency(job.request.priority)
+            .record(total.as_micros() as u64);
+    }
+    job.slot.fill(Response {
+        outcome: exit.outcome,
+        queued: job.queued,
+        service: exit.service,
+        total,
+        cache_hit: exit.cache_hit,
+        trace_id: job.trace.0,
+        shard: job.thief.unwrap_or(job.shard),
+        stolen: job.thief.is_some(),
+        update: exit.update,
+    });
+    // Both ends follow the fill: a submitter woken by it may preempt this
+    // thread, and that delay must stay inside the stage, not fall
+    // between stages.
+    let obs = &shared.cfg.obs;
+    obs.trace_async_end(job.trace, exit.stage, "request");
+    obs.trace_async_end(job.trace, "request", "request");
+}
+
+/// Runs one dequeued (or stolen) job to its terminal outcome: the worker
+/// half of the lifecycle every request shares. Only the execute step
+/// differs by [`RequestKind`].
+fn run_job(shared: &Shared, mut job: Job) {
     // Black-box drill: fire before any lock or trace state is held, so
     // the panic hook renders the bundle from a clean worker stack.
     if shared.panic_drill.swap(false, Ordering::Relaxed) {
         panic!("blackbox drill: injected worker panic");
     }
-    if matches!(job.request.kind, RequestKind::Update(_)) {
-        return run_update(shared, me, priority, job, stolen);
-    }
-    let m = &shared.metrics;
     let obs = &shared.cfg.obs;
-    let trace = job.trace;
     // The queue stage spans push (submitter thread) to pop (here);
     // async events pair across threads by (name, id).
-    obs.trace_async_end(trace, "queue", "request");
-    obs.trace_async_begin(trace, "dispatch", "request");
+    obs.trace_async_end(job.trace, "queue", "request");
+    obs.trace_async_begin(job.trace, "dispatch", "request");
     // Spans and instants recorded on this thread while the job runs
     // (degradation rungs, infomap levels/sweeps) attribute to it.
-    let _scope = obs.trace_scope(trace);
+    let _scope = obs.trace_scope(job.trace);
     // Pressure is judged where the job waited: its routed shard's queue.
     let depth = shared.shards[job.shard].queue.depth();
     let dequeued = Instant::now();
-    let queued = dequeued - job.submitted;
+    job.queued = dequeued - job.submitted;
 
     // Expired while queued: no work, no partial result.
     if job.deadline.is_some_and(|d| dequeued >= d) {
-        m.deadline_exceeded.incr();
-        m.latency(priority).record(queued.as_micros() as u64);
-        obs.trace_async_end(trace, "dispatch", "request");
-        job.slot.fill(Response {
-            outcome: Outcome::DeadlineExceeded,
-            queued,
-            service: Duration::ZERO,
-            total: queued,
-            cache_hit: false,
-            trace_id: trace.0,
-            shard: if stolen { me } else { job.shard },
-            stolen,
-            update: None,
-        });
-        obs.trace_async_end(trace, "request", "request");
-        return;
+        return finish(shared, job, Exit::at("dispatch", Outcome::DeadlineExceeded));
     }
+    let cancel = match job.deadline {
+        Some(d) => CancelToken::with_deadline(d),
+        None => CancelToken::none(),
+    };
+    // Per-request runs stay off the metric/sink path by default:
+    // per-sweep record streams from concurrent requests would
+    // interleave uselessly and dominate the serving telemetry. With a
+    // flight recorder attached, though, the run gets the real handle
+    // so its level/sweep spans land on this worker's trace track
+    // tagged with the request id (the `_scope` above).
+    let run_obs = if obs.trace_enabled() {
+        obs.clone()
+    } else {
+        Obs::disabled()
+    };
+    let exit = match &job.request.kind {
+        RequestKind::Detect => execute_detect(shared, &job, depth, &cancel, &run_obs),
+        RequestKind::Update(delta) => execute_update(shared, &job, delta, &cancel, &run_obs),
+    };
+    finish(shared, job, exit);
+}
 
+/// The outcome of a finished run at degradation `rung`.
+fn ran(result: InfomapResult, rung: u8) -> Outcome {
+    let reason = if result.interrupted {
+        DegradeReason::Deadline
+    } else if rung > 0 {
+        DegradeReason::LoadPressure
+    } else {
+        return Outcome::Ok(Arc::new(result));
+    };
+    Outcome::Degraded {
+        result: Arc::new(result),
+        reason,
+    }
+}
+
+/// Execute step of a detect: a cache hit that landed while the job
+/// waited, or a run at the rung the routed shard's queue `depth` calls
+/// for.
+fn execute_detect(
+    shared: &Shared,
+    job: &Job,
+    depth: usize,
+    cancel: &CancelToken,
+    run_obs: &Obs,
+) -> Exit {
+    let obs = &shared.cfg.obs;
     // A hit may have landed while this job waited — possibly filled by a
     // different shard, since the cache is engine-wide.
     if let Some(hit) = shared.cache.get(&job.key) {
-        m.cache_hits.incr();
-        shared.shards[job.shard].note_cache_hit(job.shard == job.home, stolen);
-        m.completed.incr();
-        let total = job.submitted.elapsed();
-        m.latency(priority).record(total.as_micros() as u64);
-        obs.trace_async_end(trace, "dispatch", "request");
-        job.slot.fill(Response {
-            outcome: Outcome::Ok(hit),
-            queued,
-            service: Duration::ZERO,
-            total,
-            cache_hit: true,
-            trace_id: trace.0,
-            shard: if stolen { me } else { job.shard },
-            stolen,
-            update: None,
-        });
-        obs.trace_async_end(trace, "request", "request");
-        return;
+        return Exit::hit("dispatch", hit);
     }
-    m.cache_misses.incr();
 
     // Degradation ladder, batch class only.
-    let rung = if priority == Priority::Batch && shared.cfg.degrade_depth > 0 {
+    let rung = if job.request.priority == Priority::Batch && shared.cfg.degrade_depth > 0 {
         if depth >= shared.cfg.degrade_depth * 2 {
             2
         } else if depth >= shared.cfg.degrade_depth {
@@ -1129,7 +1199,7 @@ fn run_job(shared: &Shared, me: usize, priority: Priority, job: Job, stolen: boo
         0
     };
     let effective = if rung > 0 {
-        m.degraded_pressure.incr();
+        shared.metrics.degraded_pressure.incr();
         obs.trace_instant(
             if rung == 1 {
                 "serve.degrade.rung1"
@@ -1142,135 +1212,39 @@ fn run_job(shared: &Shared, me: usize, priority: Priority, job: Job, stolen: boo
     } else {
         job.request.config.clone()
     };
-    let cancel = match job.deadline {
-        Some(d) => CancelToken::with_deadline(d),
-        None => CancelToken::none(),
-    };
-
-    // Per-request runs stay off the metric/sink path by default:
-    // per-sweep record streams from concurrent requests would
-    // interleave uselessly and dominate the serving telemetry. With a
-    // flight recorder attached, though, the run gets the real handle
-    // so its level/sweep spans land on this worker's trace track
-    // tagged with the request id (the `_scope` above).
-    let run_obs = if obs.trace_enabled() {
-        obs.clone()
-    } else {
-        Obs::disabled()
-    };
-    obs.trace_async_end(trace, "dispatch", "request");
-    obs.trace_async_begin(trace, "execute", "request");
+    obs.trace_async_end(job.trace, "dispatch", "request");
+    obs.trace_async_begin(job.trace, "execute", "request");
     let t = Instant::now();
-    let result = if shared.cfg.dist_ranks >= 1 {
-        let (result, comm) = detect_communities_distributed_cancellable(
-            &job.request.graph,
-            &effective,
-            shared.cfg.dist_ranks,
-            &run_obs,
-            &cancel,
-        );
-        m.dist_messages.add(comm.messages);
-        m.dist_update_bytes.add(comm.update_bytes);
-        m.dist_supersteps.add(comm.supersteps as u64);
-        m.dist_cut_arcs.add(comm.cut_arcs);
-        result
-    } else {
-        detect_communities_cancellable(&job.request.graph, &effective, &run_obs, &cancel)
-    };
+    let result = detect_communities_cancellable(&job.request.graph, &effective, run_obs, cancel);
     let service = t.elapsed();
-    obs.trace_async_end(trace, "execute", "request");
-    obs.trace_async_begin(trace, "respond", "request");
-    let interrupted = result.interrupted;
-    if interrupted {
-        m.degraded_deadline.incr();
-    }
-    let result: Arc<InfomapResult> = Arc::new(result);
-
+    obs.trace_async_end(job.trace, "execute", "request");
+    obs.trace_async_begin(job.trace, "respond", "request");
+    let outcome = ran(result, rung);
     // Only cache what a fresh full-quality run would have produced.
-    if !interrupted && rung == 0 {
-        shared.cache.insert(job.key, Arc::clone(&result));
+    if let Outcome::Ok(result) = &outcome {
+        shared.cache.insert(job.key, Arc::clone(result));
     }
-
-    let outcome = if interrupted {
-        Outcome::Degraded {
-            result,
-            reason: DegradeReason::Deadline,
-        }
-    } else if rung > 0 {
-        Outcome::Degraded {
-            result,
-            reason: DegradeReason::LoadPressure,
-        }
-    } else {
-        Outcome::Ok(result)
-    };
-    m.completed.incr();
-    let total = job.submitted.elapsed();
-    m.latency(priority).record(total.as_micros() as u64);
-    job.slot.fill(Response {
-        outcome,
-        queued,
+    Exit {
         service,
-        total,
-        cache_hit: false,
-        trace_id: trace.0,
-        shard: if stolen { me } else { job.shard },
-        stolen,
-        update: None,
-    });
-    obs.trace_async_end(trace, "respond", "request");
-    obs.trace_async_end(trace, "request", "request");
+        ..Exit::at("respond", outcome)
+    }
 }
 
-/// Runs one dequeued (or stolen) streaming-update job to its terminal
-/// outcome. The stream's state lives on the *routed* shard's partition
-/// store (`job.shard`), so a stolen job still operates on the right
-/// stream; concurrent updates to one stream serialize on the state's
-/// mutex and fold in submission-arrival order.
-fn run_update(shared: &Shared, me: usize, priority: Priority, job: Job, stolen: bool) {
+/// Execute step of an update. The stream's state lives on the *routed*
+/// shard's partition store (`job.shard`), so a stolen job still operates
+/// on the right stream; concurrent updates to one stream serialize on the
+/// state's mutex and fold in submission-arrival order.
+fn execute_update(
+    shared: &Shared,
+    job: &Job,
+    delta: &EdgeDelta,
+    cancel: &CancelToken,
+    run_obs: &Obs,
+) -> Exit {
     let m = &shared.metrics;
     let obs = &shared.cfg.obs;
-    let trace = job.trace;
-    obs.trace_async_end(trace, "queue", "request");
-    obs.trace_async_begin(trace, "dispatch", "request");
-    let _scope = obs.trace_scope(trace);
-    let dequeued = Instant::now();
-    let queued = dequeued - job.submitted;
-    let shard = if stolen { me } else { job.shard };
-
-    if job.deadline.is_some_and(|d| dequeued >= d) {
-        m.deadline_exceeded.incr();
-        m.latency(priority).record(queued.as_micros() as u64);
-        obs.trace_async_end(trace, "dispatch", "request");
-        job.slot.fill(Response {
-            outcome: Outcome::DeadlineExceeded,
-            queued,
-            service: Duration::ZERO,
-            total: queued,
-            cache_hit: false,
-            trace_id: trace.0,
-            shard,
-            stolen,
-            update: None,
-        });
-        obs.trace_async_end(trace, "request", "request");
-        return;
-    }
-
-    let RequestKind::Update(ref delta) = job.request.kind else {
-        unreachable!("run_update dispatches on RequestKind::Update");
-    };
-    let cancel = match job.deadline {
-        Some(d) => CancelToken::with_deadline(d),
-        None => CancelToken::none(),
-    };
-    let run_obs = if obs.trace_enabled() {
-        obs.clone()
-    } else {
-        Obs::disabled()
-    };
-    obs.trace_async_end(trace, "dispatch", "request");
-    obs.trace_async_begin(trace, "execute", "request");
+    obs.trace_async_end(job.trace, "dispatch", "request");
+    obs.trace_async_begin(job.trace, "execute", "request");
     let t = Instant::now();
 
     // The stream's live state, seeded with a full run on first contact
@@ -1284,8 +1258,8 @@ fn run_update(shared: &Shared, me: usize, priority: Priority, job: Job, stolen: 
                 Arc::clone(&job.request.graph),
                 job.request.config.clone(),
                 shared.cfg.incremental.clone(),
-                &run_obs,
-                &cancel,
+                run_obs,
+                cancel,
             );
             let state = Arc::new(Mutex::new(state));
             store.insert(job.key, Arc::clone(&state));
@@ -1297,6 +1271,14 @@ fn run_update(shared: &Shared, me: usize, priority: Priority, job: Job, stolen: 
     let mut state = state_arc.lock().unwrap();
     let chain = state.fingerprint_after(delta);
     let cache_key = (chain, job.key.1);
+    let info = UpdateInfo {
+        incremental: !cold,
+        fallback: None,
+        cold,
+        frontier_size: 0,
+        ripple_rounds: 0,
+        chain_fingerprint: chain,
+    };
 
     // A net no-op delta (empty, or edits cancelling the pending overlay)
     // leaves the chain head in place, so the shared result cache may
@@ -1306,35 +1288,13 @@ fn run_update(shared: &Shared, me: usize, priority: Priority, job: Job, stolen: 
     if chain == state.chain_fingerprint() {
         if let Some(hit) = shared.cache.get(&cache_key) {
             drop(state);
-            m.cache_hits.incr();
-            shared.shards[job.shard].note_cache_hit(job.shard == job.home, stolen);
-            m.completed.incr();
-            let total = job.submitted.elapsed();
-            m.latency(priority).record(total.as_micros() as u64);
-            obs.trace_async_end(trace, "execute", "request");
-            job.slot.fill(Response {
-                outcome: Outcome::Ok(hit),
-                queued,
+            return Exit {
                 service: t.elapsed(),
-                total,
-                cache_hit: true,
-                trace_id: trace.0,
-                shard,
-                stolen,
-                update: Some(UpdateInfo {
-                    incremental: !cold,
-                    fallback: None,
-                    cold,
-                    frontier_size: 0,
-                    ripple_rounds: 0,
-                    chain_fingerprint: chain,
-                }),
-            });
-            obs.trace_async_end(trace, "request", "request");
-            return;
+                update: Some(info),
+                ..Exit::hit("execute", hit)
+            };
         }
     }
-    m.cache_misses.incr();
 
     let IncrementalOutcome {
         result,
@@ -1342,15 +1302,15 @@ fn run_update(shared: &Shared, me: usize, priority: Priority, job: Job, stolen: 
         frontier_size,
         ripple_rounds,
         chain_fingerprint,
-    } = state.apply(delta, &run_obs, &cancel);
+    } = state.apply(delta, run_obs, cancel);
     debug_assert_eq!(chain_fingerprint, chain);
     if state.graph().batches_since_compact() > shared.cfg.partition_compact_batches {
         state.compact();
     }
     drop(state);
     let service = t.elapsed();
-    obs.trace_async_end(trace, "execute", "request");
-    obs.trace_async_begin(trace, "respond", "request");
+    obs.trace_async_end(job.trace, "execute", "request");
+    obs.trace_async_begin(job.trace, "respond", "request");
 
     // Warm updates feed the fallback-rate telemetry (cold seeds are full
     // runs by construction, not guard decisions).
@@ -1365,47 +1325,23 @@ fn run_update(shared: &Shared, me: usize, priority: Priority, job: Job, stolen: 
             .set(m.update_fallback.value() * 1000 / warm.max(1));
     }
 
-    let interrupted = result.interrupted;
-    if interrupted {
-        m.degraded_deadline.incr();
-    }
-    let result: Arc<InfomapResult> = Arc::new(result);
+    let outcome = ran(result, 0);
     // Cache under the *chain* fingerprint: server-side compaction rebases
     // the overlay without moving the chain, so warm entries survive it.
-    if !interrupted {
-        shared.cache.insert(cache_key, Arc::clone(&result));
+    if let Outcome::Ok(result) = &outcome {
+        shared.cache.insert(cache_key, Arc::clone(result));
     }
-    let outcome = if interrupted {
-        Outcome::Degraded {
-            result,
-            reason: DegradeReason::Deadline,
-        }
-    } else {
-        Outcome::Ok(result)
-    };
-    m.completed.incr();
-    let total = job.submitted.elapsed();
-    m.latency(priority).record(total.as_micros() as u64);
-    job.slot.fill(Response {
-        outcome,
-        queued,
+    Exit {
         service,
-        total,
-        cache_hit: false,
-        trace_id: trace.0,
-        shard,
-        stolen,
         update: Some(UpdateInfo {
             incremental: !cold && fallback.is_none(),
             fallback,
-            cold,
             frontier_size,
             ripple_rounds,
-            chain_fingerprint,
+            ..info
         }),
-    });
-    obs.trace_async_end(trace, "respond", "request");
-    obs.trace_async_end(trace, "request", "request");
+        ..Exit::at("respond", outcome)
+    }
 }
 
 #[cfg(test)]
@@ -1638,24 +1574,47 @@ mod tests {
     }
 
     #[test]
-    fn dist_ranks_matches_host_engine_bit_for_bit() {
+    fn out_of_range_update_is_rejected_at_submit() {
+        let engine = ServeEngine::start(ServeConfig {
+            shards: 1,
+            workers: 1,
+            ..ServeConfig::default()
+        });
         let graph = two_triangles();
-        let host = ServeEngine::start(ServeConfig {
-            workers: 1,
-            ..ServeConfig::default()
-        });
-        let dist = ServeEngine::start(ServeConfig {
-            workers: 1,
-            dist_ranks: 3,
-            ..ServeConfig::default()
-        });
-        let a = host.submit(Request::interactive(Arc::clone(&graph))).wait();
-        let b = dist.submit(Request::interactive(graph)).wait();
-        let (ra, rb) = (a.outcome.result().unwrap(), b.outcome.result().unwrap());
-        assert_eq!(ra.partition.labels(), rb.partition.labels());
-        assert!(ra.codelength.to_bits() == rb.codelength.to_bits());
-        host.shutdown();
-        let stats = dist.shutdown();
-        assert!(stats.dist_supersteps > 0, "comm accounting surfaced");
+        let mut bad = asa_graph::EdgeDelta::new();
+        bad.insert(1, 9, 1.0).delete(6, 0);
+        let handles = [
+            engine.submit(Request::update(Arc::clone(&graph), bad)),
+            engine.submit(Request::batch(graph)),
+        ];
+        // Poll instead of `wait`, so a lost handle fails the test rather
+        // than hanging it.
+        let give_up = Instant::now() + Duration::from_secs(30);
+        let responses: Vec<Response> = handles
+            .iter()
+            .map(|h| loop {
+                if let Some(r) = h.try_get() {
+                    break r;
+                }
+                assert!(Instant::now() < give_up, "a handle never resolved");
+                std::thread::sleep(Duration::from_millis(1));
+            })
+            .collect();
+        assert!(matches!(
+            responses[0].outcome,
+            Outcome::Rejected {
+                vertex: 9,
+                num_nodes: 6
+            }
+        ));
+        assert_eq!(responses[0].outcome.name(), "rejected");
+        assert!(responses[0].outcome.result().is_none());
+        assert!(responses[0].update.is_none());
+        assert!(responses[1].outcome.result().is_some());
+        let stats = engine.shutdown();
+        assert_eq!(stats.rejected, 1);
+        assert_eq!(stats.completed, 1);
+        assert_eq!(stats.submitted, 2);
+        assert_eq!(stats.partition_live, 0, "a rejected update seeds no stream");
     }
 }

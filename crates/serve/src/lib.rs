@@ -9,7 +9,9 @@
 //! * **Admission control** — a bounded two-class priority queue
 //!   ([`queue::JobQueue`]). Interactive requests dequeue before batch
 //!   ones; a full class rejects with [`Outcome::Overloaded`] at submit
-//!   time rather than queueing unboundedly.
+//!   time rather than queueing unboundedly. An update whose delta names
+//!   a vertex outside its base graph rejects with [`Outcome::Rejected`]
+//!   at submit, before it can reach a worker.
 //! * **Result caching** — a sharded LRU+TTL cache
 //!   ([`cache::ResultCache`]) keyed by `(graph fingerprint, config
 //!   hash)`, so repeated requests for the same graph are answered in
@@ -41,6 +43,9 @@
 //!   Healthy → Degraded → Critical state machine with hysteresis,
 //!   surfaced as the `serve.health` gauge, flight-recorder `slo.*`
 //!   instants on transitions, and a shutdown health report.
+//!
+//! Every request, detect or update, runs one lifecycle and resolves
+//! through one exit, so it ends in exactly one [`Outcome`].
 //!
 //! Entry points: [`ServeEngine::start`], [`ServeEngine::submit`],
 //! [`Request`]. See `DESIGN.md` § "Serving layer", § "Sharded serving"

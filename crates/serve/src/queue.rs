@@ -4,15 +4,15 @@
 //! the point: `push` never blocks and never grows past the per-class
 //! bound — a full class rejects immediately so the caller can shed the
 //! request ([`crate::Outcome::Overloaded`]) instead of building an
-//! unbounded backlog. Consumers (`pop`) drain interactive work strictly
-//! before batch work and block when both classes are empty.
+//! unbounded backlog. Consumers ([`JobQueue::pop_wait`]) drain
+//! interactive work strictly before batch work and wait a bounded time
+//! when both classes are empty, so an idle shard worker can interleave
+//! steal attempts with waiting on its own queue.
 //!
-//! Sharded engines add two more access patterns: [`JobQueue::pop_wait`]
-//! (bounded wait, so an idle shard worker can interleave steal attempts
-//! with waiting on its own queue) and [`JobQueue::steal_batch`] (a
-//! non-blocking take of the *oldest* queued batch item, used by foreign
-//! shards — interactive items are never stealable, they stay affine to
-//! the shard whose caches are warm for their graph).
+//! Foreign shards use [`JobQueue::steal_batch`]: a non-blocking take of
+//! the *oldest* queued batch item. Interactive items are never
+//! stealable; they stay affine to the shard whose caches are warm for
+//! their graph.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
@@ -104,28 +104,10 @@ impl<T> JobQueue<T> {
         Ok(depth)
     }
 
-    /// Takes the next item, interactive class first. Blocks while both
-    /// classes are empty; returns `None` once the queue is closed *and*
-    /// drained, so workers exit only after finishing admitted work.
-    pub fn pop(&self) -> Option<(Priority, T)> {
-        let mut inner = self.inner.lock().unwrap();
-        loop {
-            if let Some(item) = inner.interactive.pop_front() {
-                return Some((Priority::Interactive, item));
-            }
-            if let Some(item) = inner.batch.pop_front() {
-                return Some((Priority::Batch, item));
-            }
-            if inner.closed {
-                return None;
-            }
-            inner = self.ready.wait(inner).unwrap();
-        }
-    }
-
-    /// [`JobQueue::pop`] with a bounded wait: returns [`Popped::Empty`]
-    /// when `timeout` elapses with nothing queued, so the caller can go
-    /// try to steal from another shard instead of blocking here forever.
+    /// Takes the next item, interactive class first (FIFO within a
+    /// class). Returns [`Popped::Empty`] when `timeout` elapses with
+    /// nothing queued, and [`Popped::Closed`] once the queue is closed
+    /// *and* drained, so workers exit only after finishing admitted work.
     pub fn pop_wait(&self, timeout: Duration) -> Popped<T> {
         let mut inner = self.inner.lock().unwrap();
         loop {
@@ -164,19 +146,13 @@ impl<T> JobQueue<T> {
         self.inner.lock().unwrap().depth()
     }
 
-    /// Current `(interactive, batch)` depths.
-    pub fn depths(&self) -> (usize, usize) {
-        let inner = self.inner.lock().unwrap();
-        (inner.interactive.len(), inner.batch.len())
-    }
-
     /// Current batch-class depth only (the stealable backlog).
     pub fn batch_depth(&self) -> usize {
         self.inner.lock().unwrap().batch.len()
     }
 
-    /// Stops admission and wakes every blocked consumer. Items already
-    /// queued are still drained by `pop`.
+    /// Stops admission and wakes every waiting consumer. Items already
+    /// queued are still drained by `pop_wait`.
     pub fn close(&self) {
         self.inner.lock().unwrap().closed = true;
         self.ready.notify_all();
@@ -188,6 +164,15 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
+    /// Blocking take: `pop_wait` with a wait no passing test reaches.
+    fn pop(q: &JobQueue<i32>) -> Option<(Priority, i32)> {
+        match q.pop_wait(Duration::from_secs(60)) {
+            Popped::Item(priority, item) => Some((priority, item)),
+            Popped::Closed => None,
+            Popped::Empty => panic!("nothing arrived within 60 s"),
+        }
+    }
+
     #[test]
     fn fifo_within_class_priority_across() {
         let q = JobQueue::new(8, 8);
@@ -196,10 +181,10 @@ mod tests {
         q.push(Priority::Batch, 11).unwrap();
         q.push(Priority::Interactive, 2).unwrap();
         assert_eq!(q.depth(), 4);
-        assert_eq!(q.pop(), Some((Priority::Interactive, 1)));
-        assert_eq!(q.pop(), Some((Priority::Interactive, 2)));
-        assert_eq!(q.pop(), Some((Priority::Batch, 10)));
-        assert_eq!(q.pop(), Some((Priority::Batch, 11)));
+        assert_eq!(pop(&q), Some((Priority::Interactive, 1)));
+        assert_eq!(pop(&q), Some((Priority::Interactive, 2)));
+        assert_eq!(pop(&q), Some((Priority::Batch, 10)));
+        assert_eq!(pop(&q), Some((Priority::Batch, 11)));
     }
 
     #[test]
@@ -229,8 +214,8 @@ mod tests {
             q.push(Priority::Interactive, 1),
             Err(PushError::Closed(1))
         ));
-        assert_eq!(q.pop(), Some((Priority::Batch, 7)));
-        assert_eq!(q.pop(), None);
+        assert_eq!(pop(&q), Some((Priority::Batch, 7)));
+        assert_eq!(pop(&q), None);
     }
 
     #[test]
@@ -239,7 +224,7 @@ mod tests {
         let consumers: Vec<_> = (0..3)
             .map(|_| {
                 let q = Arc::clone(&q);
-                std::thread::spawn(move || q.pop())
+                std::thread::spawn(move || pop(&q))
             })
             .collect();
         q.push(Priority::Interactive, 42).unwrap();
@@ -267,8 +252,8 @@ mod tests {
         assert_eq!(q.steal_batch(), Some(10), "steal the oldest batch item");
         assert_eq!(q.steal_batch(), Some(11));
         assert_eq!(q.steal_batch(), None, "interactive items are not stealable");
-        assert_eq!(q.depths(), (1, 0));
-        assert_eq!(q.pop(), Some((Priority::Interactive, 1)));
+        assert_eq!((q.depth(), q.batch_depth()), (1, 0));
+        assert_eq!(pop(&q), Some((Priority::Interactive, 1)));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use asa_graph::{CsrGraph, EdgeDelta};
+use asa_graph::{CsrGraph, EdgeDelta, NodeId};
 use asa_infomap::incremental::FallbackReason;
 use asa_infomap::{InfomapConfig, InfomapResult};
 
@@ -143,6 +143,14 @@ pub enum Outcome {
     /// The deadline expired before any work ran; there is no partial
     /// result to return.
     DeadlineExceeded,
+    /// Rejected at admission: the update's delta names `vertex`, which
+    /// lies outside its base graph's `0..num_nodes`.
+    Rejected {
+        /// The largest out-of-range endpoint in the delta.
+        vertex: NodeId,
+        /// Vertex count of the request's base graph.
+        num_nodes: usize,
+    },
 }
 
 impl Outcome {
@@ -150,7 +158,7 @@ impl Outcome {
     pub fn result(&self) -> Option<&Arc<InfomapResult>> {
         match self {
             Outcome::Ok(r) | Outcome::Degraded { result: r, .. } => Some(r),
-            Outcome::Overloaded | Outcome::DeadlineExceeded => None,
+            Outcome::Overloaded | Outcome::DeadlineExceeded | Outcome::Rejected { .. } => None,
         }
     }
 
@@ -161,6 +169,7 @@ impl Outcome {
             Outcome::Degraded { .. } => "degraded",
             Outcome::Overloaded => "overloaded",
             Outcome::DeadlineExceeded => "deadline_exceeded",
+            Outcome::Rejected { .. } => "rejected",
         }
     }
 }
@@ -208,8 +217,8 @@ pub struct Response {
     /// handle has no recorder attached.
     pub trace_id: u64,
     /// Engine shard that resolved the request: the routed shard for
-    /// admission-path resolutions (cache hits, sheds) and queue-path runs,
-    /// or the stealing shard when a foreign worker ran it.
+    /// admission-path resolutions (cache hits, sheds, rejections) and
+    /// queue-path runs, or the stealing shard when a foreign worker ran it.
     pub shard: usize,
     /// Whether a foreign shard's worker stole and ran this (batch) request
     /// instead of its routed shard.

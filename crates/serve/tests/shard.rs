@@ -14,6 +14,11 @@ use asa_graph::{CsrGraph, GraphBuilder};
 use asa_obs::{Obs, TraceKind};
 use asa_serve::{Outcome, Priority, ReplicationConfig, Request, Router, ServeConfig, ServeEngine};
 
+/// How long an idle shard worker waits on its own queue before it tries
+/// to steal (the engine's private `STEAL_POLL`). The steal tests only
+/// hold when each job keeps the home shard busy for longer than this.
+const STEAL_POLL: Duration = Duration::from_millis(2);
+
 fn clique_ring(cliques: usize, size: usize, seed: u64) -> Arc<CsrGraph> {
     let n = cliques * size;
     let mut b = GraphBuilder::undirected(n);
@@ -86,21 +91,24 @@ fn routing_is_deterministic_per_fingerprint() {
 fn idle_shard_steals_batch_backlog() {
     // Two shards, one worker each, stealing on. Every job targets one
     // graph — one home shard — so the other shard is idle and must drain
-    // the backlog by stealing.
+    // the backlog by stealing. Each job is large enough (milliseconds even
+    // in release) that the backlog outlives the thief's first poll.
     let engine = ServeEngine::start(ServeConfig {
         steal: true,
         ..sharded_config(2)
     });
-    let graph = clique_ring(8, 6, 3);
+    let graph = clique_ring(400, 8, 3);
     let home = Router::new(2, no_replication()).home(graph.fingerprint());
     let thief = 1 - home;
     let handles: Vec<_> = (0..12)
         .map(|_| engine.submit(Request::batch(Arc::clone(&graph))))
         .collect();
     let mut stolen = 0usize;
+    let mut fastest = Duration::MAX;
     for h in handles {
         let r = h.wait();
         assert!(r.outcome.result().is_some());
+        fastest = fastest.min(r.service);
         if r.stolen {
             stolen += 1;
             assert_eq!(r.shard, thief, "a stolen job reports its executing shard");
@@ -109,6 +117,10 @@ fn idle_shard_steals_batch_backlog() {
         }
     }
     let stats = engine.shutdown();
+    assert!(
+        fastest > STEAL_POLL,
+        "premise: every job must outlast a steal poll, but one ran in {fastest:?}"
+    );
     assert!(stolen > 0, "the idle shard must relieve the busy one");
     assert_eq!(stats.steals as usize, stolen);
     assert_eq!(stats.shards[thief].steals_in as usize, stolen);
@@ -241,7 +253,7 @@ fn steal_vs_affinity_invariants_under_concurrent_submit_and_shutdown() {
                     assert_eq!(r.shard, router.home(*fp), "unstolen runs on the home shard");
                 }
             }
-            Outcome::Overloaded | Outcome::DeadlineExceeded => {}
+            Outcome::Overloaded | Outcome::DeadlineExceeded | Outcome::Rejected { .. } => {}
         }
     }
     assert_eq!(terminated, all.len());
@@ -355,10 +367,11 @@ fn stolen_jobs_report_their_late_cache_hits_as_stolen() {
     let home = router.home(target.fingerprint());
 
     // Fillers routed to the same home shard, structurally distinct (so
-    // none hits the cache) and big enough that the home worker stays
-    // busy while the thief clears both batch jobs.
+    // none hits the cache) and big enough (milliseconds each, even in
+    // release) that the home worker stays busy while the thief clears
+    // both batch jobs.
     let fillers: Vec<Arc<CsrGraph>> = (0..40u64)
-        .map(|s| clique_ring(8 + s as usize, 8, 100 + s))
+        .map(|s| clique_ring(400 + s as usize, 8, 100 + s))
         .filter(|g| router.home(g.fingerprint()) == home)
         .take(6)
         .collect();
@@ -369,10 +382,19 @@ fn stolen_jobs_report_their_late_cache_hits_as_stolen() {
         .collect();
     handles.push(engine.submit(Request::batch(Arc::clone(&target))));
     handles.push(engine.submit(Request::batch(Arc::clone(&target))));
-    for h in handles {
-        assert!(h.wait().outcome.result().is_some());
+    let mut fastest_filler = Duration::MAX;
+    for (i, h) in handles.iter().enumerate() {
+        let r = h.wait();
+        assert!(r.outcome.result().is_some());
+        if i < fillers.len() {
+            fastest_filler = fastest_filler.min(r.service);
+        }
     }
     let stats = engine.shutdown();
+    assert!(
+        fastest_filler > STEAL_POLL,
+        "premise: every filler must outlast a steal poll, but one ran in {fastest_filler:?}"
+    );
     let s = &stats.shards[home];
     assert!(
         s.cache_hits_stolen > 0,

@@ -4,7 +4,8 @@
 //! * under sustained overload the engine never panics or deadlocks,
 //! * queue depth never exceeds the configured bound,
 //! * every submitted request terminates in exactly one of
-//!   `Ok` / `Degraded` / `Overloaded` / `DeadlineExceeded`,
+//!   `Ok` / `Degraded` / `Overloaded` / `DeadlineExceeded` / `Rejected`,
+//!   malformed updates included,
 //! * overload actually sheds (`Overloaded` occurs), and
 //! * the degradation ladder fires for batch work under pressure.
 
@@ -12,7 +13,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use asa_graph::{CsrGraph, GraphBuilder};
+use asa_graph::{CsrGraph, EdgeDelta, GraphBuilder};
 use asa_infomap::InfomapConfig;
 use asa_serve::{Outcome, Priority, Request, ServeConfig, ServeEngine};
 
@@ -39,6 +40,9 @@ fn overload_never_panics_every_request_terminates() {
     const QUEUE_BATCH: usize = 8;
     const SUBMITTERS: usize = 4;
     const PER_SUBMITTER: usize = 64;
+    /// Every 11th submission is an update naming a vertex outside its
+    /// base graph.
+    const MALFORMED_EVERY: usize = 11;
 
     let engine = Arc::new(ServeEngine::start(ServeConfig {
         workers: 2,
@@ -60,6 +64,7 @@ fn overload_never_panics_every_request_terminates() {
         AtomicUsize::new(0), // degraded
         AtomicUsize::new(0), // overloaded
         AtomicUsize::new(0), // deadline_exceeded
+        AtomicUsize::new(0), // rejected
     ]);
 
     let submitters: Vec<_> = (0..SUBMITTERS)
@@ -72,7 +77,11 @@ fn overload_never_panics_every_request_terminates() {
                 let mut handles = Vec::with_capacity(PER_SUBMITTER);
                 for i in 0..PER_SUBMITTER {
                     let graph = Arc::clone(&graphs[(t + i) % graphs.len()]);
-                    let mut req = if i % 3 == 0 {
+                    let mut req = if i % MALFORMED_EVERY == MALFORMED_EVERY - 1 {
+                        let mut delta = EdgeDelta::new();
+                        delta.insert(0, graph.num_nodes() as u32, 1.0);
+                        Request::update(graph, delta)
+                    } else if i % 3 == 0 {
                         Request::interactive(graph)
                     } else {
                         Request::batch(graph)
@@ -100,6 +109,7 @@ fn overload_never_panics_every_request_terminates() {
                         }
                         Outcome::Overloaded => 2,
                         Outcome::DeadlineExceeded => 3,
+                        Outcome::Rejected { .. } => 4,
                     };
                     counts[slot].fetch_add(1, Ordering::Relaxed);
                 }
@@ -135,9 +145,12 @@ fn overload_never_panics_every_request_terminates() {
     let shard_hits: u64 = stats.shards.iter().map(|s| s.cache_hits).sum();
     assert_eq!(shard_hits, stats.cache_hits);
     assert!(
-        stats.completed + stats.shed + stats.deadline_exceeded == stats.submitted,
+        stats.completed + stats.shed + stats.deadline_exceeded + stats.rejected == stats.submitted,
         "engine accounting must balance: {stats:?}"
     );
+    let malformed = SUBMITTERS * (PER_SUBMITTER / MALFORMED_EVERY);
+    assert_eq!(stats.rejected as usize, malformed);
+    assert_eq!(counts[4].load(Ordering::Relaxed), malformed);
     assert!(stats.cache_hits > 0, "repeated graphs must hit the cache");
 
     // The concurrent phase may or may not shed, depending on how the
@@ -173,7 +186,10 @@ fn overload_never_panics_every_request_terminates() {
         .shutdown();
     assert_eq!(final_stats.queue_depth_last, 0);
     assert!(
-        final_stats.completed + final_stats.shed + final_stats.deadline_exceeded
+        final_stats.completed
+            + final_stats.shed
+            + final_stats.deadline_exceeded
+            + final_stats.rejected
             == final_stats.submitted,
         "final accounting must balance: {final_stats:?}"
     );
@@ -271,6 +287,7 @@ fn tight_deadline_terminates_promptly_with_valid_or_no_result() {
                 assert!(result.codelength.is_finite());
             }
             Outcome::Overloaded => panic!("queues are large enough not to shed here"),
+            Outcome::Rejected { .. } => panic!("only detects are submitted here"),
         }
     }
     engine.shutdown();

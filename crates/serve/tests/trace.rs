@@ -3,9 +3,9 @@
 //! A recorder-enabled [`asa_obs::Obs`] handle goes into [`ServeConfig`];
 //! every submission must then come back with a unique nonzero
 //! [`asa_serve::Response::trace_id`], and the exported snapshot must carry
-//! the full stage tiling (`cache_probe` → `queue` → `dispatch` →
-//! `execute` → `respond` inside the `request` envelope) with the stages
-//! accounting for ≥95% of each slow request's wall time.
+//! the full stage tiling (`fingerprint` → `cache_probe` → `queue` →
+//! `dispatch` → `execute` → `respond` inside the `request` envelope) with
+//! the stages accounting for ≥95% of each slow request's wall time.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -16,7 +16,7 @@ use asa_infomap::InfomapConfig;
 use asa_obs::chrome::chrome_trace_string;
 use asa_obs::tail::{attribute_requests, TailReport};
 use asa_obs::Obs;
-use asa_serve::{Request, ServeConfig, ServeEngine};
+use asa_serve::{ReplicationConfig, Request, Router, ServeConfig, ServeEngine};
 
 fn clique_ring(cliques: usize, size: usize, seed: u64) -> Arc<CsrGraph> {
     let n = cliques * size;
@@ -45,15 +45,28 @@ fn requests_carry_trace_ids_and_stages_cover_wall_time() {
         ..ServeConfig::default()
     });
 
-    // Eight distinct graphs (no accidental cache hits), slow enough that
-    // the execute stage dominates and gaps between stages stay tiny.
+    // Eight distinct graphs (no accidental cache hits), slow enough
+    // (milliseconds each, even in release) that the execute stage
+    // dominates, gaps between stages stay tiny, and the second worker
+    // wakes before the first has drained the queue.
     let cfg = InfomapConfig {
         outer_loops: 3,
         ..InfomapConfig::default()
     };
     // Distinct clique counts => distinct fingerprints (same-seed-mod-3
-    // weights would otherwise collide).
-    let graphs: Vec<Arc<CsrGraph>> = (0..8).map(|s| clique_ring(10 + s as usize, 8, s)).collect();
+    // weights would otherwise collide). The export check below looks for
+    // shard 0's first worker, so the first graph (interactive, never
+    // stolen) must home on shard 0 at the default shard count.
+    let router = Router::new(
+        ServeConfig::default().shards.max(1),
+        ReplicationConfig::default(),
+    );
+    let first = (0..)
+        .find(|&s| router.home(clique_ring(200 + s as usize, 8, s).fingerprint()) == 0)
+        .expect("some ring homes on shard 0");
+    let graphs: Vec<Arc<CsrGraph>> = (first..first + 8)
+        .map(|s| clique_ring(200 + s as usize, 8, s))
+        .collect();
     let handles: Vec<_> = graphs
         .iter()
         .enumerate()
@@ -114,6 +127,7 @@ fn requests_carry_trace_ids_and_stages_cover_wall_time() {
     for resp in &responses {
         let att = by_trace[&resp.trace_id];
         let stages: Vec<&str> = att.stages.iter().map(|&(n, _)| n).collect();
+        assert!(stages.contains(&"fingerprint"), "stages: {stages:?}");
         assert!(stages.contains(&"cache_probe"), "stages: {stages:?}");
         if resp.cache_hit {
             assert!(!stages.contains(&"execute"), "hits never run: {stages:?}");
@@ -199,4 +213,11 @@ fn deadline_and_shed_paths_still_close_their_envelopes() {
     ids.sort_unstable();
     ids.dedup();
     assert_eq!(ids.len(), responses.len());
+    for att in &attributed {
+        assert!(
+            att.stages.iter().any(|&(n, _)| n == "fingerprint"),
+            "every request is fingerprinted inside its envelope: {:?}",
+            att.stages
+        );
+    }
 }
