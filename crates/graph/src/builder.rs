@@ -5,12 +5,13 @@
 //! connected to another super node, a single super edge is created with
 //! accumulated edge weights."
 
-use crate::csr::{CsrGraph, NodeId};
+use crate::csr::{expand_upper_triangle, transpose, CsrGraph, NodeId};
 
 /// Streaming graph builder.
 ///
 /// Edges may be added in any order; `build` sorts, deduplicates (summing
-/// weights of parallel edges) and produces both adjacency directions.
+/// weights of parallel edges) and produces both adjacency directions (one
+/// symmetric CSR for an undirected graph).
 ///
 /// ```
 /// use asa_graph::GraphBuilder;
@@ -120,76 +121,31 @@ impl GraphBuilder {
             }
         }
 
-        // Expand to arcs.
-        let mut arcs: Vec<(NodeId, NodeId, f64)> =
-            Vec::with_capacity(merged.len() * if self.directed { 1 } else { 2 });
-        for &(u, v, w) in &merged {
-            arcs.push((u, v, w));
-            if !self.directed && u != v {
-                arcs.push((v, u, w));
-            }
+        // The merged list is sorted by (source, target), so counting its
+        // sources gives the out rows (the upper triangle for undirected
+        // input) already sorted.
+        let n = self.num_nodes as usize;
+        let mut offsets = vec![0u64; n + 1];
+        for &(u, _, _) in &merged {
+            offsets[u as usize + 1] += 1;
         }
-
-        let (out_offsets, out_targets, out_weights) =
-            arcs_to_csr(self.num_nodes, arcs.iter().copied());
-        let (in_offsets, in_targets, in_weights) =
-            arcs_to_csr(self.num_nodes, arcs.iter().map(|&(u, v, w)| (v, u, w)));
-
-        CsrGraph::from_csr_parts(
-            self.num_nodes,
-            self.directed,
-            out_offsets,
-            out_targets,
-            out_weights,
-            in_offsets,
-            in_targets,
-            in_weights,
-        )
-    }
-}
-
-/// Counting-sort arcs by source into CSR arrays, keeping targets sorted per
-/// row (inputs are expected pre-sorted for the out direction; the in
-/// direction is re-sorted here).
-fn arcs_to_csr<I>(num_nodes: u32, arcs: I) -> (Vec<u64>, Vec<NodeId>, Vec<f64>)
-where
-    I: Iterator<Item = (NodeId, NodeId, f64)> + Clone,
-{
-    let n = num_nodes as usize;
-    let mut counts = vec![0u64; n + 1];
-    let mut num_arcs = 0usize;
-    for (u, _, _) in arcs.clone() {
-        counts[u as usize + 1] += 1;
-        num_arcs += 1;
-    }
-    for i in 0..n {
-        counts[i + 1] += counts[i];
-    }
-    let offsets = counts.clone();
-    let mut cursor = counts;
-    let mut targets = vec![0 as NodeId; num_arcs];
-    let mut weights = vec![0f64; num_arcs];
-    for (u, v, w) in arcs {
-        let slot = cursor[u as usize] as usize;
-        targets[slot] = v;
-        weights[slot] = w;
-        cursor[u as usize] += 1;
-    }
-    // Sort each row by target so lookups and comparisons are deterministic.
-    for u in 0..n {
-        let (lo, hi) = (offsets[u] as usize, offsets[u + 1] as usize);
-        let row: &mut [NodeId] = &mut targets[lo..hi];
-        if row.windows(2).all(|w| w[0] <= w[1]) {
-            continue;
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
         }
-        let mut idx: Vec<usize> = (0..row.len()).collect();
-        idx.sort_unstable_by_key(|&i| row[i]);
-        let t_sorted: Vec<NodeId> = idx.iter().map(|&i| row[i]).collect();
-        let w_sorted: Vec<f64> = idx.iter().map(|&i| weights[lo + i]).collect();
-        targets[lo..hi].copy_from_slice(&t_sorted);
-        weights[lo..hi].copy_from_slice(&w_sorted);
+        let targets: Vec<NodeId> = merged.iter().map(|a| a.1).collect();
+        let weights: Vec<f64> = merged.iter().map(|a| a.2).collect();
+        if self.directed {
+            let transpose = transpose(&offsets, &targets, &weights);
+            CsrGraph::from_sorted_parts(
+                self.num_nodes,
+                (offsets, targets, weights),
+                Some(transpose),
+            )
+        } else {
+            let rows = expand_upper_triangle(&offsets, &targets, &weights);
+            CsrGraph::from_sorted_parts(self.num_nodes, rows, None)
+        }
     }
-    (offsets, targets, weights)
 }
 
 #[cfg(test)]

@@ -3,16 +3,26 @@
 //! The paper's HyPC-Map substrate stores, for every vertex, its outgoing and
 //! incoming weighted adjacency. `FindBestCommunity` (Algorithm 1) walks the
 //! out-links to accumulate `outFlowToModules` and the in-links to accumulate
-//! `inFlowFromModules`, so both directions must be cheap to iterate. We store
-//! two CSR structures sharing one node count; for undirected graphs the two
-//! are identical views built from the symmetrized edge list.
+//! `inFlowFromModules`, so both directions must be cheap to iterate. A
+//! directed graph stores two CSR structures sharing one node count: the
+//! out-adjacency and its transpose. An undirected graph stores one: its rows
+//! are symmetric, so the in-direction accessors return the out arrays (SNAP
+//! keeps one neighbour vector per node for undirected graphs the same way).
+//!
+//! Every row is sorted by target with no repeated target. The one-pass flow
+//! construction and the binary format both rely on it, so the checked
+//! constructors reject arrays that break it.
 
-use serde::{Deserialize, Serialize};
+use std::fmt;
 
 /// Vertex identifier. The paper's largest network (Orkut) has ~3M vertices, so
 /// `u32` is sufficient and halves index memory versus `usize` (Rust
 /// Performance Book, "Smaller Integers").
 pub type NodeId = u32;
+
+/// One adjacency direction as raw CSR arrays: `(offsets, targets, weights)`,
+/// with `offsets.len() == num_nodes + 1`.
+pub type CsrArrays = (Vec<u64>, Vec<NodeId>, Vec<f64>);
 
 /// A single weighted edge endpoint as seen from a source vertex.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -32,52 +42,111 @@ pub enum Direction {
     In,
 }
 
+/// Why a set of CSR arrays does not describe a valid [`CsrGraph`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CsrError(&'static str);
+
+impl fmt::Display for CsrError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.0)
+    }
+}
+
+impl std::error::Error for CsrError {}
+
+/// One stored adjacency direction.
+#[derive(Debug, Clone)]
+struct Rows {
+    /// Row offsets, length `num_nodes + 1`.
+    offsets: Vec<u64>,
+    targets: Vec<NodeId>,
+    weights: Vec<f64>,
+}
+
+impl Rows {
+    fn new((offsets, targets, weights): CsrArrays) -> Self {
+        Self {
+            offsets,
+            targets,
+            weights,
+        }
+    }
+
+    #[inline]
+    fn parts(&self) -> (&[u64], &[NodeId], &[f64]) {
+        (&self.offsets, &self.targets, &self.weights)
+    }
+}
+
 /// Immutable weighted graph in CSR form with both adjacency directions.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CsrGraph {
     num_nodes: u32,
-    directed: bool,
-    /// Out-adjacency row offsets, length `num_nodes + 1`.
-    out_offsets: Vec<u64>,
-    out_targets: Vec<NodeId>,
-    out_weights: Vec<f64>,
-    /// In-adjacency row offsets, length `num_nodes + 1`.
-    in_offsets: Vec<u64>,
-    in_targets: Vec<NodeId>,
-    in_weights: Vec<f64>,
+    out: Rows,
+    /// The transpose of `out`, stored for directed graphs only. `None`
+    /// marks an undirected graph, whose in-rows are its out-rows.
+    transpose: Option<Rows>,
 }
 
 impl CsrGraph {
-    /// Assembles a CSR graph from sorted, deduplicated adjacency arrays.
+    /// Assembles a graph from sorted, deduplicated adjacency arrays: a
+    /// directed graph when `transpose` (its in-adjacency) is given, an
+    /// undirected one with symmetric `out` rows otherwise.
     ///
-    /// This is the low-level constructor used by [`crate::GraphBuilder`];
-    /// prefer the builder unless you already hold valid CSR arrays.
+    /// This is the low-level constructor; prefer [`crate::GraphBuilder`]
+    /// unless you already hold valid CSR arrays.
     ///
     /// # Panics
-    /// Panics if the offsets are not monotone, do not start at 0, do not end
-    /// at the target array length, or if any target is out of range.
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_csr_parts(
+    /// Panics where [`CsrGraph::try_from_csr_parts`] returns an error.
+    pub fn from_csr_parts(num_nodes: u32, out: CsrArrays, transpose: Option<CsrArrays>) -> Self {
+        Self::try_from_csr_parts(num_nodes, out, transpose).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`CsrGraph::from_csr_parts`] that reports invalid arrays instead of
+    /// panicking. Rejects offsets that do not run monotonically from 0 to
+    /// the arc count, targets out of range, rows that are not strictly
+    /// increasing, weights that are not finite and positive, a `transpose`
+    /// that is not the transpose of `out`, and undirected rows that are not
+    /// symmetric (weights compared bit for bit).
+    pub fn try_from_csr_parts(
         num_nodes: u32,
-        directed: bool,
-        out_offsets: Vec<u64>,
-        out_targets: Vec<NodeId>,
-        out_weights: Vec<f64>,
-        in_offsets: Vec<u64>,
-        in_targets: Vec<NodeId>,
-        in_weights: Vec<f64>,
+        out: CsrArrays,
+        transpose: Option<CsrArrays>,
+    ) -> Result<Self, CsrError> {
+        check_parts(num_nodes, &out, transpose.as_ref())?;
+        Ok(Self::from_sorted_parts(num_nodes, out, transpose))
+    }
+
+    /// An undirected graph from the upper triangle of its adjacency: row `u`
+    /// holds the neighbours `v >= u`. The rows are checked like
+    /// [`CsrGraph::try_from_csr_parts`] checks them, plus the triangle rule,
+    /// and then mirrored with [`expand_upper_triangle`]; the result is
+    /// symmetric by construction.
+    pub(crate) fn try_from_upper_triangle(
+        num_nodes: u32,
+        upper: CsrArrays,
+    ) -> Result<Self, CsrError> {
+        check_rows(num_nodes, &upper, true)?;
+        let (o, t, w) = &upper;
+        Ok(Self::from_sorted_parts(
+            num_nodes,
+            expand_upper_triangle(o, t, w),
+            None,
+        ))
+    }
+
+    /// The constructor for arrays that are valid by construction (builder,
+    /// delta materialization, renumbering); checked in debug builds only.
+    pub(crate) fn from_sorted_parts(
+        num_nodes: u32,
+        out: CsrArrays,
+        transpose: Option<CsrArrays>,
     ) -> Self {
-        validate_csr(num_nodes, &out_offsets, &out_targets, &out_weights);
-        validate_csr(num_nodes, &in_offsets, &in_targets, &in_weights);
+        debug_assert_eq!(check_parts(num_nodes, &out, transpose.as_ref()), Ok(()));
         Self {
             num_nodes,
-            directed,
-            out_offsets,
-            out_targets,
-            out_weights,
-            in_offsets,
-            in_targets,
-            in_weights,
+            out: Rows::new(out),
+            transpose: transpose.map(Rows::new),
         }
     }
 
@@ -91,13 +160,13 @@ impl CsrGraph {
     /// graph each input edge contributes two arcs.
     #[inline]
     pub fn num_arcs(&self) -> usize {
-        self.out_targets.len()
+        self.out.targets.len()
     }
 
     /// Number of logical edges: arcs for directed graphs, arcs/2 for
     /// undirected graphs (self-loops, which appear once, are counted once).
     pub fn num_edges(&self) -> usize {
-        if self.directed {
+        if self.is_directed() {
             self.num_arcs()
         } else {
             let self_loops = (0..self.num_nodes)
@@ -115,21 +184,28 @@ impl CsrGraph {
     /// Whether the graph was built as directed.
     #[inline]
     pub fn is_directed(&self) -> bool {
-        self.directed
+        self.transpose.is_some()
+    }
+
+    /// The stored in-adjacency: the transpose, or the out rows themselves
+    /// for an undirected graph.
+    #[inline]
+    fn in_rows(&self) -> &Rows {
+        self.transpose.as_ref().unwrap_or(&self.out)
     }
 
     /// Out-degree of `u` (number of stored arcs, after weight-merging).
     #[inline]
     pub fn out_degree(&self, u: NodeId) -> usize {
-        let u = u as usize;
-        (self.out_offsets[u + 1] - self.out_offsets[u]) as usize
+        let (lo, hi) = range(&self.out.offsets, u);
+        hi - lo
     }
 
     /// In-degree of `u`.
     #[inline]
     pub fn in_degree(&self, u: NodeId) -> usize {
-        let u = u as usize;
-        (self.in_offsets[u + 1] - self.in_offsets[u]) as usize
+        let (lo, hi) = range(&self.in_rows().offsets, u);
+        hi - lo
     }
 
     /// Total degree used for the CAM-capacity study (Figure 5): the number of
@@ -143,21 +219,13 @@ impl CsrGraph {
     /// Iterates the out-neighbourhood of `u` as `(target, weight)` pairs.
     #[inline]
     pub fn out_neighbors(&self, u: NodeId) -> Neighbors<'_> {
-        let (lo, hi) = self.range(&self.out_offsets, u);
-        Neighbors {
-            targets: &self.out_targets[lo..hi],
-            weights: &self.out_weights[lo..hi],
-        }
+        self.out.neighbors(u)
     }
 
     /// Iterates the in-neighbourhood of `u` as `(source, weight)` pairs.
     #[inline]
     pub fn in_neighbors(&self, u: NodeId) -> Neighbors<'_> {
-        let (lo, hi) = self.range(&self.in_offsets, u);
-        Neighbors {
-            targets: &self.in_targets[lo..hi],
-            weights: &self.in_weights[lo..hi],
-        }
+        self.in_rows().neighbors(u)
     }
 
     /// Neighbourhood in a chosen [`Direction`].
@@ -182,7 +250,7 @@ impl CsrGraph {
 
     /// Total weight over all stored arcs.
     pub fn total_arc_weight(&self) -> f64 {
-        self.out_weights.iter().sum()
+        self.out.weights.iter().sum()
     }
 
     /// Vertices with no outgoing links (dangling nodes). PageRank must
@@ -208,45 +276,191 @@ impl CsrGraph {
         })
     }
 
-    #[inline]
-    fn range(&self, offsets: &[u64], u: NodeId) -> (usize, usize) {
-        let u = u as usize;
-        (offsets[u] as usize, offsets[u + 1] as usize)
-    }
-
     /// Raw CSR arrays `(offsets, targets, weights)` of the out-adjacency.
     /// Advanced API for serialization and zero-copy analysis.
     pub fn out_csr(&self) -> (&[u64], &[NodeId], &[f64]) {
-        (&self.out_offsets, &self.out_targets, &self.out_weights)
+        self.out.parts()
     }
 
-    /// Raw CSR arrays of the in-adjacency. See [`CsrGraph::out_csr`].
+    /// Raw CSR arrays of the in-adjacency: the same arrays as
+    /// [`CsrGraph::out_csr`] for an undirected graph.
     pub fn in_csr(&self) -> (&[u64], &[NodeId], &[f64]) {
-        (&self.in_offsets, &self.in_targets, &self.in_weights)
+        self.in_rows().parts()
     }
 }
 
-fn validate_csr(num_nodes: u32, offsets: &[u64], targets: &[NodeId], weights: &[f64]) {
-    assert_eq!(
-        offsets.len(),
-        num_nodes as usize + 1,
-        "offset array must have num_nodes + 1 entries"
-    );
-    assert_eq!(offsets[0], 0, "offsets must start at 0");
-    assert_eq!(
-        *offsets.last().unwrap() as usize,
-        targets.len(),
-        "offsets must end at the arc count"
-    );
-    assert_eq!(targets.len(), weights.len());
-    assert!(
-        offsets.windows(2).all(|w| w[0] <= w[1]),
-        "offsets must be monotone"
-    );
-    assert!(
-        targets.iter().all(|&t| t < num_nodes),
-        "edge target out of range"
-    );
+impl Rows {
+    #[inline]
+    fn neighbors(&self, u: NodeId) -> Neighbors<'_> {
+        let (lo, hi) = range(&self.offsets, u);
+        Neighbors {
+            targets: &self.targets[lo..hi],
+            weights: &self.weights[lo..hi],
+        }
+    }
+}
+
+#[inline]
+fn range(offsets: &[u64], u: NodeId) -> (usize, usize) {
+    let u = u as usize;
+    (offsets[u] as usize, offsets[u + 1] as usize)
+}
+
+/// Checks one CSR direction: offsets run monotonically from 0 to the arc
+/// count, every target is in range, rows are strictly increasing, weights
+/// are finite and positive, and (for `upper`) no target lies below its row.
+fn check_rows(
+    num_nodes: u32,
+    (offsets, targets, weights): &CsrArrays,
+    upper: bool,
+) -> Result<(), CsrError> {
+    let fail = |why| Err(CsrError(why));
+    if offsets.len() != num_nodes as usize + 1 {
+        return fail("offset array must have num_nodes + 1 entries");
+    }
+    if offsets[0] != 0 {
+        return fail("offsets must start at 0");
+    }
+    if offsets.windows(2).any(|w| w[0] > w[1]) {
+        return fail("offsets must be monotone");
+    }
+    if offsets[num_nodes as usize] != targets.len() as u64 {
+        return fail("offsets must end at the arc count");
+    }
+    if targets.len() != weights.len() {
+        return fail("targets and weights must have equal length");
+    }
+    if !weights.iter().all(|&w| w.is_finite() && w > 0.0) {
+        return fail("edge weight must be finite and positive");
+    }
+    for u in 0..num_nodes {
+        let (lo, hi) = range(offsets, u);
+        let row = &targets[lo..hi];
+        if row.last().is_some_and(|&t| t >= num_nodes) {
+            return fail("edge target out of range");
+        }
+        if row.windows(2).any(|w| w[0] >= w[1]) {
+            return fail("row targets must be strictly increasing");
+        }
+        if upper && row.first().is_some_and(|&t| t < u) {
+            return fail("upper-triangle row holds a target below its row");
+        }
+    }
+    Ok(())
+}
+
+/// The checks of [`CsrGraph::try_from_csr_parts`].
+fn check_parts(
+    num_nodes: u32,
+    out: &CsrArrays,
+    transpose: Option<&CsrArrays>,
+) -> Result<(), CsrError> {
+    check_rows(num_nodes, out, false)?;
+    match transpose {
+        Some(t) => {
+            check_rows(num_nodes, t, false)?;
+            check_transpose(
+                out,
+                t,
+                "in-adjacency must be the transpose of the out-adjacency",
+            )
+        }
+        None => check_transpose(out, out, "undirected adjacency must be symmetric"),
+    }
+}
+
+/// Checks that `t` is the transpose of `a` (weights compared bit for bit),
+/// failing with `why`; with `t == a` this checks that undirected rows are
+/// symmetric. Both must have passed [`check_rows`]. O(arcs): visiting
+/// sources in ascending order meets each transposed row's entries in its
+/// own sorted order, so one cursor per row suffices.
+fn check_transpose(a: &CsrArrays, t: &CsrArrays, why: &'static str) -> Result<(), CsrError> {
+    let (ao, at, aw) = a;
+    let (to, tt, tw) = t;
+    if at.len() != tt.len() {
+        return Err(CsrError(why));
+    }
+    let mut cursor: Vec<u64> = to[..to.len() - 1].to_vec();
+    for u in 0..ao.len() - 1 {
+        let (lo, hi) = range(ao, u as NodeId);
+        for (&v, &w) in at[lo..hi].iter().zip(&aw[lo..hi]) {
+            let c = &mut cursor[v as usize];
+            let i = *c as usize;
+            if *c >= to[v as usize + 1] || tt[i] as usize != u || tw[i].to_bits() != w.to_bits() {
+                return Err(CsrError(why));
+            }
+            *c += 1;
+        }
+    }
+    Ok(())
+}
+
+/// Mirrors sorted rows. With `upper` false this is the transpose: row `v`
+/// lists every source `u` with an arc `u→v`, ascending. With `upper` true
+/// the input is the upper triangle of a symmetric adjacency (row `u` holds
+/// targets `>= u`), and row `v` of the result is its lower sources
+/// ascending followed by its own upper row — the full symmetric rows. A
+/// diagonal entry is kept once. One counting pass; no row is re-sorted.
+fn mirror_rows(offsets: &[u64], targets: &[NodeId], weights: &[f64], upper: bool) -> CsrArrays {
+    let n = offsets.len() - 1;
+    let mirrored = |u: usize, v: NodeId| !upper || v as usize != u;
+    let mut cursor = vec![0u64; n];
+    for u in 0..n {
+        let (lo, hi) = range(offsets, u as NodeId);
+        for &v in &targets[lo..hi] {
+            if mirrored(u, v) {
+                cursor[v as usize] += 1;
+            }
+        }
+    }
+    let mut new_offsets = Vec::with_capacity(n + 1);
+    new_offsets.push(0u64);
+    for v in 0..n {
+        let own = if upper {
+            offsets[v + 1] - offsets[v]
+        } else {
+            0
+        };
+        let start = new_offsets[v];
+        new_offsets.push(start + cursor[v] + own);
+        cursor[v] = start;
+    }
+    let len = new_offsets[n] as usize;
+    let mut new_targets = vec![0 as NodeId; len];
+    let mut new_weights = vec![0.0; len];
+    for u in 0..n {
+        let (lo, hi) = range(offsets, u as NodeId);
+        if upper {
+            // Every lower source of `u` precedes it and is placed, so the
+            // cursor sits where the row's upper part begins.
+            let at = cursor[u] as usize;
+            new_targets[at..at + hi - lo].copy_from_slice(&targets[lo..hi]);
+            new_weights[at..at + hi - lo].copy_from_slice(&weights[lo..hi]);
+        }
+        for (&v, &w) in targets[lo..hi].iter().zip(&weights[lo..hi]) {
+            if mirrored(u, v) {
+                let slot = &mut cursor[v as usize];
+                new_targets[*slot as usize] = u as NodeId;
+                new_weights[*slot as usize] = w;
+                *slot += 1;
+            }
+        }
+    }
+    (new_offsets, new_targets, new_weights)
+}
+
+/// The transpose of sorted CSR rows, with sorted rows.
+pub(crate) fn transpose(offsets: &[u64], targets: &[NodeId], weights: &[f64]) -> CsrArrays {
+    mirror_rows(offsets, targets, weights, false)
+}
+
+/// Expands the upper triangle of a symmetric adjacency (row `u` holds its
+/// sorted targets `>= u`) into full symmetric rows, each sorted: row `v` is
+/// its lower sources ascending, then its upper row. The graph builder and
+/// the binary reader build undirected graphs through it, and the flow
+/// network's coarsening builds symmetric super-arc rows through it.
+pub fn expand_upper_triangle(offsets: &[u64], targets: &[NodeId], weights: &[f64]) -> CsrArrays {
+    mirror_rows(offsets, targets, weights, true)
 }
 
 /// Borrowed view of one vertex's adjacency.
@@ -420,14 +634,64 @@ mod tests {
     fn invalid_target_rejected() {
         CsrGraph::from_csr_parts(
             1,
-            true,
-            vec![0, 1],
-            vec![5],
-            vec![1.0],
-            vec![0, 0],
-            vec![],
-            vec![],
+            (vec![0, 1], vec![5], vec![1.0]),
+            Some((vec![0, 0], vec![], vec![])),
         );
+    }
+
+    #[test]
+    fn invalid_parts_return_typed_errors() {
+        let err = |out: CsrArrays, transpose: Option<CsrArrays>| {
+            CsrGraph::try_from_csr_parts(3, out, transpose)
+                .unwrap_err()
+                .to_string()
+        };
+        let empty = || (vec![0, 0, 0, 0], vec![], vec![]);
+        assert!(err((vec![0, 2, 1, 2], vec![1, 2], vec![1.0; 2]), None).contains("monotone"));
+        assert!(
+            err((vec![0, 2, 2, 2], vec![2, 1], vec![1.0; 2]), Some(empty()))
+                .contains("strictly increasing")
+        );
+        assert!(
+            err((vec![0, 2, 2, 2], vec![1, 1], vec![1.0; 2]), Some(empty()))
+                .contains("strictly increasing")
+        );
+        assert!(
+            err((vec![0, 1, 1, 1], vec![1], vec![f64::NAN]), Some(empty()))
+                .contains("finite and positive")
+        );
+        // 0→1 without 1→0: not symmetric, and not matched by an empty
+        // transpose.
+        assert!(err((vec![0, 1, 1, 1], vec![1], vec![1.0]), None).contains("symmetric"));
+        assert!(err((vec![0, 1, 1, 1], vec![1], vec![1.0]), Some(empty())).contains("transpose"));
+        // Symmetric targets, asymmetric weight bits.
+        assert!(err((vec![0, 1, 2, 2], vec![1, 0], vec![1.0, 2.0]), None).contains("symmetric"));
+        let upper = CsrGraph::try_from_upper_triangle(3, (vec![0, 0, 1, 1], vec![0], vec![1.0]));
+        assert!(upper.unwrap_err().to_string().contains("below its row"));
+    }
+
+    #[test]
+    fn undirected_in_direction_is_the_out_rows() {
+        let g = triangle();
+        assert!(std::ptr::eq(g.in_csr().1, g.out_csr().1));
+        let parts = |g: &CsrGraph| {
+            let (o, t, w) = g.out_csr();
+            (o.to_vec(), t.to_vec(), w.to_vec())
+        };
+        let again = CsrGraph::from_csr_parts(3, parts(&g), None);
+        assert_eq!(
+            again.arcs().collect::<Vec<_>>(),
+            g.arcs().collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn upper_triangle_expands_to_sorted_symmetric_rows() {
+        // Upper rows of the triangle plus a self-loop on 1.
+        let (o, t, w) = expand_upper_triangle(&[0, 2, 4, 4], &[1, 2, 1, 2], &[1.0, 3.0, 5.0, 2.0]);
+        assert_eq!(o, vec![0, 2, 5, 7]);
+        assert_eq!(t, vec![1, 2, 0, 1, 2, 0, 1]);
+        assert_eq!(w, vec![1.0, 3.0, 1.0, 5.0, 2.0, 3.0, 2.0]);
     }
 
     #[test]

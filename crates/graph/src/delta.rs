@@ -315,10 +315,11 @@ impl DeltaGraph {
     /// base CSR.
     pub fn materialize(&self) -> CsrGraph {
         let n = self.num_nodes() as u32;
-        let (out_offsets, out_targets, out_weights) =
-            merge_csr(self.base.out_csr(), n, |u| self.out_patches(u));
-        let (in_offsets, in_targets, in_weights) = if self.is_directed() {
-            // Directed: in-rows are patched by the transposed overlay.
+        let out = merge_csr(self.base.out_csr(), n, |u| self.out_patches(u));
+        // Undirected: the overlay is mirrored, so the merged rows stay
+        // symmetric and are the only rows stored. Directed: in-rows are
+        // patched by the transposed overlay.
+        let transpose = self.is_directed().then(|| {
             let mut transposed: Vec<((NodeId, NodeId), Option<f64>)> = self
                 .overlay
                 .iter()
@@ -333,24 +334,8 @@ impl DeltaGraph {
                     .map(|&((_, t), p)| (t, p))
                     .collect()
             })
-        } else {
-            // Undirected: the overlay is mirrored, so in == out.
-            (
-                out_offsets.clone(),
-                out_targets.clone(),
-                out_weights.clone(),
-            )
-        };
-        CsrGraph::from_csr_parts(
-            n,
-            self.is_directed(),
-            out_offsets,
-            out_targets,
-            out_weights,
-            in_offsets,
-            in_targets,
-            in_weights,
-        )
+        });
+        CsrGraph::from_sorted_parts(n, out, transpose)
     }
 
     /// Overlay patches for row `u`, in target order.

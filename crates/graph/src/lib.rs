@@ -5,7 +5,8 @@
 //!
 //! * a compact weighted [CSR](csr::CsrGraph) representation with both out- and
 //!   in-adjacency (Infomap's `FindBestCommunity` accumulates flow in both
-//!   directions, Algorithm 1 of the paper),
+//!   directions, Algorithm 1 of the paper); an undirected graph stores one
+//!   symmetric CSR that serves both,
 //! * a mutable [builder](builder::GraphBuilder) that deduplicates parallel
 //!   edges by accumulating weights (the paper's `Convert2SuperNode` semantics),
 //! * SNAP-format edge-list [I/O](io) so real datasets drop in when available,
@@ -38,7 +39,7 @@ pub mod stats;
 pub mod subgraph;
 
 pub use builder::GraphBuilder;
-pub use csr::{CsrGraph, EdgeRef, NodeId};
+pub use csr::{CsrArrays, CsrError, CsrGraph, EdgeRef, NodeId};
 pub use delta::{DeltaGraph, EdgeDelta};
 pub use fingerprint::{fnv1a64, Fnv64};
 pub use partition::Partition;

@@ -130,19 +130,13 @@ pub fn degree_order(graph: &CsrGraph) -> VertexPermutation {
 pub fn renumber(graph: &CsrGraph, perm: &VertexPermutation) -> CsrGraph {
     assert_eq!(graph.num_nodes(), perm.len(), "graph/permutation size");
     let (oo, ot, ow) = graph.out_csr();
-    let (io, it, iw) = graph.in_csr();
-    let (out_offsets, out_targets, out_weights) = permute_csr(oo, ot, ow, perm);
-    let (in_offsets, in_targets, in_weights) = permute_csr(io, it, iw, perm);
-    CsrGraph::from_csr_parts(
-        graph.num_nodes() as NodeId,
-        graph.is_directed(),
-        out_offsets,
-        out_targets,
-        out_weights,
-        in_offsets,
-        in_targets,
-        in_weights,
-    )
+    let out = permute_csr(oo, ot, ow, perm);
+    // An undirected graph's in-rows are its out-rows: permute one CSR.
+    let transpose = graph.is_directed().then(|| {
+        let (io, it, iw) = graph.in_csr();
+        permute_csr(io, it, iw, perm)
+    });
+    CsrGraph::from_sorted_parts(graph.num_nodes() as NodeId, out, transpose)
 }
 
 /// Relabels one CSR direction under `perm`: row `new` is old row

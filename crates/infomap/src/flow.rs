@@ -9,11 +9,35 @@
 //! levels for directed graphs, where PageRank does not compose under
 //! aggregation.
 
-use asa_graph::{CsrGraph, NodeId, Partition};
+use asa_graph::csr::expand_upper_triangle;
+use asa_graph::{CsrArrays, CsrGraph, NodeId, Partition};
 use rayon::prelude::*;
 
 use crate::config::InfomapConfig;
 use crate::pagerank::{pagerank, undirected_stationary};
+
+/// One stored arc direction: `(offsets, targets, flows)` CSR arrays.
+#[derive(Debug, Clone)]
+struct ArcRows(CsrArrays);
+
+impl ArcRows {
+    #[inline]
+    fn row(&self, u: NodeId) -> (&[NodeId], &[f64]) {
+        let (offsets, targets, flows) = &self.0;
+        let (lo, hi) = (
+            offsets[u as usize] as usize,
+            offsets[u as usize + 1] as usize,
+        );
+        (&targets[lo..hi], &flows[lo..hi])
+    }
+
+    /// Σ of each row's flows, added in row order.
+    fn totals(&self) -> Vec<f64> {
+        (0..self.0 .0.len() as NodeId - 1)
+            .map(|u| self.row(u).1.iter().sum())
+            .collect()
+    }
+}
 
 /// A weighted-flow digraph with both adjacency directions and per-node
 /// visit rates. Self-loop flow (walker staying on a supernode) is dropped:
@@ -22,12 +46,13 @@ use crate::pagerank::{pagerank, undirected_stationary};
 #[derive(Debug, Clone)]
 pub struct FlowNetwork {
     num_nodes: u32,
-    out_offsets: Vec<u64>,
-    out_targets: Vec<NodeId>,
-    out_flows: Vec<f64>,
-    in_offsets: Vec<u64>,
-    in_targets: Vec<NodeId>,
-    in_flows: Vec<f64>,
+    out: ArcRows,
+    /// The in-arcs, stored only when they differ from the out-arcs. `None`
+    /// is the symmetric case (undirected flow models and their
+    /// coarsenings): every in-row is the out-row, byte for byte, so one CSR
+    /// serves both directions and kernels accumulate one direction and
+    /// reuse the sums for the other.
+    transpose: Option<ArcRows>,
     node_flow: Vec<f64>,
     /// Original-vertex count per node: 1 at the vertex level, member count
     /// for supernodes. Needed by the recorded-teleportation map equation,
@@ -37,10 +62,6 @@ pub struct FlowNetwork {
     out_total: Vec<f64>,
     /// Σ of in-arc flows per node.
     in_total: Vec<f64>,
-    /// True when the in-CSR is byte-identical to the out-CSR (undirected
-    /// flow models and their coarsenings). Lets kernels accumulate one
-    /// direction and reuse the sums for the other.
-    symmetric: bool,
 }
 
 impl FlowNetwork {
@@ -52,7 +73,8 @@ impl FlowNetwork {
     ///   `F(α→β) = p_α · w_αβ / s_α` (unrecorded teleportation).
     pub fn from_graph(graph: &CsrGraph, cfg: &InfomapConfig) -> Self {
         let n = graph.num_nodes();
-        let node_flow = if graph.is_directed() {
+        let directed = graph.is_directed();
+        let node_flow = if directed {
             pagerank(
                 graph,
                 cfg.teleport,
@@ -64,34 +86,43 @@ impl FlowNetwork {
             undirected_stationary(graph)
         };
 
-        let mut arcs: Vec<(NodeId, NodeId, f64)> = Vec::with_capacity(graph.num_arcs());
-        let directed = graph.is_directed();
+        // One pass over the graph's sorted, duplicate-free rows. An arc's
+        // flow is its weight times its source's scale `p / s`. Undirected:
+        // both arcs of an edge take the scale of the edge's lower endpoint,
+        // F(α→β) = F(β→α) = w/2W, rather than each its own (which rounds
+        // differently), so the rows are byte-symmetric and serve as the
+        // in-rows too. Self-loops are skipped, and so are arcs whose scaling
+        // endpoint has no positive strength.
+        let scale: Vec<Option<f64>> = graph
+            .nodes()
+            .map(|u| {
+                let s = graph.out_weight(u);
+                (s > 0.0).then(|| node_flow[u as usize] / s)
+            })
+            .collect();
+        let mut out: CsrArrays = (
+            Vec::with_capacity(n + 1),
+            Vec::with_capacity(graph.num_arcs()),
+            Vec::with_capacity(graph.num_arcs()),
+        );
+        out.0.push(0);
         for u in graph.nodes() {
-            let s = graph.out_weight(u);
-            if s <= 0.0 {
-                continue;
-            }
-            let scale = node_flow[u as usize] / s;
-            for e in graph.out_neighbors(u).iter() {
-                if e.target == u {
-                    continue;
-                }
-                if directed {
-                    arcs.push((u, e.target, e.weight * scale));
-                } else if u < e.target {
-                    // Undirected: F(α→β) = F(β→α) = w/2W exactly. Emitting
-                    // both directions of each edge with the *same* computed
-                    // value (rather than re-deriving it from the mirror
-                    // arc's per-node scale, which rounds differently) makes
-                    // the two CSRs byte-identical, so `is_symmetric` holds
-                    // and the SPA kernels skip the in-direction entirely.
-                    let f = e.weight * scale;
-                    arcs.push((u, e.target, f));
-                    arcs.push((e.target, u, f));
+            let row = graph.out_neighbors(u);
+            for (&v, &w) in row.targets().iter().zip(row.weights()) {
+                let by = if directed { u } else { u.min(v) };
+                if let Some(scale) = scale[by as usize].filter(|_| v != u) {
+                    out.1.push(v);
+                    out.2.push(w * scale);
                 }
             }
+            out.0.push(out.1.len() as u64);
         }
-        Self::from_arcs(n as u32, node_flow, arcs)
+        let weights = vec![1u64; n];
+        if directed {
+            Self::from_out_rows(node_flow, weights, out)
+        } else {
+            Self::assemble(node_flow, weights, out, None)
+        }
     }
 
     /// Assembles a flow network from explicit flow arcs (self-loops are
@@ -106,7 +137,7 @@ impl FlowNetwork {
     }
 
     /// [`FlowNetwork::from_arcs`] with explicit per-node original-vertex
-    /// weights (used by [`FlowNetwork::coarsen`]).
+    /// weights.
     pub fn from_arcs_weighted(
         num_nodes: u32,
         node_flow: Vec<f64>,
@@ -120,42 +151,48 @@ impl FlowNetwork {
         // each small row (O(Σ d·log d)). A global comparison sort here was
         // the dominant cost of flow-network construction on the dense
         // stand-ins — large enough to distort the Fig. 2a kernel shares.
-        let (out_offsets, out_targets, out_flows) =
-            rows_to_merged_csr(num_nodes, arcs.iter().map(|&(u, v, f)| (u, v, f)));
-        let (in_offsets, in_targets, in_flows) =
-            rows_to_merged_csr(num_nodes, arcs.iter().map(|&(u, v, f)| (v, u, f)));
+        let out = rows_to_merged_csr(num_nodes, arcs.into_iter());
+        Self::from_out_rows(node_flow, node_weight, out)
+    }
 
-        let mut out_total = vec![0.0f64; num_nodes as usize];
-        let mut in_total = vec![0.0f64; num_nodes as usize];
-        for u in 0..num_nodes as usize {
-            out_total[u] = out_flows[out_offsets[u] as usize..out_offsets[u + 1] as usize]
-                .iter()
-                .sum();
-            in_total[u] = in_flows[in_offsets[u] as usize..in_offsets[u + 1] as usize]
-                .iter()
-                .sum();
-        }
+    /// The network over merged, sorted `out` rows, with their transpose as
+    /// the in-rows. When the transpose equals `out` bit for bit, the
+    /// network is symmetric and keeps only `out`.
+    fn from_out_rows(node_flow: Vec<f64>, node_weight: Vec<u64>, out: CsrArrays) -> Self {
+        let (offsets, targets, flows) = &out;
+        let reversed = (0..offsets.len() - 1).flat_map(|u| {
+            let (lo, hi) = (offsets[u] as usize, offsets[u + 1] as usize);
+            (lo..hi).map(move |i| (targets[i], u as NodeId, flows[i]))
+        });
+        let transpose = rows_to_merged_csr(offsets.len() as u32 - 1, reversed);
+        let symmetric = out.0 == transpose.0
+            && out.1 == transpose.1
+            && (out.2.iter().zip(&transpose.2)).all(|(a, b)| a.to_bits() == b.to_bits());
+        let transpose = (!symmetric).then_some(transpose);
+        Self::assemble(node_flow, node_weight, out, transpose)
+    }
 
-        let symmetric = out_offsets == in_offsets
-            && out_targets == in_targets
-            && out_flows
-                .iter()
-                .zip(in_flows.iter())
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-
+    /// The network over `out` rows, with `transpose` as its in-rows, or
+    /// symmetric (in-rows = out-rows) when `transpose` is `None`.
+    fn assemble(
+        node_flow: Vec<f64>,
+        node_weight: Vec<u64>,
+        out: CsrArrays,
+        transpose: Option<CsrArrays>,
+    ) -> Self {
+        let (out, transpose) = (ArcRows(out), transpose.map(ArcRows));
+        let out_total = out.totals();
+        let in_total = transpose
+            .as_ref()
+            .map_or_else(|| out_total.clone(), ArcRows::totals);
         Self {
-            num_nodes,
-            out_offsets,
-            out_targets,
-            out_flows,
-            in_offsets,
-            in_targets,
-            in_flows,
+            num_nodes: node_flow.len() as u32,
+            out,
+            transpose,
             node_flow,
             node_weight,
             out_total,
             in_total,
-            symmetric,
         }
     }
 
@@ -178,7 +215,7 @@ impl FlowNetwork {
         // Sort-based super-arc aggregation: each fixed-size node chunk
         // collects its cross-module (src, dst, flow) triples, sorts them,
         // and pre-merges duplicates locally in parallel; the counting-sort
-        // CSR build in `from_arcs_weighted` completes the global merge.
+        // CSR build in `rows_to_merged_csr` completes the global merge.
         // Chunk boundaries depend only on the node count, so the arc
         // stream — and hence flow summation order — is independent of
         // thread count. The simulated cost of Convert2SuperNode is not
@@ -187,12 +224,9 @@ impl FlowNetwork {
         const CHUNK: usize = 8192;
         let n = self.num_nodes as usize;
         // On symmetric networks, visit each underlying edge once (from its
-        // lower-community direction) and emit both super-arc directions
-        // with the same accumulated value — the coarse network then stays
-        // byte-symmetric, so every level keeps the SPA one-direction fast
-        // path. The mirror arc's flow is bit-equal by symmetry, so this
-        // changes nothing numerically.
-        let symmetric = self.symmetric;
+        // lower-community direction): the triples are then the upper
+        // triangle of the super-arc rows.
+        let symmetric = self.is_symmetric();
         let arcs: Vec<(NodeId, NodeId, f64)> = (0..n.div_ceil(CHUNK))
             .into_par_iter()
             .map(|ci| {
@@ -208,8 +242,7 @@ impl FlowNetwork {
                     }
                 }
                 // Secondary key = flow bits: equal-pair contributions merge
-                // in a deterministic value order regardless of which
-                // direction produced them.
+                // in a deterministic value order.
                 triples.sort_unstable_by_key(|&(s, t, f)| (s, t, f.to_bits()));
                 let mut merged: Vec<(NodeId, NodeId, f64)> = Vec::with_capacity(triples.len());
                 for (s, t, f) in triples {
@@ -218,16 +251,20 @@ impl FlowNetwork {
                         _ => merged.push((s, t, f)),
                     }
                 }
-                if symmetric {
-                    let mirrored: Vec<(NodeId, NodeId, f64)> =
-                        merged.iter().map(|&(s, t, f)| (t, s, f)).collect();
-                    merged.extend(mirrored);
-                }
                 merged
             })
             .flatten()
             .collect();
-        FlowNetwork::from_arcs_weighted(m as u32, node_flow, node_weight, arcs)
+        let (o, t, f) = rows_to_merged_csr(m as u32, arcs.into_iter());
+        if !symmetric {
+            return Self::from_out_rows(node_flow, node_weight, (o, t, f));
+        }
+        // Mirror the merged upper triangle: both arcs of a super-edge carry
+        // its one merged value, so the coarse network is byte-symmetric and
+        // stores one CSR, and every level keeps the SPA one-direction fast
+        // path.
+        let out = expand_upper_triangle(&o, &t, &f);
+        Self::assemble(node_flow, node_weight, out, None)
     }
 
     /// Number of nodes (vertices or supernodes).
@@ -239,14 +276,22 @@ impl FlowNetwork {
     /// Number of stored (non-self) flow arcs.
     #[inline]
     pub fn num_arcs(&self) -> usize {
-        self.out_targets.len()
+        self.out.0 .1.len()
     }
 
     /// True when in-arcs mirror out-arcs exactly (undirected flow models),
-    /// so per-module in-flow sums equal the out-flow sums bit-for-bit.
+    /// so per-module in-flow sums equal the out-flow sums bit-for-bit. A
+    /// symmetric network stores one CSR: the in-direction accessors return
+    /// the out-rows.
     #[inline]
     pub fn is_symmetric(&self) -> bool {
-        self.symmetric
+        self.transpose.is_none()
+    }
+
+    /// The stored in-rows: the transpose, or the out-rows when symmetric.
+    #[inline]
+    fn in_rows(&self) -> &ArcRows {
+        self.transpose.as_ref().unwrap_or(&self.out)
     }
 
     /// Visit rate of node `u`.
@@ -293,13 +338,13 @@ impl FlowNetwork {
     /// Out-degree (distinct flow targets).
     #[inline]
     pub fn out_degree(&self, u: NodeId) -> usize {
-        (self.out_offsets[u as usize + 1] - self.out_offsets[u as usize]) as usize
+        self.out.row(u).0.len()
     }
 
     /// In-degree (distinct flow sources).
     #[inline]
     pub fn in_degree(&self, u: NodeId) -> usize {
-        (self.in_offsets[u as usize + 1] - self.in_offsets[u as usize]) as usize
+        self.in_rows().row(u).0.len()
     }
 
     /// Raw CSR row of `u`'s outgoing arcs: `(targets, flows)` slices. The
@@ -308,59 +353,39 @@ impl FlowNetwork {
     /// next row can be software-prefetched before it is iterated).
     #[inline]
     pub fn out_arc_slices(&self, u: NodeId) -> (&[NodeId], &[f64]) {
-        let (lo, hi) = (
-            self.out_offsets[u as usize] as usize,
-            self.out_offsets[u as usize + 1] as usize,
-        );
-        (&self.out_targets[lo..hi], &self.out_flows[lo..hi])
+        self.out.row(u)
     }
 
     /// Raw CSR row of `u`'s incoming arcs: `(sources, flows)` slices.
     #[inline]
     pub fn in_arc_slices(&self, u: NodeId) -> (&[NodeId], &[f64]) {
-        let (lo, hi) = (
-            self.in_offsets[u as usize] as usize,
-            self.in_offsets[u as usize + 1] as usize,
-        );
-        (&self.in_targets[lo..hi], &self.in_flows[lo..hi])
+        self.in_rows().row(u)
     }
 
     /// Outgoing `(target, flow)` arcs of `u`.
     #[inline]
     pub fn out_arcs(&self, u: NodeId) -> impl Iterator<Item = (NodeId, f64)> + '_ {
-        let (lo, hi) = (
-            self.out_offsets[u as usize] as usize,
-            self.out_offsets[u as usize + 1] as usize,
-        );
-        self.out_targets[lo..hi]
-            .iter()
-            .zip(self.out_flows[lo..hi].iter())
-            .map(|(&t, &f)| (t, f))
+        let (targets, flows) = self.out_arc_slices(u);
+        targets.iter().copied().zip(flows.iter().copied())
     }
 
     /// Incoming `(source, flow)` arcs of `u`.
     #[inline]
     pub fn in_arcs(&self, u: NodeId) -> impl Iterator<Item = (NodeId, f64)> + '_ {
-        let (lo, hi) = (
-            self.in_offsets[u as usize] as usize,
-            self.in_offsets[u as usize + 1] as usize,
-        );
-        self.in_targets[lo..hi]
-            .iter()
-            .zip(self.in_flows[lo..hi].iter())
-            .map(|(&t, &f)| (t, f))
+        let (sources, flows) = self.in_arc_slices(u);
+        sources.iter().copied().zip(flows.iter().copied())
     }
 
     /// Total flow over all arcs (the walker's probability of moving along a
     /// link per step; < 1 when self-loops or dangling mass exist).
     pub fn total_arc_flow(&self) -> f64 {
-        self.out_flows.iter().sum()
+        self.out.0 .2.iter().sum()
     }
 }
 
 /// Counting-sorts arcs by source into CSR rows, then sorts each row by
 /// target and merges duplicate targets by summing flows.
-fn rows_to_merged_csr<I>(num_nodes: u32, arcs: I) -> (Vec<u64>, Vec<NodeId>, Vec<f64>)
+fn rows_to_merged_csr<I>(num_nodes: u32, arcs: I) -> CsrArrays
 where
     I: Iterator<Item = (NodeId, NodeId, f64)> + Clone,
 {
@@ -396,8 +421,8 @@ where
         idx.clear();
         idx.extend(0..(hi - lo) as u32);
         // Secondary key = flow bits: parallel-arc duplicates then merge in
-        // a deterministic value order, so mirrored arc streams (undirected
-        // flow models) produce byte-identical rows in both CSR directions.
+        // a deterministic value order, so mirrored arc streams produce
+        // byte-identical rows in both CSR directions.
         idx.sort_unstable_by_key(|&i| (row_t[i as usize], row_f[i as usize].to_bits()));
         for &i in &idx {
             let (t, f) = (row_t[i as usize], row_f[i as usize]);
