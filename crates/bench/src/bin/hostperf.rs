@@ -13,22 +13,24 @@
 //! best-of reported). `--smoke` shrinks to CI size (`ASA_SCALE_DIV=256`,
 //! one repetition) unless the env vars already say otherwise.
 //!
-//! `--kernel-breakdown` adds two extra SPA legs per network — the
-//! dispatched kernel (AVX2 where compiled with `--features simd` and the
-//! CPU has it) and the forced-scalar portable kernel — reporting each
-//! leg's sweep time and its accumulate/gather/scan phase split, asserting
-//! all legs' partitions and codelengths match the hash path bit-for-bit,
-//! and emitting `kernel_breakdown` + `sweep_speedup_spa_scalar_over_hash`
-//! JSON fields. The phase split comes from one extra run per leg through
-//! an engine defined here, whose per-vertex closure times the kernel's
-//! three public phase calls (`DualSpa::accumulate`, `DualSpa::gather`,
-//! `kernel::scan`) on the same chunk driver as the host engine.
+//! `--kernel-breakdown` adds one extra SPA run per network that splits
+//! the sweep kernel into its accumulate/gather/scan phases and counts the
+//! vertices evaluated and the candidate modules per vertex, asserting the
+//! run's partition and codelength match the hash path bit-for-bit, and
+//! emitting `kernel_breakdown` + `sweep_speedup_spa_scalar_over_hash`
+//! JSON fields. The run goes through an engine defined here, whose
+//! per-vertex closure times the kernel's three public phase calls
+//! (`DualSpa::accumulate`, `DualSpa::gather`, `kernel::scan`) on the same
+//! chunk driver as the host engine; the breakdown's `sweep_seconds` is the
+//! host engine's best-of-reps sweep time, so timer overhead never taints
+//! it.
 //!
 //! Telemetry: `--obs-out <path>` streams per-sweep convergence records
-//! of the host-engine legs (sweep index, moves, codelength, ΔL, kernel
-//! path, scratch-pool hit rate) as JSONL and prints the hierarchical phase-time summary at
-//! exit; `--progress` adds per-sweep heartbeat lines on stderr. Both also
-//! respect `ASA_OBS_OUT` / `ASA_PROGRESS=1`.
+//! of the host-engine legs (sweep index, moves, codelength, ΔL,
+//! accumulator path, scratch-pool hit rate) as JSONL and prints the
+//! hierarchical phase-time summary at exit; `--progress` adds per-sweep
+//! heartbeat lines on stderr. Both also respect `ASA_OBS_OUT` /
+//! `ASA_PROGRESS=1`.
 //!
 //! `--trace-out <path>` (also `ASA_TRACE_OUT`) attaches the flight
 //! recorder and writes a Chrome trace of the run for Perfetto.
@@ -202,11 +204,14 @@ fn obs_overhead_check(reps: usize) {
 }
 
 /// Host-kernel scratch plus the accumulate/gather/scan nanoseconds its
-/// chunks spent.
+/// chunks spent, the vertices they evaluated and the candidate modules
+/// those vertices scanned.
 #[derive(Default)]
 struct TimedScratch {
     ws: WorkerScratch,
     ns: [u64; 3],
+    vertices: u64,
+    candidates: u64,
 }
 
 impl ChunkScratch for TimedScratch {
@@ -225,83 +230,61 @@ struct PhaseTimedEngine {
 
 impl DecideEngine for PhaseTimedEngine {
     fn decide(&mut self, ctx: &SweepCtx<'_>) -> Vec<MoveDecision> {
-        let simd = kernel::simd_for(ctx.flow.num_nodes());
         let symmetric = ctx.flow.is_symmetric();
         parallel_decide(ctx, &self.pool, |t, u| {
             let t0 = Instant::now();
-            t.ws.dual.accumulate(ctx.flow, ctx.labels, u, simd);
+            t.ws.dual.accumulate(ctx.flow, ctx.labels, u);
             let t1 = Instant::now();
-            t.ws.dual.gather(symmetric, simd);
+            t.ws.dual.gather(symmetric);
             let t2 = Instant::now();
             let my_module = ctx.labels[u as usize];
             let lanes = t.ws.dual.lanes();
+            let candidates = lanes.keys.len() as u64;
             let d = kernel::scan(ctx.flow, ctx.state, &mut t.ws.cache, u, my_module, lanes);
             let t3 = Instant::now();
             t.ns[0] += (t1 - t0).as_nanos() as u64;
             t.ns[1] += (t2 - t1).as_nanos() as u64;
             t.ns[2] += (t3 - t2).as_nanos() as u64;
+            t.vertices += 1;
+            t.candidates += candidates;
             d
         })
     }
 }
 
-/// Whether `ASA_FORCE_SCALAR` asks for the portable kernel (the state to
-/// restore after the breakdown's forced-scalar leg).
-fn env_force_scalar() -> bool {
-    std::env::var(kernel::FORCE_SCALAR_ENV)
-        .map(|v| v != "0" && !v.is_empty())
-        .unwrap_or(false)
-}
-
-/// One `--kernel-breakdown` leg: the dispatched (SIMD where compiled and
-/// available) or forced-scalar sweep kernel, with its sweep time and
-/// per-phase attribution in seconds (accumulate, gather, scan).
-struct KernelLeg {
-    label: &'static str,
-    kernel_path: &'static str,
-    sweep_seconds: f64,
+/// The `--kernel-breakdown` split of one network's SPA sweeps: seconds per
+/// phase (accumulate, gather, scan), vertices evaluated and candidate
+/// modules scanned, summed over every sweep of one run.
+struct KernelBreakdown {
     phases: [f64; 3],
+    vertices: u64,
+    candidates: u64,
     result: InfomapResult,
 }
 
-/// Runs one leg twice: through the host engine (best-of-`reps` sweep
-/// seconds, so timer overhead never taints the headline numbers) and once
-/// through [`PhaseTimedEngine`] for the accumulate/gather/scan split.
-fn run_kernel_leg(
-    graph: &CsrGraph,
-    label: &'static str,
-    force_scalar: bool,
-    reps: usize,
-) -> KernelLeg {
-    kernel::set_force_scalar(force_scalar || env_force_scalar());
-    let kernel_path = kernel::kernel_path_name();
-    let timing = run_spa(graph, reps, &Obs::disabled());
+/// One run through [`PhaseTimedEngine`].
+fn run_kernel_breakdown(graph: &CsrGraph) -> KernelBreakdown {
     let mut engine = PhaseTimedEngine::default();
-    let timed = run_with_engine(
+    let result = run_with_engine(
         graph,
         &infomap_config(),
         &mut engine,
         &Obs::disabled(),
         &CancelToken::none(),
     );
-    kernel::set_force_scalar(env_force_scalar());
-    assert_eq!(
-        timing.result.partition.labels(),
-        timed.partition.labels(),
-        "phase timing must not change the answer ({label})"
-    );
-    let mut ns = [0u64; 3];
+    let (mut ns, mut vertices, mut candidates) = ([0u64; 3], 0, 0);
     engine.pool.for_each(|t| {
         for (sum, x) in ns.iter_mut().zip(t.ns) {
             *sum += x;
         }
+        vertices += t.vertices;
+        candidates += t.candidates;
     });
-    KernelLeg {
-        label,
-        kernel_path,
-        sweep_seconds: timing.find_best,
+    KernelBreakdown {
         phases: ns.map(|x| x as f64 * 1e-9),
-        result: timing.result,
+        vertices,
+        candidates,
+        result,
     }
 }
 
@@ -381,59 +364,48 @@ fn main() {
         });
 
         if kernel_breakdown {
-            let legs = [
-                run_kernel_leg(&graph, "dispatched", false, reps),
-                run_kernel_leg(&graph, "scalar", true, reps),
-            ];
-            let mut legs_json = Vec::new();
-            for leg in &legs {
-                // Partitions and codelengths are bit-identical across hash
-                // / scalar SPA / SIMD SPA — a pure perf substitution.
-                assert_eq!(
-                    hash.result.partition.labels(),
-                    leg.result.partition.labels(),
-                    "{} partitions diverged on the {} kernel leg",
-                    network.name(),
-                    leg.label
-                );
-                assert_eq!(
-                    hash.result.codelength.to_bits(),
-                    leg.result.codelength.to_bits(),
-                    "{} codelengths diverged on the {} kernel leg",
-                    network.name(),
-                    leg.label
-                );
-                let [accumulate, gather, scan] = leg.phases;
-                let leg_speedup = hash.find_best / leg.sweep_seconds;
-                breakdown_rows.push(vec![
-                    format!("{}-like", network.name()),
-                    leg.label.to_string(),
-                    leg.kernel_path.to_string(),
-                    fmt_secs(leg.sweep_seconds),
-                    fmt_secs(accumulate),
-                    fmt_secs(gather),
-                    fmt_secs(scan),
-                    format!("{leg_speedup:.2}x"),
-                ]);
-                legs_json.push((
-                    leg.label.to_string(),
-                    serde_json::json!({
-                        "kernel_path": leg.kernel_path,
-                        "sweep_seconds": leg.sweep_seconds,
-                        "accumulate_seconds": accumulate,
-                        "gather_seconds": gather,
-                        "scan_seconds": scan,
-                    }),
-                ));
-            }
+            let leg = run_kernel_breakdown(&graph);
+            // Phase timing is a pure observation: same bits as the hash path.
+            assert_eq!(
+                hash.result.partition.labels(),
+                leg.result.partition.labels(),
+                "{} partitions diverged on the kernel breakdown run",
+                network.name()
+            );
+            assert_eq!(
+                hash.result.codelength.to_bits(),
+                leg.result.codelength.to_bits(),
+                "{} codelengths diverged on the kernel breakdown run",
+                network.name()
+            );
+            let [accumulate, gather, scan] = leg.phases;
+            let candidates_per_vertex = leg.candidates as f64 / leg.vertices.max(1) as f64;
+            breakdown_rows.push(vec![
+                format!("{}-like", network.name()),
+                kernel::KERNEL_PATH.to_string(),
+                fmt_secs(spa.find_best),
+                fmt_secs(accumulate),
+                fmt_secs(gather),
+                fmt_secs(scan),
+                format!("{}", leg.vertices),
+                format!("{candidates_per_vertex:.2}"),
+            ]);
             if let serde_json::Value::Object(entries) = &mut doc {
                 entries.push((
                     "kernel_breakdown".to_string(),
-                    serde_json::Value::Object(legs_json),
+                    serde_json::json!({
+                        "kernel_path": kernel::KERNEL_PATH,
+                        "sweep_seconds": spa.find_best,
+                        "accumulate_seconds": accumulate,
+                        "gather_seconds": gather,
+                        "scan_seconds": scan,
+                        "vertices_evaluated": leg.vertices,
+                        "candidates_per_vertex": candidates_per_vertex,
+                    }),
                 ));
                 entries.push((
                     "sweep_speedup_spa_scalar_over_hash".to_string(),
-                    serde_json::json!(hash.find_best / legs[1].sweep_seconds),
+                    serde_json::json!(speedup),
                 ));
             }
         }
@@ -464,13 +436,13 @@ fn main() {
                 "Sweep kernel breakdown (phase split from one attributed run)",
                 &[
                     "network",
-                    "leg",
                     "kernel path",
                     "sweeps",
                     "accumulate",
                     "gather",
                     "scan",
-                    "vs hash",
+                    "vertices",
+                    "candidates/vertex",
                 ],
                 &breakdown_rows,
             )

@@ -121,8 +121,7 @@ fn get_f64(doc: &Value, path: &[&str]) -> Option<f64> {
 /// Extracts the gated metrics from a `BENCH_hostperf.json` document: per
 /// network, the SPA sweep seconds, the SPA-over-hash sweep speedup (the
 /// paper's headline host-side numbers), and — when the document carries a
-/// `--kernel-breakdown` section — the forced-scalar speedup, so both the
-/// SIMD and the portable kernel claims are regression-gated.
+/// `--kernel-breakdown` section — the `spa-scalar` kernel speedup.
 pub fn extract_hostperf(doc: &Value) -> Vec<MetricSpec> {
     let mut out = Vec::new();
     let Some(networks) = doc.get("networks").and_then(Value::as_array) else {

@@ -192,7 +192,10 @@ pub fn write_partition<W: Write>(partition: &Partition, mut writer: W) -> io::Re
     writer.write_all(&buf)
 }
 
-/// Deserializes a partition written by [`write_partition`].
+/// Deserializes a partition written by [`write_partition`]. Every label
+/// must be below the partition's length, as the densified labels a
+/// [`Partition`] holds are; a malformed blob returns an error of kind
+/// `InvalidData` or `UnexpectedEof` and never panics.
 pub fn read_partition<R: Read>(mut reader: R) -> io::Result<Partition> {
     let mut raw = Vec::new();
     reader.read_to_end(&mut raw)?;
@@ -208,6 +211,12 @@ pub fn read_partition<R: Read>(mut reader: R) -> io::Result<Partition> {
     }
     let len = r.u32()?;
     let labels = r.array(u64::from(len), u32::from_le_bytes)?;
+    if !r.0.is_empty() {
+        return Err(invalid("trailing bytes after partition blob"));
+    }
+    if labels.iter().any(|&l| l >= len) {
+        return Err(invalid("partition label out of range"));
+    }
     Ok(Partition::from_labels(labels))
 }
 
@@ -273,6 +282,36 @@ mod tests {
         write_graph(&g, &mut blob).unwrap();
         blob.truncate(blob.len() / 2);
         assert!(read_graph(blob.as_slice()).is_err());
+    }
+
+    #[test]
+    fn partition_labels_beyond_len_are_invalid_data() {
+        let mut blob = Vec::new();
+        blob.extend_from_slice(PARTITION_MAGIC);
+        for x in [PARTITION_VERSION, 3, 0, 0xFFFF_FFF0, 1] {
+            blob.extend_from_slice(&x.to_le_bytes());
+        }
+        assert_eq!(blob.len(), 24);
+        let err = read_partition(blob.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        let mut trailing = Vec::new();
+        write_partition(&Partition::singletons(3), &mut trailing).unwrap();
+        trailing.push(0);
+        let err = read_partition(trailing.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+    }
+
+    #[test]
+    fn every_partition_bit_flip_returns() {
+        let mut blob = Vec::new();
+        write_partition(&Partition::from_labels(vec![0, 1, 0, 2, 1]), &mut blob).unwrap();
+        for bit in 0..blob.len() * 8 {
+            let mut flipped = blob.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            if let Ok(p) = read_partition(flipped.as_slice()) {
+                assert!(p.labels().iter().all(|&l| (l as usize) < p.len()));
+            }
+        }
     }
 
     #[test]

@@ -102,6 +102,10 @@ pub fn read_edge_list<R: Read>(
                 .map_err(|_| IoError::Parse(lineno + 1, line.clone()))?,
             None => opts.default_weight,
         };
+        // The builder accepts only finite, positive weights.
+        if !(w.is_finite() && w > 0.0) {
+            return Err(IoError::Parse(lineno + 1, line));
+        }
         let ui = intern(u, &mut remap, &mut external);
         let vi = intern(v, &mut remap, &mut external);
         edges.push((ui, vi, w));
@@ -205,6 +209,19 @@ mod tests {
         match err {
             IoError::Parse(2, _) => {}
             other => panic!("expected parse error on line 2, got {other}"),
+        }
+    }
+
+    #[test]
+    fn bad_weights_report_their_line() {
+        for bad in ["nan", "inf", "0", "-3"] {
+            // A comment, a blank line and a self-loop before the bad line
+            // all count toward its line number.
+            let text = format!("# header\n\n0 0 1\n0 1 1\n1 2 {bad}\n2 0 1\n");
+            match read_edge_list(text.as_bytes(), &ReadOptions::default()) {
+                Err(IoError::Parse(5, line)) => assert_eq!(line, format!("1 2 {bad}")),
+                other => panic!("weight {bad}: expected a parse error on line 5, got {other:?}"),
+            }
         }
     }
 

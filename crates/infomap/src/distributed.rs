@@ -33,7 +33,7 @@ use crate::config::InfomapConfig;
 use crate::driver::run_with_engine;
 use crate::find_best::MoveDecision;
 use crate::flow::FlowNetwork;
-use crate::kernel::{self, find_best_community_vec};
+use crate::kernel::find_best_community_vec;
 use crate::local_move::{decide_chunk, AppliedMoves, WorkerScratch};
 use crate::result::InfomapResult;
 use crate::schedule::{DecideEngine, SweepCtx};
@@ -190,7 +190,6 @@ impl DecideEngine for DistEngine {
         // of the (sorted) active set. Ranges ascend, so the concatenated
         // per-rank outputs are already in vertex order — the ordering the
         // schedule's apply step requires.
-        let simd = kernel::simd_for(ctx.flow.num_nodes());
         std::thread::scope(|scope| {
             for (range, (ws, out)) in self.ranges.iter().zip(self.workers.iter_mut()) {
                 scope.spawn(move || {
@@ -205,7 +204,6 @@ impl DecideEngine for DistEngine {
                             u,
                             &mut ws.dual,
                             &mut ws.cache,
-                            simd,
                         )
                     });
                 });

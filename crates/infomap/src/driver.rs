@@ -14,22 +14,19 @@ use crate::cancel::CancelToken;
 use crate::config::InfomapConfig;
 use crate::find_best::{find_best_community, FindBestScratch, MoveDecision};
 use crate::flow::FlowNetwork;
-use crate::kernel::{self, find_best_community_vec};
+use crate::kernel::find_best_community_vec;
 use crate::local_move::{parallel_decide, FastAccumulator, KernelCounters, ScratchPool};
 use crate::result::InfomapResult;
 use crate::schedule::{optimize_multilevel_cancellable, DecideEngine, SweepCtx};
 
-/// The host-parallel decision engine: the vectorized dual-SPA kernel
+/// The host-parallel decision engine: the dual-SPA kernel
 /// ([`find_best_community_vec`]) over rayon chunks of the active set, with
-/// pooled per-worker scratch. AVX2 where compiled in, supported, and the
-/// level fits its `i32` index lanes ([`kernel::simd_for`]); the portable
-/// loops otherwise — both produce the identical decision stream.
+/// pooled per-worker scratch. Its decision stream is bit-identical to
+/// [`HashEngine`]'s.
 #[derive(Debug, Default)]
 pub struct HostEngine {
     scratch: ScratchPool,
     obs: Obs,
-    /// Whether the most recent sweep ran the AVX2 path.
-    simd: bool,
     /// Scratch-pool (hits, misses) at the previous sweep record, so each
     /// convergence record carries per-sweep deltas rather than lifetime
     /// totals. `Cell` because `sweep_fields` takes `&self`.
@@ -47,7 +44,7 @@ impl HostEngine {
 
     /// A fresh engine with a telemetry handle: the schedule will time
     /// decide/apply phases against it and emit per-sweep convergence
-    /// records carrying this engine's kernel path and scratch stats.
+    /// records carrying this engine's scratch and kernel counters.
     pub fn with_obs(obs: &Obs) -> Self {
         Self {
             obs: obs.clone(),
@@ -58,15 +55,7 @@ impl HostEngine {
 
 impl DecideEngine for HostEngine {
     fn decide(&mut self, ctx: &SweepCtx<'_>) -> Vec<MoveDecision> {
-        let simd = kernel::simd_for(ctx.flow.num_nodes());
-        self.simd = simd;
-        // Sampling-profiler leaf label: flamegraphs of a serving engine
-        // distinguish portable vs AVX2 sweeps without a span per sweep.
-        if self.obs.profiler_enabled() {
-            self.obs
-                .prof_label(&format!("kernel={}", kernel::path_name(simd)));
-        }
-        let decisions = parallel_decide(ctx, &self.scratch, |ws, u| {
+        parallel_decide(ctx, &self.scratch, |ws, u| {
             find_best_community_vec(
                 ctx.flow,
                 ctx.labels,
@@ -74,13 +63,8 @@ impl DecideEngine for HostEngine {
                 u,
                 &mut ws.dual,
                 &mut ws.cache,
-                simd,
             )
-        });
-        if self.obs.profiler_enabled() {
-            self.obs.prof_label("");
-        }
-        decisions
+        })
     }
 
     fn obs(&self) -> Obs {
@@ -89,7 +73,6 @@ impl DecideEngine for HostEngine {
 
     fn sweep_fields(&self, fields: &mut Vec<(&'static str, Value)>) {
         fields.push(("path", Value::from("spa")));
-        fields.push(("kernel", Value::from(kernel::path_name(self.simd))));
         let (hits, misses) = self.scratch.stats();
         let (seen_h, seen_m) = self.scratch_seen.get();
         self.scratch_seen.set((hits, misses));

@@ -1,25 +1,22 @@
-//! The vectorized dual-SPA sweep kernel.
+//! The dual-SPA sweep kernel.
 //!
 //! This is the production `FindBestCommunity` fast path: a fused
 //! sparse-accumulator for both flow directions, SoA candidate lanes, a
-//! per-module scan-term cache, software prefetch, and an optional
-//! `core::arch` AVX2 gather path behind the `simd` cargo feature
-//! (runtime-dispatched, falling back to the portable unrolled loops).
+//! per-module scan-term cache and software prefetch. It is the one host
+//! sweep path; [`KERNEL_PATH`] names it.
 //!
 //! # Sweep kernel anatomy
 //!
 //! Per vertex the kernel runs three phases over Structure-of-Arrays state:
 //!
-//! 1. **Accumulate** — walk the vertex's CSR rows, gather each neighbour's
-//!    module label (`labels[targets[i]]`, the indexed load AVX2
-//!    `vpgatherdd` accelerates), and scatter-add the arc flow into the
-//!    dense per-direction value lanes. One stamp byte per module marks
-//!    liveness; first touch appends the module to the touched list.
+//! 1. **Accumulate** — walk the vertex's CSR rows, load each neighbour's
+//!    module label (`labels[targets[i]]`) and scatter-add the arc flow
+//!    into that module's dense slot. One stamp per module marks liveness;
+//!    first touch appends the module to the touched list.
 //! 2. **Gather** — sort the touched-module list (ascending module id, the
-//!    order the tie-break contract requires), pull the dense values into
-//!    compact `out_lane`/`in_lane` candidate lanes (`vgatherdpd` on the
-//!    SIMD path), and clear exactly the touched stamps — O(touched), never
-//!    O(communities).
+//!    order the tie-break contract requires), copy the slot sums into
+//!    compact `out_lane`/`in_lane` candidate lanes, and clear exactly the
+//!    touched stamps — O(touched), never O(communities).
 //! 3. **Scan** — evaluate the map-equation delta of each candidate with
 //!    [`MoveEval`] + [`ModTermCache`]: three `plogp` calls per candidate
 //!    instead of ten, bit-identical to [`MapState::delta_move`].
@@ -28,7 +25,7 @@
 //! event-emitting kernel ([`crate::find_best::find_best_community`], the
 //! reference every accumulation device runs through), so the decision
 //! stream — and therefore partitions and codelengths — are bit-identical
-//! across the hash reference, portable, and AVX2 paths.
+//! to the hash reference.
 //!
 //! Each worker's [`DualSpa`] costs 32 bytes per node of the level it
 //! sweeps (one [`SpaSlot`] per module id), allocated once at the
@@ -40,85 +37,12 @@ use crate::find_best::MoveDecision;
 use crate::flow::FlowNetwork;
 use crate::mapeq::{MapState, ModTermCache, ModuleFlows, MoveEval};
 
-// ---------------------------------------------------------------------------
-// Runtime dispatch
-// ---------------------------------------------------------------------------
+/// The name of the one sweep kernel path, as bench output reports it.
+pub const KERNEL_PATH: &str = "spa-scalar";
 
-/// Env var forcing the portable scalar path even when SIMD is compiled in
-/// and supported by the CPU. Read once per process.
-pub const FORCE_SCALAR_ENV: &str = "ASA_FORCE_SCALAR";
-
-static FORCE_SCALAR: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-static FORCE_SCALAR_INIT: std::sync::Once = std::sync::Once::new();
-
-fn force_scalar() -> bool {
-    FORCE_SCALAR_INIT.call_once(|| {
-        let on = std::env::var(FORCE_SCALAR_ENV)
-            .map(|v| v != "0" && !v.is_empty())
-            .unwrap_or(false);
-        FORCE_SCALAR.store(on, std::sync::atomic::Ordering::Relaxed);
-    });
-    FORCE_SCALAR.load(std::sync::atomic::Ordering::Relaxed)
-}
-
-/// Programmatic override of the dispatch, strongest-wins over the env var.
-/// Lets one process benchmark the simd-on and simd-off legs back to back
-/// (`hostperf --kernel-breakdown`).
-pub fn set_force_scalar(on: bool) {
-    force_scalar(); // ensure env init happened so it cannot overwrite us
-    FORCE_SCALAR.store(on, std::sync::atomic::Ordering::Relaxed);
-}
-
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-fn avx2_available() -> bool {
-    static DETECT: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *DETECT.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
-}
-
-/// Whether the AVX2 gather path will run for the next kernel invocation.
-#[inline]
-pub fn simd_active() -> bool {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        avx2_available() && !force_scalar()
-    }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-    {
-        let _ = force_scalar();
-        false
-    }
-}
-
-/// Whether the AVX2 gathers can index a level of `nodes` nodes. They
-/// compute indices in `i32` lanes: node ids as label offsets, and
-/// `4 * module + lane` as slot-lane offsets, so every id must stay at or
-/// below `i32::MAX / 4`.
-#[inline]
-const fn avx2_index_fits(nodes: usize) -> bool {
-    nodes <= i32::MAX as usize / 4
-}
-
-/// Whether the AVX2 path runs for a level of `nodes` nodes: compiled in,
-/// supported, not forced off, and the level's ids fit the `i32` lanes.
-#[inline]
-pub fn simd_for(nodes: usize) -> bool {
-    simd_active() && avx2_index_fits(nodes)
-}
-
-/// The name of the kernel path `simd` selects, for obs records and bench
-/// JSON: `"spa-simd-avx2"` or `"spa-scalar"`.
-pub(crate) fn path_name(simd: bool) -> &'static str {
-    if simd {
-        "spa-simd-avx2"
-    } else {
-        "spa-scalar"
-    }
-}
-
-/// The dispatch target's name, for obs records and bench JSON:
-/// `"spa-simd-avx2"` when [`simd_active`], else `"spa-scalar"`.
+/// The kernel path's name: [`KERNEL_PATH`].
 pub fn kernel_path_name() -> &'static str {
-    path_name(simd_active())
+    KERNEL_PATH
 }
 
 // ---------------------------------------------------------------------------
@@ -193,79 +117,6 @@ pub fn prefetch_ahead(flow: &FlowNetwork, labels: &[u32], vertices: &[NodeId], i
 }
 
 // ---------------------------------------------------------------------------
-// Label gather (the `labels[targets[i]]` indexed load)
-// ---------------------------------------------------------------------------
-
-/// Portable unrolled gather: 8 independent indexed loads per step, no
-/// cross-iteration dependencies, so the compiler can schedule them wide.
-fn gather_labels_portable(labels: &[u32], targets: &[NodeId], out: &mut Vec<u32>) {
-    out.clear();
-    out.reserve(targets.len());
-    let mut chunks = targets.chunks_exact(8);
-    for c in &mut chunks {
-        out.extend_from_slice(&[
-            labels[c[0] as usize],
-            labels[c[1] as usize],
-            labels[c[2] as usize],
-            labels[c[3] as usize],
-            labels[c[4] as usize],
-            labels[c[5] as usize],
-            labels[c[6] as usize],
-            labels[c[7] as usize],
-        ]);
-    }
-    for &t in chunks.remainder() {
-        out.push(labels[t as usize]);
-    }
-}
-
-/// AVX2 gather: 8 labels per `vpgatherdd`.
-///
-/// # Safety
-/// Caller must ensure AVX2 is available and every target id indexes into
-/// `labels` (the CSR construction guarantees targets < num_nodes) and
-/// fits a non-negative `i32` lane ([`avx2_index_fits`]).
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[target_feature(enable = "avx2")]
-unsafe fn gather_labels_avx2(labels: &[u32], targets: &[NodeId], out: &mut Vec<u32>) {
-    use core::arch::x86_64::*;
-    let n = targets.len();
-    out.clear();
-    out.reserve(n);
-    // Every slot below `n` is written before set_len publishes them.
-    let dst = out.as_mut_ptr();
-    let base = labels.as_ptr() as *const i32;
-    let mut i = 0;
-    while i + 8 <= n {
-        let idx = _mm256_loadu_si256(targets.as_ptr().add(i) as *const __m256i);
-        let g = _mm256_i32gather_epi32::<4>(base, idx);
-        _mm256_storeu_si256(dst.add(i) as *mut __m256i, g);
-        i += 8;
-    }
-    while i < n {
-        *dst.add(i) = *labels.get_unchecked(*targets.get_unchecked(i) as usize);
-        i += 1;
-    }
-    out.set_len(n);
-}
-
-/// Dispatched label gather.
-#[inline]
-fn gather_labels(labels: &[u32], targets: &[NodeId], out: &mut Vec<u32>, simd: bool) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if simd {
-        // SAFETY: `DualSpa::accumulate` passes `simd` only after
-        // `simd_for` (AVX2 detected, node ids fit `i32` lanes) and
-        // `labels.len() >= num_nodes` held; targets are node ids
-        // < num_nodes by CSR construction.
-        unsafe { gather_labels_avx2(labels, targets, out) };
-        return;
-    }
-    let _ = simd;
-    gather_labels_portable(labels, targets, out);
-}
-
-// ---------------------------------------------------------------------------
 // Fused dual-direction SPA
 // ---------------------------------------------------------------------------
 
@@ -312,8 +163,6 @@ pub struct DualSpa {
     keys: Vec<u32>,
     out_lane: Vec<f64>,
     in_lane: Vec<f64>,
-    /// Scratch for the gathered neighbour labels of the current row.
-    label_buf: Vec<u32>,
     /// Lifetime stamp-clear invocations (one per gather).
     reset_calls: u64,
     /// Lifetime stamp entries cleared — O(touched) discipline means this
@@ -386,69 +235,59 @@ impl DualSpa {
 
     /// Phase 1: accumulate both directions of vertex `u`'s flow per
     /// neighbouring module. Per-module additions happen in arc order — the
-    /// identical FP sequence as the generic kernel's hash path. `simd`
-    /// requests the AVX2 label gather; it runs only where it is sound.
+    /// identical FP sequence as the generic kernel's hash path.
     #[inline]
-    pub fn accumulate(&mut self, flow: &FlowNetwork, labels: &[u32], u: NodeId, simd: bool) {
+    pub fn accumulate(&mut self, flow: &FlowNetwork, labels: &[u32], u: NodeId) {
         debug_assert!(self.touched.is_empty(), "gather must precede accumulate");
-        // The AVX2 gather reads `labels[target]` unchecked: every CSR
-        // target is < num_nodes, so `labels` must cover them all, and the
-        // ids must fit its `i32` lanes.
-        let simd = simd && simd_for(flow.num_nodes()) && labels.len() >= flow.num_nodes();
         let (targets, flows) = flow.out_arc_slices(u);
-        // Split the indexed label loads from the scatter-adds: the gather
-        // half is branch-free and 8-wide (vpgatherdd on the SIMD path).
-        let mut lbl = std::mem::take(&mut self.label_buf);
-        gather_labels(labels, targets, &mut lbl, simd);
-        self.scatter_row(&lbl, flows, true);
+        self.scatter_row(labels, targets, flows, true);
         // On symmetric networks the in-arc stream is the out-arc stream,
         // so the per-module in sums are the out sums bit-for-bit — skip
         // the second accumulation; `gather` mirrors the lane instead.
         if !flow.is_symmetric() {
             let (targets, flows) = flow.in_arc_slices(u);
-            gather_labels(labels, targets, &mut lbl, simd);
-            self.scatter_row(&lbl, flows, false);
+            self.scatter_row(labels, targets, flows, false);
         }
-        self.label_buf = lbl;
     }
 
-    /// Scatter one direction's `(label, flow)` row into the slots, with
-    /// the slot line of the label [`SCATTER_PREFETCH`] iterations ahead
+    /// Scatter one direction's row into the slots of its targets' modules,
+    /// with the slot line of the label [`SCATTER_PREFETCH`] arcs ahead
     /// pulled early so the near-random slot misses overlap.
     #[inline]
-    fn scatter_row(&mut self, lbl: &[u32], flows: &[f64], out_dir: bool) {
-        for (i, &f) in flows.iter().enumerate() {
-            if let Some(&ahead) = lbl.get(i + SCATTER_PREFETCH) {
-                prefetch_read(&self.slots[ahead as usize]);
+    fn scatter_row(&mut self, labels: &[u32], targets: &[NodeId], flows: &[f64], out_dir: bool) {
+        for (i, (&t, &f)) in targets.iter().zip(flows).enumerate() {
+            if let Some(&ahead) = targets.get(i + SCATTER_PREFETCH) {
+                prefetch_read(&self.slots[labels[ahead as usize] as usize]);
             }
+            let m = labels[t as usize];
             if out_dir {
-                self.add_out(lbl[i], f);
+                self.add_out(m, f);
             } else {
-                self.add_in(lbl[i], f);
+                self.add_in(m, f);
             }
         }
     }
 
     /// Phase 2: sort the touched union ascending (the candidate visit
-    /// order the tie-break contract requires), pull the slot sums into
-    /// the compact lanes, and clear exactly the touched stamps. `simd`
-    /// requests the AVX2 lane gather; it runs only where it is sound.
+    /// order the tie-break contract requires), copy the slot sums into
+    /// the compact lanes, and clear exactly the touched stamps.
     #[inline]
-    pub fn gather(&mut self, symmetric: bool, simd: bool) {
-        // Touched ids passed the scatter's checked `slots` indexing; the
-        // AVX2 gather needs `4 * id + lane` to fit its `i32` lanes.
-        let simd = simd && simd_for(self.slots.len());
+    pub fn gather(&mut self, symmetric: bool) {
         self.touched.sort_unstable();
         let n = self.touched.len();
         self.keys.clear();
         self.keys.extend_from_slice(&self.touched);
-        gather_lane(&self.slots, &self.keys, &mut self.out_lane, LANE_OUT, simd);
+        let slots = &self.slots;
+        self.out_lane.clear();
+        self.out_lane
+            .extend(self.keys.iter().map(|&k| slots[k as usize].out));
+        self.in_lane.clear();
         if symmetric {
             // in sums == out sums bit-for-bit on symmetric networks.
-            self.in_lane.clear();
             self.in_lane.extend_from_slice(&self.out_lane);
         } else {
-            gather_lane(&self.slots, &self.keys, &mut self.in_lane, LANE_IN, simd);
+            self.in_lane
+                .extend(self.keys.iter().map(|&k| slots[k as usize].in_));
         }
         // O(touched) reset: only the stamps this vertex dirtied.
         for &k in &self.touched {
@@ -480,89 +319,6 @@ pub struct Lanes<'a> {
     pub out: &'a [f64],
     /// In-direction exchange flow, parallel to `keys`.
     pub in_: &'a [f64],
-}
-
-/// f64-offset of [`SpaSlot::out`] within a slot (slot stride = 4 f64s).
-const LANE_OUT: usize = 1;
-/// f64-offset of [`SpaSlot::in_`] within a slot.
-const LANE_IN: usize = 2;
-
-/// Portable indexed lane gather from the AoS slots, 4-wide unrolled.
-fn gather_lane_portable(slots: &[SpaSlot], idx: &[u32], out: &mut Vec<f64>, lane: usize) {
-    #[inline(always)]
-    fn ld(slots: &[SpaSlot], k: u32, lane: usize) -> f64 {
-        let s = &slots[k as usize];
-        if lane == LANE_OUT {
-            s.out
-        } else {
-            s.in_
-        }
-    }
-    out.clear();
-    out.reserve(idx.len());
-    let mut chunks = idx.chunks_exact(4);
-    for c in &mut chunks {
-        out.extend_from_slice(&[
-            ld(slots, c[0], lane),
-            ld(slots, c[1], lane),
-            ld(slots, c[2], lane),
-            ld(slots, c[3], lane),
-        ]);
-    }
-    for &k in chunks.remainder() {
-        out.push(ld(slots, k, lane));
-    }
-}
-
-/// AVX2 indexed lane gather from the AoS slots: 4 doubles per
-/// `vgatherdpd`. A [`SpaSlot`] is exactly 4 f64s, so slot `k`'s lane value
-/// sits at f64-index `4k + lane` from the slot base — the index vector is
-/// the module ids shifted left by 2 plus the lane offset.
-///
-/// # Safety
-/// Caller must ensure AVX2 is available, every index is < `slots.len()`,
-/// and `4 * index + lane` fits in `i32` ([`avx2_index_fits`] of
-/// `slots.len()`).
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[target_feature(enable = "avx2")]
-unsafe fn gather_lane_avx2(slots: &[SpaSlot], idx: &[u32], out: &mut Vec<f64>, lane: usize) {
-    use core::arch::x86_64::*;
-    let n = idx.len();
-    out.clear();
-    out.reserve(n);
-    let dst = out.as_mut_ptr();
-    let base = slots.as_ptr() as *const f64;
-    let off = _mm_set1_epi32(lane as i32);
-    let mut i = 0;
-    while i + 4 <= n {
-        let ix = _mm_loadu_si128(idx.as_ptr().add(i) as *const __m128i);
-        let ix = _mm_add_epi32(_mm_slli_epi32::<2>(ix), off);
-        let g = _mm256_i32gather_pd::<8>(base, ix);
-        _mm256_storeu_pd(dst.add(i), g);
-        i += 4;
-    }
-    while i < n {
-        let s = slots.get_unchecked(*idx.get_unchecked(i) as usize);
-        *dst.add(i) = if lane == LANE_OUT { s.out } else { s.in_ };
-        i += 1;
-    }
-    out.set_len(n);
-}
-
-/// Dispatched indexed lane gather.
-#[inline]
-fn gather_lane(slots: &[SpaSlot], idx: &[u32], out: &mut Vec<f64>, lane: usize, simd: bool) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if simd {
-        // SAFETY: `DualSpa::gather` passes `simd` only after
-        // `simd_for(slots.len())` held (AVX2 detected, `4 * id + lane`
-        // fits an `i32` lane); indices are module ids that already indexed
-        // `slots` through the scatter's bounds-checked access.
-        unsafe { gather_lane_avx2(slots, idx, out, lane) };
-        return;
-    }
-    let _ = simd;
-    gather_lane_portable(slots, idx, out, lane);
 }
 
 // ---------------------------------------------------------------------------
@@ -632,8 +388,8 @@ pub fn scan(
 // Whole-vertex kernel
 // ---------------------------------------------------------------------------
 
-/// `FindBestCommunity` for one vertex on the vectorized path: the three
-/// phases composed back to back.
+/// `FindBestCommunity` for one vertex on the SPA path: the three phases
+/// composed back to back.
 #[inline]
 pub fn find_best_community_vec(
     flow: &FlowNetwork,
@@ -642,10 +398,9 @@ pub fn find_best_community_vec(
     u: NodeId,
     spa: &mut DualSpa,
     cache: &mut ModTermCache,
-    simd: bool,
 ) -> MoveDecision {
-    spa.accumulate(flow, labels, u, simd);
-    spa.gather(flow.is_symmetric(), simd);
+    spa.accumulate(flow, labels, u);
+    spa.gather(flow.is_symmetric());
     scan(flow, state, cache, u, labels[u as usize], spa.lanes())
 }
 
@@ -675,9 +430,8 @@ mod tests {
         FlowNetwork::from_graph(&b.build(), &InfomapConfig::default())
     }
 
-    /// Every vertex's decision on the vectorized kernel (portable and, where
-    /// available, AVX2) equals the generic kernel's over the hash
-    /// accumulator, to the bit.
+    /// Every vertex's decision on the SPA kernel equals the generic
+    /// kernel's over the hash accumulator, to the bit.
     fn check_vec_matches_generic(flow: &FlowNetwork, labels: &[u32], modules: usize) {
         let state = MapState::new(flow, &Partition::from_labels(labels.to_vec()));
         let mut acc = FastAccumulator::default();
@@ -686,29 +440,26 @@ mod tests {
         dual.ensure_capacity(modules);
         let mut cache = ModTermCache::default();
         cache.begin(modules);
-        for simd in [false, simd_active()] {
-            for u in 0..flow.num_nodes() as u32 {
-                let a = find_best_community(
-                    flow,
-                    labels,
-                    &state,
-                    u,
-                    &mut acc,
-                    &mut NullSink,
-                    &mut scratch,
-                );
-                let b =
-                    find_best_community_vec(flow, labels, &state, u, &mut dual, &mut cache, simd);
-                assert_eq!(a.vertex, b.vertex);
-                assert_eq!(a.best_module, b.best_module, "u={u} simd={simd}");
-                assert_eq!(
-                    a.delta.to_bits(),
-                    b.delta.to_bits(),
-                    "u={u} simd={simd}: {} vs {}",
-                    a.delta,
-                    b.delta
-                );
-            }
+        for u in 0..flow.num_nodes() as u32 {
+            let a = find_best_community(
+                flow,
+                labels,
+                &state,
+                u,
+                &mut acc,
+                &mut NullSink,
+                &mut scratch,
+            );
+            let b = find_best_community_vec(flow, labels, &state, u, &mut dual, &mut cache);
+            assert_eq!(a.vertex, b.vertex);
+            assert_eq!(a.best_module, b.best_module, "u={u}");
+            assert_eq!(
+                a.delta.to_bits(),
+                b.delta.to_bits(),
+                "u={u}: {} vs {}",
+                a.delta,
+                b.delta
+            );
         }
     }
 
@@ -762,8 +513,7 @@ mod tests {
             let (to, _) = flow.out_arc_slices(u);
             let (ti, _) = flow.in_arc_slices(u);
             degree_sum += (to.len() + ti.len()) as u64;
-            let _ =
-                find_best_community_vec(&flow, &labels, &state, u, &mut dual, &mut cache, false);
+            let _ = find_best_community_vec(&flow, &labels, &state, u, &mut dual, &mut cache);
         }
         let (calls, entries) = dual.reset_stats();
         assert_eq!(calls, 200);
@@ -774,64 +524,5 @@ mod tests {
             entries < calls * 200 / 2,
             "reset looks O(communities): {entries} entries over {calls} calls"
         );
-    }
-
-    #[test]
-    fn gather_helpers_match_naive() {
-        let slots: Vec<SpaSlot> = (0..64)
-            .map(|i| SpaSlot {
-                stamp: 3,
-                out: i as f64 * 0.25 + 1.0,
-                in_: i as f64 * -0.5 + 7.0,
-                _pad: 0.0,
-            })
-            .collect();
-        let labels: Vec<u32> = (0..64).map(|i| (i * 7 % 64) as u32).collect();
-        let idx: Vec<u32> = vec![0, 63, 5, 5, 17, 42, 9, 31, 2, 8, 55];
-        for simd in [false, simd_active()] {
-            let mut out_l = Vec::new();
-            gather_labels(&labels, &idx, &mut out_l, simd);
-            let naive_l: Vec<u32> = idx.iter().map(|&k| labels[k as usize]).collect();
-            assert_eq!(out_l, naive_l, "labels simd={simd}");
-            for (lane, pick) in [
-                (LANE_OUT, (|s: &SpaSlot| s.out) as fn(&SpaSlot) -> f64),
-                (LANE_IN, |s: &SpaSlot| s.in_),
-            ] {
-                let mut out_f = Vec::new();
-                gather_lane(&slots, &idx, &mut out_f, lane, simd);
-                let naive_f: Vec<f64> = idx.iter().map(|&k| pick(&slots[k as usize])).collect();
-                assert_eq!(out_f, naive_f, "lane {lane} simd={simd}");
-            }
-        }
-    }
-
-    #[test]
-    fn avx2_only_where_ids_fit_i32_lanes() {
-        let limit = i32::MAX as usize / 4;
-        assert!(avx2_index_fits(0) && avx2_index_fits(limit));
-        assert!(!avx2_index_fits(limit + 1) && !avx2_index_fits(u32::MAX as usize));
-        // The largest admitted module id still forms a valid slot-lane
-        // offset for either lane.
-        assert!(4 * (limit as i64 - 1) + LANE_IN as i64 <= i32::MAX as i64);
-        assert!(
-            !simd_for(limit + 1),
-            "oversized levels take the portable kernel"
-        );
-        assert_eq!(simd_for(limit), simd_active());
-    }
-
-    #[test]
-    fn force_scalar_override_wins() {
-        let env_on = std::env::var(FORCE_SCALAR_ENV)
-            .map(|v| v != "0" && !v.is_empty())
-            .unwrap_or(false);
-        let was = simd_active();
-        set_force_scalar(true);
-        assert!(!simd_active());
-        assert_eq!(kernel_path_name(), "spa-scalar");
-        // Restore the env-derived state (keeps this test honest under the
-        // ASA_FORCE_SCALAR=1 CI leg) and check the dispatch came back.
-        set_force_scalar(env_on);
-        assert_eq!(simd_active(), was);
     }
 }

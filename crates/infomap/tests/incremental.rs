@@ -19,8 +19,7 @@
 //! The frontier pass runs the schedule's sweep body, so it also streams
 //! one `sweep` convergence record per ripple round.
 //!
-//! CI runs this suite at `RAYON_NUM_THREADS=1` and `8` and under
-//! `ASA_FORCE_SCALAR=1`.
+//! CI runs this suite at `RAYON_NUM_THREADS=1` and `8`.
 
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};

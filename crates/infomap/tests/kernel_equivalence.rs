@@ -2,30 +2,23 @@
 //!
 //! The hash reference ([`asa_infomap::driver::HashEngine`], the generic
 //! kernel over `FastAccumulator` — the paper's Algorithm 1), the host
-//! kernel on its dispatched path (AVX2 when built with `--features simd`
-//! on a capable CPU; the portable loops otherwise), the host kernel forced
-//! onto the portable loops, and the distributed engine at 1 and 3 ranks
-//! must produce identical partitions and 0-ULP codelengths on every
-//! network — the fast paths are pure perf substitutions. As an absolute
+//! SPA kernel, and the distributed engine at 1 and 3 ranks must produce
+//! identical partitions and 0-ULP codelengths on every network — the
+//! fast paths are pure perf substitutions. As an absolute
 //! anchor, every reported codelength must also match a from-scratch
 //! recomputation on the returned partition.
 //!
 //! Random weighted graphs, symmetric (undirected) and asymmetric
 //! (directed), run under degraded configurations too: recorded
 //! teleportation, single outer loop, and tiny sweep budgets. CI runs this
-//! suite at `RAYON_NUM_THREADS=1` and `8`, with and without
-//! `--features simd`, and under `ASA_FORCE_SCALAR=1`.
-//!
-//! The force-scalar toggle is a process-global; flipping it concurrently
-//! with another test only changes which kernel executes, never the
-//! result — which is exactly the property under test.
+//! suite at `RAYON_NUM_THREADS=1` and `8`.
 
 use asa_graph::{CsrGraph, GraphBuilder, Partition};
 use asa_infomap::driver::{run_with_engine, HashEngine};
 use asa_infomap::mapeq::{self, plogp, MapState};
 use asa_infomap::{
-    detect_communities, detect_communities_distributed_cancellable, kernel, CancelToken,
-    FlowNetwork, InfomapConfig,
+    detect_communities, detect_communities_distributed_cancellable, CancelToken, FlowNetwork,
+    InfomapConfig,
 };
 use asa_obs::Obs;
 use proptest::prelude::*;
@@ -47,13 +40,6 @@ fn build_graph(edges: &[(u32, u32, u32)], nodes: u32, directed: bool) -> CsrGrap
     b.build()
 }
 
-/// The restored force-scalar state: what `ASA_FORCE_SCALAR` asked for.
-fn env_force_scalar() -> bool {
-    std::env::var(kernel::FORCE_SCALAR_ENV)
-        .map(|v| v != "0" && !v.is_empty())
-        .unwrap_or(false)
-}
-
 /// The codelength of `partition` recomputed from scratch on `graph`'s flow
 /// network, independent of the optimizer's incremental bookkeeping.
 fn recomputed_codelength(graph: &CsrGraph, cfg: &InfomapConfig, partition: &Partition) -> f64 {
@@ -69,7 +55,7 @@ fn recomputed_codelength(graph: &CsrGraph, cfg: &InfomapConfig, partition: &Part
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    // hash == dispatched == forced-scalar == distributed (1 and 3 ranks):
+    // hash == SPA == distributed (1 and 3 ranks):
     // identical partitions, codelengths equal to the bit, and equal to a
     // from-scratch recomputation within 1e-9 relative.
     #[test]
@@ -101,14 +87,6 @@ proptest! {
             spa.codelength,
             fresh
         );
-
-        // Forced-scalar (the portable kernel, even when the binary carries
-        // the AVX2 path) agrees with whatever the dispatcher chose.
-        kernel::set_force_scalar(true);
-        let scalar = detect_communities(&graph, &cfg);
-        kernel::set_force_scalar(env_force_scalar());
-        prop_assert_eq!(scalar.partition.labels(), spa.partition.labels());
-        prop_assert_eq!(scalar.codelength.to_bits(), spa.codelength.to_bits());
 
         // The distributed engine runs the host kernel per rank.
         for ranks in [1usize, 3] {

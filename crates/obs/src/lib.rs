@@ -531,18 +531,6 @@ impl Obs {
             .map(|core| core.capture(duration, interval))
     }
 
-    /// Sets this thread's profiler leaf label (e.g. the active
-    /// kernel path, `"kernel=spa-scalar"`); samples taken while
-    /// the label is set carry it as an extra leaf frame. `""` clears. A
-    /// no-op without an attached profiler.
-    pub fn prof_label(&self, label: &str) {
-        if let Some(inner) = &self.0 {
-            if inner.prof.get().is_some() {
-                prof::set_label(inner, label);
-            }
-        }
-    }
-
     /// Snapshot of every registered counter/gauge/histogram; `None` when
     /// disabled. This is what exposition renders and the collector ticks
     /// from.

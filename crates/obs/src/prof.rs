@@ -26,13 +26,9 @@
 //! worst misattribute one sample — it can never dereference a stale
 //! pointer.
 //!
-//! Each live stack also mirrors the thread's current trace id (so
+//! Each live stack also mirrors the thread's current trace id, so
 //! samples taken inside a [`TraceScope`](crate::TraceScope) attribute to
-//! the request being served) and carries one optional *label* slot that
-//! instrumentation can set to the active kernel/order
-//! ([`Obs::prof_label`](crate::Obs::prof_label)); the label renders as
-//! an extra leaf frame, which is how flamegraphs distinguish hash vs
-//! portable-SPA vs AVX2 time without guessing from span names.
+//! the request being served.
 //!
 //! A thread that exits marks its stacks dead from the thread-local's
 //! destructor; the sampler prunes dead stacks at the next pass. The
@@ -117,8 +113,6 @@ pub(crate) struct LiveStack {
     frames: [AtomicU32; MAX_FRAMES],
     /// Current trace id on the owning thread (0 = none).
     trace: AtomicU64,
-    /// Optional kernel/order label frame (0 = none), appended as leaf.
-    label: AtomicU32,
     /// Set by the owner's thread-local destructor; pruned by the sampler.
     dead: AtomicBool,
 }
@@ -136,7 +130,6 @@ impl LiveStack {
             depth: AtomicUsize::new(0),
             frames: std::array::from_fn(|_| AtomicU32::new(0)),
             trace: AtomicU64::new(0),
-            label: AtomicU32::new(0),
             dead: AtomicBool::new(false),
         }
     }
@@ -168,10 +161,6 @@ impl LiveStack {
         self.trace.store(trace, Ordering::SeqCst);
     }
 
-    fn set_label(&self, id: u32) {
-        self.label.store(id, Ordering::SeqCst);
-    }
-
     /// Seqlock read: `None` for an idle stack or when the owner kept
     /// writing through every retry (skip, don't spin).
     fn sample(&self) -> Option<SampledStack> {
@@ -183,12 +172,11 @@ impl LiveStack {
             }
             let depth = self.depth.load(Ordering::SeqCst);
             let shown = depth.min(MAX_FRAMES);
-            let mut frames = Vec::with_capacity(shown + 2);
+            let mut frames = Vec::with_capacity(shown + 1);
             for f in &self.frames[..shown] {
                 frames.push(f.load(Ordering::SeqCst));
             }
             let trace = self.trace.load(Ordering::SeqCst);
-            let label = self.label.load(Ordering::SeqCst);
             if self.epoch.load(Ordering::SeqCst) != before {
                 continue;
             }
@@ -197,9 +185,6 @@ impl LiveStack {
             }
             if depth > MAX_FRAMES {
                 frames.push(deep_marker());
-            }
-            if label != 0 {
-                frames.push(label);
             }
             return Some(SampledStack { frames, trace });
         }
@@ -287,12 +272,6 @@ pub(crate) fn on_trace_update(obs_id: u64) {
             ls.set_trace(crate::trace::current_trace(obs_id));
         }
     });
-}
-
-/// Sets (or clears, with `""`) this thread's leaf label for `inner`.
-pub(crate) fn set_label(inner: &ObsInner, label: &str) {
-    let id = frame_id(label);
-    with_stack(inner, |ls| ls.set_label(id));
 }
 
 // ---------------------------------------------------------------------------
@@ -724,18 +703,6 @@ mod tests {
         assert_eq!(s.frames, vec![a]);
         ls.pop();
         assert!(ls.sample().is_none());
-    }
-
-    #[test]
-    fn live_stack_label_appends_leaf() {
-        let ls = LiveStack::new("t0".into());
-        let a = frame_id("a");
-        let k = frame_id("kernel=avx2");
-        ls.push(a);
-        ls.set_label(k);
-        assert_eq!(ls.sample().unwrap().frames, vec![a, k]);
-        ls.set_label(0);
-        assert_eq!(ls.sample().unwrap().frames, vec![a]);
     }
 
     #[test]

@@ -64,8 +64,8 @@ fn run_dual_spa(spa: &mut DualSpa, stream: &[(u32, f64)]) -> (Pairs, Pairs) {
         .out_arcs(0)
         .map(|(v, f)| (labels[v as usize], f))
         .collect();
-    spa.accumulate(&flow, &labels, 0, false);
-    spa.gather(flow.is_symmetric(), false);
+    spa.accumulate(&flow, &labels, 0);
+    spa.gather(flow.is_symmetric());
     let lanes = spa.lanes();
     let got = lanes
         .keys
