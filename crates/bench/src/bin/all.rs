@@ -7,23 +7,17 @@
 //! Flags are forwarded to every child uniformly:
 //! `--progress` turns on telemetry heartbeats (the driver emits one
 //! summary-sink record per experiment and exports `ASA_PROGRESS=1` so
-//! every child streams its own per-sweep heartbeat lines); `--obs-out
-//! <path>` gives each child its own derived JSONL trace (`<stem>-<bin>`)
-//! next to the driver's, via `ASA_OBS_OUT`; `--trace-out <path>` does the
-//! same for Chrome flight-recorder traces via `ASA_TRACE_OUT` (binaries
-//! that support it each write `<stem>-<bin>.<ext>`); `--metrics-out
-//! <path>` does the same for Prometheus expositions via
-//! `ASA_METRICS_OUT`, and `ASA_METRICS_ADDR` is forwarded verbatim
-//! (children run sequentially, so they can share one bind address);
-//! `--prof-out <path>` does the same for folded sampling profiles (and
-//! their sibling `.svg` flamegraphs) via `ASA_PROF_OUT`;
-//! `--smoke` is passed
+//! every child streams its own per-sweep heartbeat lines); `--obs-dir
+//! <dir>` writes the driver's own artifacts into `<dir>` and gives each
+//! child `<dir>/<bin>` via `ASA_OBS_DIR` (binaries that use telemetry
+//! write their fixed-name artifacts there); `ASA_METRICS_ADDR` is
+//! forwarded verbatim (children run sequentially, so they can share one
+//! bind address); `--smoke` is passed
 //! through to the binaries that support it (`simthroughput`, `serve`).
 //! `--shards <n>`, `--steal`, and `--no-steal` are forwarded to `serve`
 //! so a sweep restricted to one shard count (or with stealing disabled)
 //! can run through the full driver.
 
-use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::time::Instant;
 
@@ -32,16 +26,6 @@ use asa_obs::record;
 
 /// Binaries that accept `--smoke` for a reduced CI-sized run.
 const SMOKE_AWARE: &[&str] = &["simthroughput", "serve"];
-
-/// Derives a per-child trace path from the driver's `--obs-out` path:
-/// `traces/run.jsonl` -> `traces/run-table1.jsonl`.
-fn child_obs_path(base: &Path, bin: &str) -> PathBuf {
-    let stem = base.file_stem().and_then(|s| s.to_str()).unwrap_or("trace");
-    match base.extension().and_then(|s| s.to_str()) {
-        Some(ext) => base.with_file_name(format!("{stem}-{bin}.{ext}")),
-        None => base.with_file_name(format!("{stem}-{bin}")),
-    }
-}
 
 /// Extracts the serve-only passthrough flags (`--shards <n>`,
 /// `--steal` / `--no-steal`) from the driver's argv.
@@ -65,16 +49,10 @@ fn main() {
     let mut args = ObsArgs::parse();
     let argv: Vec<String> = std::env::args().collect();
     let smoke = argv.iter().any(|a| a == "--smoke");
-    // Metrics destinations belong to the children, not the driver: each
-    // child gets a derived sibling path, and the scrape address must stay
-    // free for whichever child is currently running (they run one at a
-    // time). Taking these before `build()` keeps the driver from binding
-    // the port for the whole run or attaching a collector it never scrapes.
-    let metrics_out = args.metrics_out.take();
+    // The scrape address must stay free for whichever child is currently
+    // running (they run one at a time); taking it before `build()` keeps
+    // the driver from binding the port for the whole run.
     let metrics_addr = args.metrics_addr.take();
-    // Profiles likewise belong to the children: each gets a derived
-    // sibling folded-profile path (and writes its own `.svg` next to it).
-    let prof_out = args.prof_out.take();
     let obs = args.build();
     let exe = std::env::current_exe().expect("current exe");
     let dir = exe.parent().expect("bin dir");
@@ -106,20 +84,11 @@ fn main() {
         if args.progress {
             cmd.env("ASA_PROGRESS", "1");
         }
-        if let Some(base) = &args.obs_out {
-            cmd.env("ASA_OBS_OUT", child_obs_path(base, bin));
-        }
-        if let Some(base) = &args.trace_out {
-            cmd.env("ASA_TRACE_OUT", child_obs_path(base, bin));
-        }
-        if let Some(base) = &metrics_out {
-            cmd.env("ASA_METRICS_OUT", child_obs_path(base, bin));
+        if let Some(dir) = &args.obs_dir {
+            cmd.env("ASA_OBS_DIR", dir.join(bin));
         }
         if let Some(addr) = &metrics_addr {
             cmd.env("ASA_METRICS_ADDR", addr);
-        }
-        if let Some(base) = &prof_out {
-            cmd.env("ASA_PROF_OUT", child_obs_path(base, bin));
         }
         if smoke && SMOKE_AWARE.contains(&bin) {
             cmd.arg("--smoke");
@@ -140,26 +109,12 @@ fn main() {
             std::process::exit(1);
         }
     }
-    let _ = obs.flush();
+    args.finish(&obs);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn child_obs_paths_are_distinct_and_sibling() {
-        let base = PathBuf::from("traces/run.jsonl");
-        let a = child_obs_path(&base, "table1");
-        let b = child_obs_path(&base, "serve");
-        assert_eq!(a, PathBuf::from("traces/run-table1.jsonl"));
-        assert_eq!(b, PathBuf::from("traces/run-serve.jsonl"));
-        assert_ne!(a, b);
-        assert_eq!(
-            child_obs_path(&PathBuf::from("trace"), "fig2"),
-            PathBuf::from("trace-fig2")
-        );
-    }
 
     #[test]
     fn serve_flags_forwarded_verbatim() {

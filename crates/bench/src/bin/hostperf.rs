@@ -25,31 +25,24 @@
 //! host engine's best-of-reps sweep time, so timer overhead never taints
 //! it.
 //!
-//! Telemetry: `--obs-out <path>` streams per-sweep convergence records
-//! of the host-engine legs (sweep index, moves, codelength, ΔL,
-//! accumulator path, scratch-pool hit rate) as JSONL and prints the
-//! hierarchical phase-time summary at exit; `--progress` adds per-sweep
-//! heartbeat lines on stderr. Both also respect `ASA_OBS_OUT` /
-//! `ASA_PROGRESS=1`.
-//!
-//! `--trace-out <path>` (also `ASA_TRACE_OUT`) attaches the flight
-//! recorder and writes a Chrome trace of the run for Perfetto.
-//!
-//! `--metrics-out <path>` / `ASA_METRICS_OUT` attaches the continuous-
-//! telemetry collector and writes the final Prometheus exposition;
-//! `ASA_METRICS_ADDR` additionally serves it live over HTTP.
-//!
-//! `--prof-out <path>` / `ASA_PROF_OUT` attaches the span-stack sampling
-//! profiler and writes the folded-stack profile plus a sibling `.svg`
-//! flamegraph at exit (`ASA_PROF_INTERVAL_MS` tunes the sample interval).
+//! Telemetry: `--obs-dir <dir>` (also `ASA_OBS_DIR`) writes the run's
+//! artifacts into `<dir>`: `obs.jsonl` carries per-sweep convergence
+//! records of the host-engine legs (sweep index, moves, codelength, ΔL,
+//! accumulator path, scratch-pool hit rate), `trace.json` a Chrome trace
+//! for Perfetto, `metrics.prom` the final Prometheus exposition, and
+//! `prof.folded` / `prof.svg` the span-stack sampling profile
+//! (`ASA_PROF_INTERVAL_MS` tunes the sample interval). The hierarchical
+//! phase-time summary prints at exit; `--progress` (`ASA_PROGRESS=1`)
+//! adds per-sweep heartbeat lines on stderr, and `ASA_METRICS_ADDR`
+//! serves the exposition live over HTTP.
 //!
 //! `--obs-overhead` runs a dedicated overhead check instead of the bench:
-//! the SPA sweep phase with obs fully disabled, versus enabled with a
-//! no-op sink, versus the flight recorder attached, versus the continuous
-//! -telemetry collector thread sampling at its default 250 ms resolution,
-//! versus the sampling profiler attached at its default 10 ms interval —
-//! failing if any instrumented run is more than `ASA_OBS_TOL` percent
-//! slower (default 5). CI runs this as the overhead smoke gate.
+//! the SPA sweep phase with obs fully disabled, versus an enabled handle
+//! with no sinks, versus the flight recorder attached, versus the
+//! continuous-telemetry collector sampling at its default 250 ms
+//! resolution, versus the sampling profiler attached at its default 10 ms
+//! interval — failing if any instrumented run is more than `ASA_OBS_TOL`
+//! percent slower (default 5). CI runs this as the overhead smoke gate.
 
 use std::time::Instant;
 
@@ -64,7 +57,7 @@ use asa_infomap::kernel;
 use asa_infomap::local_move::{parallel_decide, ChunkScratch, ScratchPool, WorkerScratch};
 use asa_infomap::schedule::{DecideEngine, SweepCtx};
 use asa_infomap::{detect_communities_cancellable, CancelToken, InfomapResult};
-use asa_obs::{record, NullSink, Obs};
+use asa_obs::{record, Obs};
 
 fn reps() -> usize {
     std::env::var("ASA_HOSTPERF_REPS")
@@ -131,11 +124,11 @@ fn run_hash(graph: &CsrGraph, reps: usize, obs: &Obs) -> PathTiming {
     })
 }
 
-/// `--obs-overhead`: the disabled path vs three instrumented legs — an
-/// enabled handle draining into a no-op sink, the same with the flight
-/// recorder attached, and the same with the continuous-telemetry
-/// collector thread sampling at its default resolution — on the SPA
-/// sweep phase. Exits non-zero when any instrumented sweep is more than
+/// `--obs-overhead`: the disabled path vs four instrumented legs — an
+/// enabled handle with no sinks, the same with the flight recorder
+/// attached, with the continuous-telemetry collector sampling at its
+/// default resolution, and with the sampling profiler — on the SPA sweep
+/// phase. Exits non-zero when any instrumented sweep is more than
 /// the tolerance slower.
 fn obs_overhead_check(reps: usize) {
     let tol_pct: f64 = std::env::var("ASA_OBS_TOL")
@@ -148,26 +141,21 @@ fn obs_overhead_check(reps: usize) {
     let _ = run_spa(&graph, 1, &Obs::disabled());
 
     let off = run_spa(&graph, reps, &Obs::disabled());
-    let noop = Obs::new_enabled();
-    noop.add_sink(Box::new(NullSink));
-    let on = run_spa(&graph, reps, &noop);
+    let on = run_spa(&graph, reps, &Obs::new_enabled());
     let traced = Obs::new_enabled();
-    traced.add_sink(Box::new(NullSink));
     traced.attach_recorder(asa_bench::trace_capacity());
     let rec = run_spa(&graph, reps, &traced);
     let collected = Obs::new_enabled();
-    collected.add_sink(Box::new(NullSink));
     collected.attach_collector(asa_obs::TimeSeriesConfig::default());
     let col = run_spa(&graph, reps, &collected);
-    collected.stop_collector();
+    collected.stop_background();
     let profiled = Obs::new_enabled();
-    profiled.add_sink(Box::new(NullSink));
     profiled.attach_profiler(asa_bench::prof_interval());
     let prof = run_spa(&graph, reps, &profiled);
-    profiled.stop_profiler();
+    profiled.stop_background();
 
     for (leg, timing) in [
-        ("no-op sink", &on),
+        ("enabled handle", &on),
         ("recorder", &rec),
         ("collector", &col),
         ("profiler", &prof),
@@ -180,7 +168,7 @@ fn obs_overhead_check(reps: usize) {
     }
     let mut failed = false;
     for (leg, timing) in [
-        ("no-op sink", &on),
+        ("enabled handle", &on),
         ("recorder attached", &rec),
         ("collector attached", &col),
         ("profiler attached", &prof),
@@ -463,8 +451,5 @@ fn main() {
     std::fs::write(&out, serde_json::to_string_pretty(&doc).unwrap()).expect("write bench json");
     println!("\nwrote {out}");
     drop(_root);
-    args.export_trace(&obs);
-    args.export_metrics(&obs);
-    args.export_profile(&obs);
-    let _ = obs.flush();
+    args.finish(&obs);
 }

@@ -1,5 +1,6 @@
 //! `promlint` — strict validation of a Prometheus text-format exposition
-//! produced by `--metrics-out` (or any scrape saved to a file).
+//! such as the `metrics.prom` a bench writes under `--obs-dir` (or any
+//! scrape saved to a file).
 //!
 //! Usage: `promlint <metrics.prom> [more.prom ...]`
 //!

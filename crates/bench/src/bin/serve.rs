@@ -23,13 +23,14 @@
 //! `--smoke` shrinks the graph pool and request counts for CI.
 //! `--shards N` restricts the sweep to one shard count; `--no-steal`
 //! disables work stealing (`--steal` re-enables it explicitly).
-//! Telemetry: `--obs-out <path>` / `--progress` (also `ASA_OBS_OUT`,
-//! `ASA_PROGRESS=1`) stream per-level records and the engine's serving
-//! metrics (queue-depth gauges, per-class latency histograms, counters).
-//! `--trace-out <path>` (also `ASA_TRACE_OUT`) attaches the flight
-//! recorder, prints a tail-latency attribution for the slowest
-//! `ASA_TAIL_PCT`% of requests (default 5%), and writes a Chrome trace —
-//! load it at <https://ui.perfetto.dev>.
+//! Telemetry: `--obs-dir <dir>` (also `ASA_OBS_DIR`) streams per-level
+//! records and the engine's serving metrics (queue-depth gauges,
+//! per-class latency histograms, counters) into `<dir>/obs.jsonl`, prints
+//! a tail-latency attribution for the slowest `ASA_TAIL_PCT`% of requests
+//! (default 5%), and writes `trace.json` (load it at
+//! <https://ui.perfetto.dev>), `metrics.prom`, `prof.folded`, `prof.svg`
+//! and each engine's shutdown black-box bundle `blackbox.json` there.
+//! `--progress` (`ASA_PROGRESS=1`) prints per-record heartbeat lines.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -183,23 +184,19 @@ fn run_level(
     variants: &[InfomapConfig],
     offered_rps: f64,
     requests: usize,
-    shards: usize,
-    steal: bool,
-    obs: &asa_obs::Obs,
+    base: &ServeConfig,
 ) -> LevelReport {
     // Fresh engine per level: each level starts with a cold cache and
     // clean statistics, so levels are comparable. One worker per shard,
     // and per-shard queue bounds — aggregate capacity grows with shards.
+    let (obs, shards) = (&base.obs, base.shards);
     let engine = ServeEngine::start(ServeConfig {
-        shards,
         workers: 1,
-        steal,
         queue_capacity_interactive: 16,
         queue_capacity_batch: 32,
         cache_capacity: (pool.len() * variants.len()).div_ceil(2),
         degrade_depth: 8,
-        obs: obs.clone(),
-        ..ServeConfig::default()
+        ..base.clone()
     });
 
     let interarrival = Duration::from_secs_f64(1.0 / offered_rps);
@@ -354,6 +351,13 @@ fn main() {
     let load_factors = [0.5, 2.0, 8.0];
     let mut sweep: Vec<(usize, Vec<LevelReport>)> = Vec::new();
     for &shards in &shard_counts {
+        let base = ServeConfig {
+            shards,
+            steal,
+            obs: obs.clone(),
+            blackbox_out: args.artifact("blackbox.json"),
+            ..ServeConfig::default()
+        };
         let mut reports = Vec::new();
         for &factor in &load_factors {
             let offered = (capacity_rps * factor).max(1.0);
@@ -363,9 +367,7 @@ fn main() {
                 &variants,
                 offered,
                 requests_per_level,
-                shards,
-                steal,
-                &obs,
+                &base,
             ));
         }
         sweep.push((shards, reports));
@@ -455,7 +457,7 @@ fn main() {
     println!("\nwrote {out}");
     drop(_root);
 
-    // With `--trace-out` the recorder captured every request's stage
+    // With `--obs-dir` the recorder captured every request's stage
     // tiling across all levels: attribute the slowest tail before dumping
     // the Chrome trace for Perfetto.
     if let Some(snap) = obs.trace_snapshot() {
@@ -469,8 +471,5 @@ fn main() {
             asa_obs::tail::TailReport::from_snapshot(&snap, "request", tail_pct).render()
         );
     }
-    args.export_trace(&obs);
-    args.export_metrics(&obs);
-    args.export_profile(&obs);
-    let _ = obs.flush();
+    args.finish(&obs);
 }

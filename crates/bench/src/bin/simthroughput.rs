@@ -223,7 +223,8 @@ fn main() {
         env_usize("ASA_SIMTHROUGHPUT_REPS", 3)
     };
     let cores = env_usize("ASA_SIM_CORES", 4);
-    let obs = ObsArgs::parse().build();
+    let args = ObsArgs::parse();
+    let obs = args.build();
     let _root = obs.span("simthroughput");
 
     let (graph, workload) = if smoke {
@@ -403,5 +404,5 @@ fn main() {
     std::fs::write(&out, serde_json::to_string_pretty(&doc).unwrap()).expect("write bench json");
     println!("\nwrote {out}");
     drop(_root);
-    let _ = obs.flush();
+    args.finish(&obs);
 }

@@ -15,8 +15,8 @@
 //! schema test and `regress`: per-batch incremental updates ≥ 3× faster
 //! than fresh runs with codelength drift ≤ 1%. `--smoke` shrinks the
 //! graph and batch count for CI. Telemetry flags as in the other
-//! benches: `--obs-out`, `--progress`, `--trace-out`, `--metrics-out`
-//! (the `infomap.incr.*` gauges land in the Prometheus exposition).
+//! benches: `--obs-dir <dir>` (the `infomap.incr.*` gauges land in its
+//! `metrics.prom`), `--progress` and `--metrics-addr`.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -315,8 +315,5 @@ fn main() {
     std::fs::write(&out, serde_json::to_string_pretty(&doc).unwrap()).expect("write bench json");
     println!("wrote {out}");
     drop(_root);
-    args.export_trace(&obs);
-    args.export_metrics(&obs);
-    args.export_profile(&obs);
-    let _ = obs.flush();
+    args.finish(&obs);
 }

@@ -12,11 +12,13 @@
 
 pub mod regress;
 
+use std::path::{Path, PathBuf};
+
 use asa_graph::generators::{NetworkSpec, PaperNetwork};
 use asa_graph::{CsrGraph, Partition};
 use asa_infomap::instrumented::{simulate_infomap, Device, SimulatedRun};
 use asa_infomap::InfomapConfig;
-use asa_obs::{Obs, ObsConfig};
+use asa_obs::{JsonlSink, Obs, SummarySink};
 use asa_simarch::MachineConfig;
 
 /// Compiler version captured by `build.rs` at compile time.
@@ -114,43 +116,32 @@ pub fn run_metadata(dataset: &str, icfg: &InfomapConfig) -> serde_json::Value {
 
 /// Telemetry switches shared by the experiment binaries.
 ///
-/// Parsed from the command line (`--obs-out <path>`, `--trace-out <path>`,
-/// `--progress`) with environment fallbacks (`ASA_OBS_OUT`,
-/// `ASA_TRACE_OUT`, `ASA_PROGRESS=1`) so the `all` driver can forward them
-/// to child experiment processes.
+/// Parsed from the command line (`--obs-dir <dir>`, `--progress`,
+/// `--metrics-addr <addr>`) with environment fallbacks (`ASA_OBS_DIR`,
+/// `ASA_PROGRESS=1`, `ASA_METRICS_ADDR`) so the `all` driver can forward
+/// them to child experiment processes.
 #[derive(Debug, Clone, Default)]
 pub struct ObsArgs {
-    /// JSONL event-trace destination (`--obs-out` / `ASA_OBS_OUT`).
-    pub obs_out: Option<std::path::PathBuf>,
+    /// Artifact directory (`--obs-dir` / `ASA_OBS_DIR`), created if
+    /// missing. Attaches the JSONL and summary sinks, the flight recorder,
+    /// the continuous-telemetry collector and the sampling profiler;
+    /// [`ObsArgs::finish`] writes `obs.jsonl`, `trace.json` (Chrome trace
+    /// for Perfetto or `chrome://tracing`), `metrics.prom` (Prometheus
+    /// exposition), `prof.folded` and `prof.svg` (folded profile and its
+    /// flamegraph) there, and the serve bench adds `blackbox.json`.
+    pub obs_dir: Option<PathBuf>,
     /// Per-record heartbeat lines on stderr (`--progress` /
     /// `ASA_PROGRESS=1`).
     pub progress: bool,
-    /// Chrome trace-event destination (`--trace-out` / `ASA_TRACE_OUT`).
-    /// Attaches a flight recorder to the handle; export the snapshot at
-    /// the end of the run with [`ObsArgs::export_trace`], then load the
-    /// file in Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing`.
-    pub trace_out: Option<std::path::PathBuf>,
-    /// Prometheus-exposition destination (`--metrics-out` /
-    /// `ASA_METRICS_OUT`). Attaches the continuous-telemetry collector;
-    /// write the final scrape with [`ObsArgs::export_metrics`] at the end
-    /// of the run.
-    pub metrics_out: Option<std::path::PathBuf>,
     /// Live scrape endpoint bind address (`--metrics-addr` /
     /// `ASA_METRICS_ADDR`, e.g. `127.0.0.1:9184`). Also attaches the
-    /// collector; the endpoint serves for the life of the process, so a
-    /// `curl` mid-run sees current values — including `/flame.svg` and
-    /// `/profile?seconds=N`, since the address also attaches the sampling
-    /// profiler.
+    /// collector and the profiler; the endpoint serves for the life of the
+    /// process, so a `curl` mid-run sees current values — including
+    /// `/flame.svg` and `/profile?seconds=N`.
     pub metrics_addr: Option<String>,
-    /// Folded-profile destination (`--prof-out` / `ASA_PROF_OUT`).
-    /// Attaches the span-stack sampling profiler (interval
-    /// `ASA_PROF_INTERVAL_MS`, default 10 ms); write the collapsed-format
-    /// profile plus a sibling `.svg` flamegraph at the end of the run
-    /// with [`ObsArgs::export_profile`].
-    pub prof_out: Option<std::path::PathBuf>,
 }
 
-/// Per-thread flight-recorder ring bound used by `--trace-out`
+/// Per-thread flight-recorder ring bound used by `--obs-dir`
 /// (`ASA_TRACE_CAP` overrides; default 65536 events per thread).
 pub fn trace_capacity() -> usize {
     std::env::var("ASA_TRACE_CAP")
@@ -160,7 +151,7 @@ pub fn trace_capacity() -> usize {
         .unwrap_or(1 << 16)
 }
 
-/// Sampling-profiler interval used by `--prof-out` and the diagnostics
+/// Sampling-profiler interval used by `--obs-dir` and the diagnostics
 /// endpoint (`ASA_PROF_INTERVAL_MS` overrides; default 10 ms).
 pub fn prof_interval() -> std::time::Duration {
     let ms = std::env::var("ASA_PROF_INTERVAL_MS")
@@ -204,69 +195,58 @@ impl ObsArgs {
     /// their existing positional/flag handling).
     pub fn parse() -> Self {
         let argv: Vec<String> = std::env::args().collect();
-        let path_flag = |flag: &str, env: &str| {
+        let value_flag = |flag: &str, env: &str| {
             let prefix = format!("{flag}=");
             let mut out = None;
             for (i, a) in argv.iter().enumerate() {
                 if let Some(v) = a.strip_prefix(&prefix) {
-                    out = Some(std::path::PathBuf::from(v));
+                    out = Some(v.to_string());
                 } else if a == flag {
-                    out = argv.get(i + 1).map(std::path::PathBuf::from);
+                    out = argv.get(i + 1).cloned();
                 }
             }
-            out.or_else(|| std::env::var_os(env).map(std::path::PathBuf::from))
+            out.or_else(|| std::env::var(env).ok())
         };
-        let obs_out = path_flag("--obs-out", "ASA_OBS_OUT");
-        let trace_out = path_flag("--trace-out", "ASA_TRACE_OUT");
-        let metrics_out = path_flag("--metrics-out", "ASA_METRICS_OUT");
-        let metrics_addr = path_flag("--metrics-addr", "ASA_METRICS_ADDR")
-            .map(|p| p.to_string_lossy().into_owned());
-        let prof_out = path_flag("--prof-out", "ASA_PROF_OUT");
-        let progress = argv.iter().any(|a| a == "--progress")
-            || std::env::var("ASA_PROGRESS").is_ok_and(|v| v == "1");
         Self {
-            obs_out,
-            progress,
-            trace_out,
-            metrics_out,
-            metrics_addr,
-            prof_out,
+            obs_dir: value_flag("--obs-dir", "ASA_OBS_DIR").map(PathBuf::from),
+            progress: argv.iter().any(|a| a == "--progress")
+                || std::env::var("ASA_PROGRESS").is_ok_and(|v| v == "1"),
+            metrics_addr: value_flag("--metrics-addr", "ASA_METRICS_ADDR"),
         }
     }
 
-    /// Builds the telemetry handle: disabled unless a JSONL path, a trace
-    /// destination, or progress heartbeats were requested. With
-    /// `--obs-out` the summary table also prints at flush so a trace run
-    /// is self-describing; with `--trace-out` a flight recorder is
-    /// attached.
+    /// Path of the fixed-name artifact `name` under `--obs-dir`, if set.
+    pub fn artifact(&self, name: &str) -> Option<PathBuf> {
+        self.obs_dir.as_ref().map(|dir| dir.join(name))
+    }
+
+    /// Builds the telemetry handle: disabled unless `--obs-dir`,
+    /// `--progress` or `--metrics-addr` was given. The summary table
+    /// prints at flush for `--obs-dir` too, so an artifact run is
+    /// self-describing.
     pub fn build(&self) -> Obs {
-        let metrics = self.metrics_out.is_some() || self.metrics_addr.is_some();
-        let prof = self.prof_out.is_some();
-        let obs = ObsConfig {
-            enabled: self.obs_out.is_some()
-                || self.progress
-                || self.trace_out.is_some()
-                || metrics
-                || prof,
-            jsonl_path: self.obs_out.clone(),
-            summary: self.obs_out.is_some() || self.progress,
-            progress: self.progress,
-            ring_capacity: 0,
-            trace_capacity: if self.trace_out.is_some() {
-                trace_capacity()
-            } else {
-                0
-            },
-            // Continuous telemetry rides along whenever an exposition
-            // consumer exists (file or live endpoint).
-            collector: metrics.then(asa_obs::TimeSeriesConfig::default),
-            // The sampling profiler attaches for `--prof-out` (exported
-            // at the end of the run) and whenever a live endpoint exists
-            // — the endpoint's `/flame.svg` and `/profile` routes need it.
-            profiler: (prof || self.metrics_addr.is_some()).then(prof_interval),
+        if self.obs_dir.is_none() && !self.progress && self.metrics_addr.is_none() {
+            return Obs::disabled();
         }
-        .build()
-        .expect("create --obs-out file");
+        let obs = Obs::new_enabled();
+        if let Some(dir) = &self.obs_dir {
+            let path = dir.join("obs.jsonl");
+            let sink = std::fs::create_dir_all(dir)
+                .and_then(|()| JsonlSink::create(&path))
+                .unwrap_or_else(|e| panic!("create {}: {e}", path.display()));
+            obs.add_sink(Box::new(sink));
+            obs.attach_recorder(trace_capacity());
+        }
+        if self.obs_dir.is_some() || self.progress {
+            obs.add_sink(Box::new(SummarySink::new(self.progress)));
+        }
+        // The collector and the sampler ride along whenever an exposition
+        // consumer exists; the endpoint's `/flame.svg` and `/profile`
+        // routes need the profiler.
+        if self.obs_dir.is_some() || self.metrics_addr.is_some() {
+            obs.attach_collector(asa_obs::TimeSeriesConfig::default());
+            obs.attach_profiler(prof_interval());
+        }
         if let Some(addr) = &self.metrics_addr {
             match asa_obs::expose::serve(addr, obs.clone()) {
                 Ok(server) => {
@@ -285,72 +265,55 @@ impl ObsArgs {
         obs
     }
 
-    /// Renders the handle's registry as Prometheus text format to the
-    /// `--metrics-out` path. No-op without a destination; call once at the
-    /// end of the run (the collector keeps sampling until then).
-    pub fn export_metrics(&self, obs: &Obs) {
-        let Some(path) = &self.metrics_out else {
-            return;
-        };
-        obs.stop_collector();
-        match asa_obs::expose::write_to_file(obs, path) {
-            Ok(()) => eprintln!("wrote Prometheus metrics to {}", path.display()),
-            Err(e) => eprintln!("failed to write {}: {e}", path.display()),
+    /// Ends the run's telemetry: stops the background thread, writes
+    /// `trace.json`, `metrics.prom`, `prof.folded` and `prof.svg` under
+    /// `--obs-dir` (when set), then flushes the handle, which completes
+    /// `obs.jsonl` and prints the summary. Call once, at the end.
+    pub fn finish(&self, obs: &Obs) {
+        if let Some(dir) = &self.obs_dir {
+            obs.stop_background();
+            if let Some(snap) = obs.trace_snapshot() {
+                let path = dir.join("trace.json");
+                let what = format!(
+                    "Chrome trace ({} events, {} threads, {} dropped)",
+                    snap.num_events(),
+                    snap.threads.len(),
+                    snap.total_dropped()
+                );
+                let write = std::fs::File::create(&path).and_then(|f| {
+                    let mut w = std::io::BufWriter::new(f);
+                    asa_obs::chrome::write_chrome_trace(&snap, &mut w)?;
+                    std::io::Write::flush(&mut w)
+                });
+                report_write(&path, &what, write);
+            }
+            let path = dir.join("metrics.prom");
+            report_write(
+                &path,
+                "Prometheus metrics",
+                asa_obs::expose::write_to_file(obs, &path),
+            );
+            if let Some(snap) = obs.prof_snapshot() {
+                let path = dir.join("prof.folded");
+                let what = format!(
+                    "folded profile ({} samples, {} stacks)",
+                    snap.samples,
+                    snap.stacks.len()
+                );
+                report_write(&path, &what, std::fs::write(&path, snap.render_folded()));
+                let path = dir.join("prof.svg");
+                let svg = asa_obs::render_flamegraph(&snap, "profile");
+                report_write(&path, "flamegraph", std::fs::write(&path, svg));
+            }
         }
+        let _ = obs.flush();
     }
+}
 
-    /// Writes the sampling profiler's folded-stack profile
-    /// (Brendan-Gregg collapsed format) to the `--prof-out` path plus a
-    /// self-contained flamegraph SVG at the same path with an `.svg`
-    /// extension. No-op without a destination; call once at the end of
-    /// the run (the sampler keeps running until then).
-    pub fn export_profile(&self, obs: &Obs) {
-        let Some(path) = &self.prof_out else { return };
-        obs.stop_profiler();
-        let Some(snap) = obs.prof_snapshot() else {
-            return;
-        };
-        match std::fs::write(path, snap.render_folded()) {
-            Ok(()) => eprintln!(
-                "wrote folded profile ({} samples, {} stacks) to {}",
-                snap.samples,
-                snap.stacks.len(),
-                path.display()
-            ),
-            Err(e) => eprintln!("failed to write {}: {e}", path.display()),
-        }
-        let svg_path = path.with_extension("svg");
-        let title = path
-            .file_stem()
-            .and_then(|s| s.to_str())
-            .unwrap_or("profile");
-        match std::fs::write(&svg_path, asa_obs::render_flamegraph(&snap, title)) {
-            Ok(()) => eprintln!("wrote flamegraph to {}", svg_path.display()),
-            Err(e) => eprintln!("failed to write {}: {e}", svg_path.display()),
-        }
-    }
-
-    /// Writes the handle's flight-recorder snapshot as Chrome trace-event
-    /// JSON to the `--trace-out` path. No-op without a destination or a
-    /// recorder; call once at the end of the run.
-    pub fn export_trace(&self, obs: &Obs) {
-        let Some(path) = &self.trace_out else { return };
-        let Some(snap) = obs.trace_snapshot() else {
-            return;
-        };
-        let write = std::fs::File::create(path)
-            .map(std::io::BufWriter::new)
-            .and_then(|w| asa_obs::chrome::write_chrome_trace(&snap, w));
-        match write {
-            Ok(()) => eprintln!(
-                "wrote Chrome trace ({} events, {} threads, {} dropped) to {} — load it in Perfetto",
-                snap.num_events(),
-                snap.threads.len(),
-                snap.total_dropped(),
-                path.display()
-            ),
-            Err(e) => eprintln!("failed to write {}: {e}", path.display()),
-        }
+fn report_write(path: &Path, what: &str, result: std::io::Result<()>) {
+    match result {
+        Ok(()) => eprintln!("wrote {what} to {}", path.display()),
+        Err(e) => eprintln!("failed to write {}: {e}", path.display()),
     }
 }
 
@@ -542,7 +505,7 @@ mod tests {
     fn obs_args_default_disabled() {
         // No flags, no env in the test harness: the handle must be the
         // zero-cost disabled one.
-        if std::env::var_os("ASA_OBS_OUT").is_none() && std::env::var_os("ASA_PROGRESS").is_none() {
+        if std::env::var_os("ASA_OBS_DIR").is_none() && std::env::var_os("ASA_PROGRESS").is_none() {
             let obs = ObsArgs::default().build();
             assert!(!obs.enabled());
         }

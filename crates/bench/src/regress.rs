@@ -464,7 +464,7 @@ fn top_profiled_stack(doc: &Value) -> Option<&str> {
 
 /// Reports — never gates — a shift in the hottest profiled stack between
 /// two bench documents. Profiles ride along in `meta.profile` only when a
-/// run had the sampling profiler attached (`--prof-out` or a live metrics
+/// run had the sampling profiler attached (`--obs-dir` or a live metrics
 /// endpoint), so committed baselines usually carry none; the note fires
 /// when both sides have a profile and disagree on the top frame, or when
 /// a fresh profile appears against an unprofiled baseline. The return

@@ -12,11 +12,11 @@
 //! flows, so the reported codelength describes the returned partition
 //! exactly.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use asa_graph::{CsrGraph, GraphBuilder};
 use asa_infomap::{detect_communities_cancellable, CancelToken, InfomapConfig};
-use asa_obs::{Obs, Record, RingHandle, RingSink, Value};
+use asa_obs::{FlushReport, Obs, Record, Sink, Value};
 
 /// Ring of cliques with asymmetric weights: several levels of structure,
 /// deterministic under a single thread.
@@ -44,19 +44,28 @@ fn config() -> InfomapConfig {
     }
 }
 
-fn observed() -> (Obs, RingHandle) {
-    let obs = Obs::new_enabled();
-    let (sink, handle) = RingSink::new(4096);
-    obs.add_sink(Box::new(sink));
-    (obs, handle)
+/// Collects the `sweep` convergence records an [`Obs`] streams.
+struct SweepRecords(Arc<Mutex<Vec<Record>>>);
+
+impl Sink for SweepRecords {
+    fn record(&mut self, rec: &Record) {
+        if rec.kind == "sweep" {
+            self.0.lock().unwrap().push(rec.clone());
+        }
+    }
+
+    fn flush(&mut self, _report: &FlushReport) {}
 }
 
-fn sweep_records(handle: &RingHandle) -> Vec<Record> {
-    handle
-        .records()
-        .into_iter()
-        .filter(|r| r.kind == "sweep")
-        .collect()
+fn observed() -> (Obs, Arc<Mutex<Vec<Record>>>) {
+    let obs = Obs::new_enabled();
+    let log = Arc::new(Mutex::new(Vec::new()));
+    obs.add_sink(Box::new(SweepRecords(Arc::clone(&log))));
+    (obs, log)
+}
+
+fn sweep_records(log: &Mutex<Vec<Record>>) -> Vec<Record> {
+    log.lock().unwrap().clone()
 }
 
 fn field<'a>(record: &'a Record, name: &str) -> Option<&'a Value> {
@@ -98,10 +107,10 @@ fn cancelled_run_truncates_to_exact_sweep_prefix() {
     let cfg = config();
 
     // Reference: the uncancelled run and its per-sweep convergence trace.
-    let (obs, ring) = observed();
+    let (obs, log) = observed();
     let full = detect_communities_cancellable(&graph, &cfg, &obs, &CancelToken::none());
     assert!(!full.interrupted);
-    let full_records = sweep_records(&ring);
+    let full_records = sweep_records(&log);
     let total_sweeps = full_records.len();
     assert!(
         total_sweeps >= 4,
@@ -111,10 +120,10 @@ fn cancelled_run_truncates_to_exact_sweep_prefix() {
     // Cancel at several boundaries, including mid-level, the level/
     // refinement seam neighbourhood, and the very first sweep.
     for k in [1, 2, total_sweeps / 2, total_sweeps - 1] {
-        let (obs, ring) = observed();
+        let (obs, log) = observed();
         let cancel = CancelToken::after_polls(k as u64);
         let result = detect_communities_cancellable(&graph, &cfg, &obs, &cancel);
-        let records = sweep_records(&ring);
+        let records = sweep_records(&log);
 
         assert!(result.interrupted, "k={k}: token must interrupt the run");
         assert_eq!(

@@ -420,8 +420,7 @@ mod tests {
             json.contains("bb.work 1") || json.contains(";bb.work"),
             "{json}"
         );
-        obs.stop_collector();
-        obs.stop_profiler();
+        obs.stop_background();
     }
 
     #[test]

@@ -29,11 +29,11 @@
 
 use std::collections::HashSet;
 use std::io::{Read as _, Write as _};
-use std::net::{SocketAddr, TcpListener};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::metrics::{CounterSnapshot, GaugeSnapshot, HistSnapshot};
 use crate::{resource, Obs};
@@ -242,8 +242,8 @@ pub fn render(obs: &Obs) -> String {
     r.out
 }
 
-/// Renders and writes the exposition to `path` (the `--metrics-out`
-/// destination).
+/// Renders and writes the exposition to `path` (`metrics.prom` under a
+/// bench's `--obs-dir`).
 pub fn write_to_file(obs: &Obs, path: &std::path::Path) -> std::io::Result<()> {
     std::fs::write(path, render(obs))
 }
@@ -645,6 +645,22 @@ impl Drop for MetricsServer {
 
 const PROM_CONTENT_TYPE: &str = "text/plain; version=0.0.4; charset=utf-8";
 const TEXT_CONTENT_TYPE: &str = "text/plain; charset=utf-8";
+const NO_PROFILER: &str =
+    "no profiler attached (run with --obs-dir or --metrics-addr, or call Obs::attach_profiler)\n";
+
+/// How long the endpoint waits for a client's request head.
+const REQUEST_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// The `/profile` capture length: `seconds=N` clamped to [0.01, 60] s; an
+/// absent, unparsable or non-finite value means the 1 s default.
+fn profile_seconds(query: &str) -> f64 {
+    query
+        .split('&')
+        .find_map(|kv| kv.strip_prefix("seconds="))
+        .and_then(|s| s.parse::<f64>().ok())
+        .filter(|s| s.is_finite())
+        .map_or(1.0, |s| s.clamp(0.01, 60.0))
+}
 
 /// Routes one request path to `(status, content-type, body)`. Public in
 /// spirit via the endpoint; kept testable without sockets.
@@ -653,18 +669,13 @@ fn respond(obs: &Obs, path: &str) -> (&'static str, &'static str, String) {
     match route {
         "/" | "/metrics" => ("200 OK", PROM_CONTENT_TYPE, render(obs)),
         "/profile" => {
-            let seconds = query
-                .split('&')
-                .find_map(|kv| kv.strip_prefix("seconds="))
-                .and_then(|s| s.parse::<f64>().ok())
-                .unwrap_or(1.0)
-                .clamp(0.01, 60.0);
-            match obs.capture_profile(Duration::from_secs_f64(seconds), Duration::from_millis(10)) {
+            let seconds = Duration::from_secs_f64(profile_seconds(query));
+            match obs.capture_profile(seconds, Duration::from_millis(10)) {
                 Some(snap) => ("200 OK", TEXT_CONTENT_TYPE, snap.render_folded()),
                 None => (
                     "503 Service Unavailable",
                     TEXT_CONTENT_TYPE,
-                    "no profiler attached (set ASA_PROF_OUT or ObsConfig.profiler)\n".to_string(),
+                    NO_PROFILER.to_string(),
                 ),
             }
         }
@@ -677,7 +688,7 @@ fn respond(obs: &Obs, path: &str) -> (&'static str, &'static str, String) {
             None => (
                 "503 Service Unavailable",
                 TEXT_CONTENT_TYPE,
-                "no profiler attached (set ASA_PROF_OUT or ObsConfig.profiler)\n".to_string(),
+                NO_PROFILER.to_string(),
             ),
         },
         "/debug" => ("200 OK", TEXT_CONTENT_TYPE, debug_page(obs)),
@@ -753,6 +764,30 @@ fn debug_page(obs: &Obs) -> String {
     out
 }
 
+/// Reads one request head, up to the blank line that ends it, the buffer
+/// size or [`REQUEST_TIMEOUT`], and returns the path of its request line.
+/// `None` when no complete request line arrived.
+fn read_request_path(conn: &mut TcpStream) -> Option<String> {
+    let deadline = Instant::now() + REQUEST_TIMEOUT;
+    let mut buf = [0u8; 2048];
+    let mut len = 0;
+    while len < buf.len() && !buf[..len].windows(4).any(|w| w == b"\r\n\r\n") {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || conn.set_read_timeout(Some(left)).is_err() {
+            break;
+        }
+        match conn.read(&mut buf[len..]) {
+            Ok(0) => break,
+            Ok(n) => len += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(_) => break,
+        }
+    }
+    let head = String::from_utf8_lossy(&buf[..len]);
+    let (line, _) = head.split_once('\n')?;
+    line.split_whitespace().nth(1).map(str::to_string)
+}
+
 /// Binds `addr` (e.g. `127.0.0.1:9184`, or port 0 for ephemeral) and
 /// serves the handle's diagnostics to every connection: the
 /// `ASA_METRICS_ADDR` live endpoint. Routes: `/metrics` (Prometheus
@@ -771,16 +806,10 @@ pub fn serve(addr: &str, obs: Obs) -> std::io::Result<MetricsServer> {
             while !stop2.load(Ordering::Relaxed) {
                 match listener.accept() {
                     Ok((mut conn, _)) => {
-                        let _ = conn.set_read_timeout(Some(Duration::from_millis(200)));
-                        let mut buf = [0u8; 1024];
-                        let n = conn.read(&mut buf).unwrap_or(0);
-                        let req = String::from_utf8_lossy(&buf[..n]);
-                        let path = req
-                            .lines()
-                            .next()
-                            .and_then(|l| l.split_whitespace().nth(1))
-                            .unwrap_or("/")
-                            .to_string();
+                        let _ = conn.set_nonblocking(false);
+                        let Some(path) = read_request_path(&mut conn) else {
+                            continue;
+                        };
                         let (status, ctype, body) = respond(&obs, &path);
                         let head = format!(
                             "HTTP/1.0 {status}\r\nContent-Type: {ctype}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
@@ -802,4 +831,34 @@ pub fn serve(addr: &str, obs: Obs) -> std::io::Result<MetricsServer> {
         stop,
         thread: Some(thread),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn profile_seconds_rejects_non_finite_values() {
+        assert_eq!(profile_seconds("seconds=nan"), 1.0);
+        assert_eq!(profile_seconds("seconds=inf"), 1.0);
+        assert_eq!(profile_seconds("seconds=-inf"), 1.0);
+        assert_eq!(profile_seconds("seconds=-1"), 0.01);
+        assert_eq!(profile_seconds("x=1&seconds=2.5"), 2.5);
+        assert_eq!(profile_seconds("seconds=1e9"), 60.0);
+        assert_eq!(profile_seconds(""), 1.0);
+    }
+
+    #[test]
+    fn respond_survives_nan_inf_and_negative_seconds() {
+        let obs = Obs::new_enabled();
+        for q in ["nan", "inf", "-1"] {
+            let (status, _, body) = respond(&obs, &format!("/profile?seconds={q}"));
+            assert!(status.starts_with("503"), "{q}: {status}");
+            assert_eq!(body, NO_PROFILER);
+        }
+        obs.attach_profiler(Duration::from_secs(3600));
+        let (status, _, _) = respond(&obs, "/profile?seconds=-1");
+        assert_eq!(status, "200 OK");
+        obs.stop_background();
+    }
 }

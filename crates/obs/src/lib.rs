@@ -8,8 +8,11 @@
 //!   exact under rayon at any thread count), and streamed [`Record`]s via
 //!   [`Obs::emit`] / the [`record!`] macro.
 //! - **Subscriber side** — pluggable [`Sink`]s: [`JsonlSink`] for machine
-//!   consumption, [`SummarySink`] for humans, [`RingSink`] for cheap
-//!   always-on capture, [`NullSink`] for overhead measurement.
+//!   consumption, [`SummarySink`] for humans; tests add their own capture
+//!   sinks.
+//! - **Background** — one `asa-obs` thread per handle, started by the first
+//!   [`Obs::attach_collector`] or [`Obs::attach_profiler`], ticks whichever
+//!   of the two is attached.
 //!
 //! The disabled handle (`Obs::disabled()`, one `Option<Arc<_>>` that is
 //! `None`) is the default everywhere; every operation on it is a single
@@ -18,11 +21,9 @@
 //! taxonomy and the how-to for adding a counter.
 //!
 //! ```
-//! use asa_obs::{ObsConfig, record};
+//! use asa_obs::{record, Obs};
 //!
-//! let obs = ObsConfig { enabled: true, ring_capacity: 16, ..ObsConfig::disabled() }
-//!     .build()
-//!     .unwrap();
+//! let obs = Obs::new_enabled();
 //! let moves = obs.counter("demo.moves");
 //! {
 //!     let _sweep = obs.span("sweep");
@@ -31,12 +32,11 @@
 //! }
 //! let report = obs.flush().unwrap();
 //! assert_eq!(report.spans[0].name, "sweep");
-//! assert_eq!(obs.ring().unwrap().records().len(), 1);
+//! assert_eq!(report.counters[0].value, 3);
 //! ```
 
 pub mod blackbox;
 pub mod chrome;
-pub mod config;
 pub mod expose;
 pub mod json;
 pub mod metrics;
@@ -49,12 +49,11 @@ pub mod tail;
 pub mod timeseries;
 pub mod trace;
 
-pub use config::ObsConfig;
 pub use json::{Record, Value};
 pub use metrics::{Counter, CounterSnapshot, Gauge, GaugeSnapshot, Hist, HistSnapshot};
 pub use prof::{render_flamegraph, FoldedStack, ProfSnapshot};
 pub use resource::ResourceSample;
-pub use sink::{FlushReport, JsonlSink, NullSink, RingHandle, RingSink, Sink, SummarySink};
+pub use sink::{FlushReport, JsonlSink, Sink, SummarySink};
 pub use slo::{Breach, HealthState, HealthTransition, Objective, SloConfig, SloEngine, Stat};
 pub use span::{Span, SpanSnapshot};
 pub use tail::{RequestAttribution, TailReport};
@@ -64,7 +63,7 @@ pub use timeseries::{
 pub use trace::{FlightRecorder, TraceEvent, TraceId, TraceKind, TraceScope, TraceSnapshot};
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, Weak};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -109,47 +108,108 @@ pub(crate) struct ObsInner {
     pub(crate) spans: Mutex<SpanTree>,
     registry: Mutex<Registry>,
     sinks: Mutex<Vec<Box<dyn Sink>>>,
-    ring: Mutex<Option<RingHandle>>,
     /// Flight recorder, set at most once; `get()` is one pointer load on
     /// the hot path, so span instrumentation without a recorder stays a
     /// no-op branch.
     pub(crate) trace: OnceLock<Arc<FlightRecorder>>,
-    /// Continuous-telemetry collector, set at most once by
+    /// Continuous-telemetry store, set at most once by
     /// [`Obs::attach_collector`]. Like `trace`, a `OnceLock` so hot-path
     /// instrumentation never pays for its existence.
-    collector: OnceLock<CollectorCore>,
+    collector: OnceLock<Arc<TimeSeriesStore>>,
     /// Sampling profiler, set at most once by [`Obs::attach_profiler`].
     /// Span enter/exit only mirrors frames once this is populated, so an
     /// unprofiled process pays one `OnceLock::get` per span.
     pub(crate) prof: OnceLock<prof::ProfCore>,
+    /// The `asa-obs` background thread, started by the first collector or
+    /// profiler attach.
+    ticker: OnceLock<Ticker>,
 }
 
-/// The attached time-series collector: the store plus the background
-/// sampler thread's lifecycle state.
-struct CollectorCore {
-    store: Arc<TimeSeriesStore>,
+/// Longest single sleep of the background thread, so a stop (or the last
+/// handle drop) and a newly attached task are noticed promptly.
+const TICKER_SLICE: Duration = Duration::from_millis(10);
+
+/// Lifecycle of the `asa-obs` thread. The thread holds only a `Weak` to
+/// [`ObsInner`]: when the last handle drops, the upgrade fails and the
+/// thread exits; dropping the ticker also stops and joins it.
+struct Ticker {
     stop: Arc<AtomicBool>,
     thread: Mutex<Option<JoinHandle<()>>>,
 }
 
-impl CollectorCore {
-    /// Signals the sampler thread and joins it; idempotent (the handle is
-    /// taken on first call). Bounded wait: the thread sleeps in ≤10 ms
-    /// increments between stop-flag checks.
+impl Ticker {
+    /// Starts `inner`'s background thread unless it already runs.
+    fn start(inner: &Arc<ObsInner>) {
+        inner.ticker.get_or_init(|| {
+            let stop = Arc::new(AtomicBool::new(false));
+            let (stop2, weak) = (Arc::clone(&stop), Arc::downgrade(inner));
+            let thread = std::thread::Builder::new()
+                .name("asa-obs".into())
+                .spawn(move || {
+                    let (mut next_col, mut next_prof) = (None, None);
+                    while !stop2.load(Ordering::Relaxed) {
+                        let Some(inner) = weak.upgrade() else { return };
+                        let now = Instant::now();
+                        let mut wake = now + TICKER_SLICE;
+                        if let Some(store) = inner.collector.get() {
+                            let every = store.config().resolution;
+                            let tick = || collector_tick(&inner, store);
+                            wake = wake.min(run_due(&mut next_col, now, every, tick));
+                        }
+                        if let Some(core) = inner.prof.get() {
+                            let tick = || core.tick();
+                            wake = wake.min(run_due(&mut next_prof, now, core.interval, tick));
+                        }
+                        drop(inner);
+                        std::thread::sleep(wake.saturating_duration_since(Instant::now()));
+                    }
+                })
+                .expect("spawn obs background thread");
+            Ticker {
+                stop,
+                thread: Mutex::new(Some(thread)),
+            }
+        });
+    }
+
+    /// Signals the thread and joins it; idempotent. Bounded wait: the
+    /// thread sleeps at most [`TICKER_SLICE`] between stop-flag checks.
     fn shutdown(&self) {
         self.stop.store(true, Ordering::Relaxed);
         if let Some(t) = self.thread.lock().unwrap().take() {
-            let _ = t.join();
+            // The thread drops `ObsInner` itself when its transient upgrade
+            // outlives the last handle; it then exits on the stop flag, and
+            // joining it from itself would deadlock.
+            if t.thread().id() != std::thread::current().id() {
+                let _ = t.join();
+            }
         }
     }
 }
 
-impl Drop for CollectorCore {
+impl Drop for Ticker {
     fn drop(&mut self) {
-        // The thread only holds a Weak to ObsInner, so it cannot be the
-        // one dropping us — joining here never self-deadlocks.
         self.shutdown();
     }
+}
+
+/// Runs `tick` once the deadline in `next` has passed and schedules the
+/// next one a full `every` after the tick ends (a slow tick skips, it
+/// never bursts). A task seen for the first time is due one period out.
+/// Returns the next deadline.
+fn run_due(
+    next: &mut Option<Instant>,
+    now: Instant,
+    every: Duration,
+    tick: impl FnOnce(),
+) -> Instant {
+    let every = every.max(Duration::from_millis(1));
+    let deadline = next.get_or_insert(now + every);
+    if now >= *deadline {
+        tick();
+        *deadline = Instant::now() + every;
+    }
+    *deadline
 }
 
 /// One collector tick: snapshot every registered metric (plus synthetic
@@ -221,42 +281,11 @@ impl Obs {
             spans: Mutex::new(SpanTree::new()),
             registry: Mutex::new(Registry::default()),
             sinks: Mutex::new(Vec::new()),
-            ring: Mutex::new(None),
             trace: OnceLock::new(),
             collector: OnceLock::new(),
             prof: OnceLock::new(),
+            ticker: OnceLock::new(),
         })))
-    }
-
-    /// Builds a handle per `cfg`; see [`ObsConfig`].
-    pub fn from_config(cfg: &ObsConfig) -> std::io::Result<Self> {
-        if !cfg.enabled {
-            return Ok(Obs::disabled());
-        }
-        let obs = Obs::new_enabled();
-        if let Some(path) = &cfg.jsonl_path {
-            obs.add_sink(Box::new(JsonlSink::create(path)?));
-        }
-        if cfg.summary || cfg.progress {
-            obs.add_sink(Box::new(SummarySink::new(cfg.progress)));
-        }
-        if cfg.ring_capacity > 0 {
-            let (sink, handle) = RingSink::new(cfg.ring_capacity);
-            obs.add_sink(Box::new(sink));
-            if let Some(inner) = &obs.0 {
-                *inner.ring.lock().unwrap() = Some(handle);
-            }
-        }
-        if cfg.trace_capacity > 0 {
-            obs.attach_recorder(cfg.trace_capacity);
-        }
-        if let Some(ts) = cfg.collector {
-            obs.attach_collector(ts);
-        }
-        if let Some(interval) = cfg.profiler {
-            obs.attach_profiler(interval);
-        }
-        Ok(obs)
     }
 
     /// Whether this handle records anything. Callers use this to skip
@@ -273,13 +302,6 @@ impl Obs {
         if let Some(inner) = &self.0 {
             inner.sinks.lock().unwrap().push(sink);
         }
-    }
-
-    /// Handle to the ring sink, if the config attached one.
-    pub fn ring(&self) -> Option<RingHandle> {
-        self.0
-            .as_ref()
-            .and_then(|inner| inner.ring.lock().unwrap().clone())
     }
 
     /// Finds or creates the counter registered under `name`.
@@ -378,57 +400,20 @@ impl Obs {
         self.0.as_ref().and_then(|inner| inner.trace.get().cloned())
     }
 
-    /// Attaches the continuous-telemetry collector: a background thread
-    /// that snapshots every registered metric into a
-    /// [`TimeSeriesStore`] every `cfg.resolution`. Idempotent (a second
-    /// call keeps the first collector) and a no-op on a disabled handle.
+    /// Attaches the continuous-telemetry collector: the background
+    /// thread snapshots every registered metric into a [`TimeSeriesStore`]
+    /// every `cfg.resolution`. Idempotent (a second call keeps the first
+    /// collector) and a no-op on a disabled handle.
     ///
     /// The thread holds only a `Weak` reference to this handle's state:
-    /// when the last `Obs` clone drops, the next tick's upgrade fails and
-    /// the thread exits on its own, so attaching a collector never leaks
-    /// the registry.
+    /// when the last `Obs` clone drops, the thread exits, so attaching a
+    /// collector never leaks the registry.
     pub fn attach_collector(&self, cfg: TimeSeriesConfig) {
         let Some(inner) = &self.0 else { return };
-        inner.collector.get_or_init(|| {
-            let store = Arc::new(TimeSeriesStore::new(cfg));
-            let stop = Arc::new(AtomicBool::new(false));
-            let weak: Weak<ObsInner> = Arc::downgrade(inner);
-            let store2 = Arc::clone(&store);
-            let stop2 = Arc::clone(&stop);
-            let resolution = store.config().resolution.max(Duration::from_millis(1));
-            let thread = std::thread::Builder::new()
-                .name("asa-obs-collector".into())
-                .spawn(move || {
-                    let mut next = Instant::now() + resolution;
-                    loop {
-                        // Deadline sleep in short increments so stop (and
-                        // handle drop) are honoured promptly even at very
-                        // coarse resolutions.
-                        while Instant::now() < next {
-                            if stop2.load(Ordering::Relaxed) {
-                                return;
-                            }
-                            let left = next.saturating_duration_since(Instant::now());
-                            std::thread::sleep(left.min(Duration::from_millis(10)));
-                        }
-                        if stop2.load(Ordering::Relaxed) {
-                            return;
-                        }
-                        let Some(strong) = weak.upgrade() else { return };
-                        collector_tick(&strong, &store2);
-                        drop(strong);
-                        // Schedule against the previous deadline, but never
-                        // in the past: a slow tick skips, it doesn't burst.
-                        next = std::cmp::max(next + resolution, Instant::now() + resolution);
-                    }
-                })
-                .expect("spawn obs collector thread");
-            CollectorCore {
-                store,
-                stop,
-                thread: Mutex::new(Some(thread)),
-            }
-        });
+        inner
+            .collector
+            .get_or_init(|| Arc::new(TimeSeriesStore::new(cfg)));
+        Ticker::start(inner);
     }
 
     /// The attached collector's time-series store, if any.
@@ -436,7 +421,7 @@ impl Obs {
         self.0
             .as_ref()
             .and_then(|inner| inner.collector.get())
-            .map(|c| Arc::clone(&c.store))
+            .map(Arc::clone)
     }
 
     /// Performs one synchronous collector tick on the calling thread.
@@ -446,35 +431,23 @@ impl Obs {
     /// attached.
     pub fn tick_collector(&self) -> bool {
         let Some(inner) = &self.0 else { return false };
-        let Some(col) = inner.collector.get() else {
+        let Some(store) = inner.collector.get() else {
             return false;
         };
-        collector_tick(inner, &col.store);
+        collector_tick(inner, store);
         true
     }
 
-    /// Stops and joins the collector thread (the store stays readable).
-    /// Idempotent; also happens automatically when the last handle drops.
-    pub fn stop_collector(&self) {
-        if let Some(inner) = &self.0 {
-            if let Some(col) = inner.collector.get() {
-                col.shutdown();
-            }
-        }
-    }
-
-    /// Attaches the sampling profiler: a background thread that snapshots
+    /// Attaches the sampling profiler: the background thread snapshots
     /// every registered thread's live span stack every `interval` and
     /// folds the observations into a collapsed-stack profile. Idempotent
     /// (a second call keeps the first profiler and its interval) and a
-    /// no-op on a disabled handle.
-    ///
-    /// Same lifecycle discipline as [`Obs::attach_collector`]: the
-    /// sampler holds only a `Weak` reference, so the last handle drop
-    /// stops it; [`Obs::stop_profiler`] stops it sooner.
+    /// no-op on a disabled handle. Same thread and lifecycle as
+    /// [`Obs::attach_collector`].
     pub fn attach_profiler(&self, interval: Duration) {
         let Some(inner) = &self.0 else { return };
-        inner.prof.get_or_init(|| prof::spawn_core(inner, interval));
+        inner.prof.get_or_init(|| prof::ProfCore::new(interval));
+        Ticker::start(inner);
     }
 
     /// Whether a profiler is attached (and spans mirror live stacks).
@@ -499,14 +472,13 @@ impl Obs {
         true
     }
 
-    /// Stops and joins the profiler thread (the aggregate stays
-    /// readable). Idempotent; also happens automatically when the last
+    /// Stops and joins the background thread: neither the collector nor
+    /// the profiler ticks on its own again, and the time-series store and
+    /// folded profile stay readable. Idempotent; also happens when the last
     /// handle drops.
-    pub fn stop_profiler(&self) {
-        if let Some(inner) = &self.0 {
-            if let Some(core) = inner.prof.get() {
-                core.shutdown();
-            }
+    pub fn stop_background(&self) {
+        if let Some(ticker) = self.0.as_ref().and_then(|inner| inner.ticker.get()) {
+            ticker.shutdown();
         }
     }
 
@@ -673,7 +645,6 @@ mod tests {
         let _span = obs.span("nothing");
         obs.emit("ev", vec![("k", Value::U64(1))]);
         assert!(obs.flush().is_none());
-        assert!(obs.ring().is_none());
     }
 
     #[test]
@@ -727,15 +698,19 @@ mod tests {
     }
 
     #[test]
-    fn record_macro_streams_to_ring() {
-        let cfg = ObsConfig {
-            enabled: true,
-            ring_capacity: 4,
-            ..ObsConfig::disabled()
-        };
-        let obs = cfg.build().unwrap();
+    fn record_macro_streams_to_sinks() {
+        struct Capture(Arc<Mutex<Vec<Record>>>);
+        impl Sink for Capture {
+            fn record(&mut self, rec: &Record) {
+                self.0.lock().unwrap().push(rec.clone());
+            }
+            fn flush(&mut self, _report: &FlushReport) {}
+        }
+        let obs = Obs::new_enabled();
+        let recs = Arc::new(Mutex::new(Vec::new()));
+        obs.add_sink(Box::new(Capture(Arc::clone(&recs))));
         record!(obs, "sweep", { "moves": 7u64, "dl": -0.25f64 });
-        let recs = obs.ring().unwrap().records();
+        let recs = recs.lock().unwrap();
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].kind, "sweep");
         assert_eq!(recs[0].fields[0], ("moves", Value::U64(7)));

@@ -3,10 +3,10 @@
 //! The phase tree ([`crate::span`]) answers "where did time go on
 //! average" only after a flush, and the flight recorder answers it per
 //! request — neither can be watched live on a long-running service. This
-//! module adds the missing continuous view: a background sampler thread
-//! (same Weak-held, joined-on-drop discipline as the telemetry collector
-//! in `lib.rs`) that snapshots every registered thread's *live span
-//! stack* at a fixed interval and folds the observations into a
+//! module adds the missing continuous view: a sampling pass, run by the
+//! handle's one background thread (`lib.rs`) at a fixed interval, that
+//! snapshots every registered thread's *live span stack* and folds the
+//! observations into a
 //! Brendan-Gregg collapsed profile (`thread;span;span count`), plus a
 //! self-contained flamegraph SVG renderer so no external tooling is
 //! needed to read one offline.
@@ -38,8 +38,7 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, Weak};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use crate::ObsInner;
@@ -345,21 +344,25 @@ fn snapshot_from(agg: &Aggregate, interval: Duration) -> ProfSnapshot {
 }
 
 // ---------------------------------------------------------------------------
-// The profiler core (background sampler lifecycle)
+// The profiler core
 
-/// The attached profiler: live-stack registry, folded aggregate, and the
-/// background sampler thread's lifecycle state. Mirrors the collector's
-/// discipline: the thread holds only a `Weak` to the obs state, so the
-/// last handle drop stops it; explicit stop and drop both join.
+/// The attached profiler: live-stack registry and folded aggregate. The
+/// handle's background thread calls [`ProfCore::tick`] every `interval`.
 pub(crate) struct ProfCore {
-    interval: Duration,
+    pub(crate) interval: Duration,
     pub(crate) threads: Mutex<Vec<Arc<LiveStack>>>,
     agg: Mutex<Aggregate>,
-    stop: Arc<AtomicBool>,
-    thread: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl ProfCore {
+    pub(crate) fn new(interval: Duration) -> Self {
+        ProfCore {
+            interval: interval.max(Duration::from_millis(1)),
+            threads: Mutex::new(Vec::new()),
+            agg: Mutex::new(Aggregate::default()),
+        }
+    }
+
     /// One synchronous sampling pass into the cumulative aggregate.
     pub(crate) fn tick(&self) {
         let mut agg = self.agg.lock().unwrap();
@@ -387,64 +390,6 @@ impl ProfCore {
             std::thread::sleep(interval.min(deadline - now));
         }
         snapshot_from(&agg, interval)
-    }
-
-    /// Signals the sampler thread and joins it; idempotent (the handle
-    /// is taken on first call).
-    pub(crate) fn shutdown(&self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.thread.lock().unwrap().take() {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for ProfCore {
-    fn drop(&mut self) {
-        // The sampler holds only a Weak to ObsInner, so it cannot be the
-        // one dropping us — joining here never self-deadlocks.
-        self.shutdown();
-    }
-}
-
-/// Attach body for [`Obs::attach_profiler`](crate::Obs::attach_profiler):
-/// builds the core and spawns the sampler (same deadline-sleep loop as
-/// the collector, in ≤10 ms increments so stop is honoured promptly).
-pub(crate) fn spawn_core(inner: &Arc<ObsInner>, interval: Duration) -> ProfCore {
-    let interval = interval.max(Duration::from_millis(1));
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop2 = Arc::clone(&stop);
-    let weak: Weak<ObsInner> = Arc::downgrade(inner);
-    let thread = std::thread::Builder::new()
-        .name("asa-obs-profiler".into())
-        .spawn(move || {
-            let mut next = Instant::now() + interval;
-            loop {
-                while Instant::now() < next {
-                    if stop2.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    let left = next.saturating_duration_since(Instant::now());
-                    std::thread::sleep(left.min(Duration::from_millis(10)));
-                }
-                if stop2.load(Ordering::Relaxed) {
-                    return;
-                }
-                let Some(strong) = weak.upgrade() else { return };
-                if let Some(core) = strong.prof.get() {
-                    core.tick();
-                }
-                drop(strong);
-                next = std::cmp::max(next + interval, Instant::now() + interval);
-            }
-        })
-        .expect("spawn obs profiler thread");
-    ProfCore {
-        interval,
-        threads: Mutex::new(Vec::new()),
-        agg: Mutex::new(Aggregate::default()),
-        stop,
-        thread: Mutex::new(Some(thread)),
     }
 }
 

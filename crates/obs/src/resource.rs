@@ -9,7 +9,7 @@
 //! The headline number is **peak RSS** (`VmHWM`): ROADMAP item 2 requires
 //! every bench JSON to certify the memory high-water mark before 100M+-arc
 //! runs are trusted, so [`crate::expose`] publishes it and the bench
-//! harness embeds it in `BENCH_*.json` run metadata. The collector thread
+//! harness embeds it in `BENCH_*.json` run metadata. The collector tick
 //! also folds [`sample`] into the time-series each tick as `proc.*` level
 //! series, which lets SLO objectives target memory directly.
 

@@ -1,4 +1,4 @@
-//! Sink contract and the three built-in sinks.
+//! Sink contract and the two built-in sinks.
 //!
 //! A [`Sink`] receives two kinds of traffic: streaming [`Record`]s as the
 //! instrumented code emits them, and one [`FlushReport`] when the owning
@@ -9,17 +9,14 @@
 //! - [`JsonlSink`] — one JSON object per line, for machine consumption.
 //! - [`SummarySink`] — human-readable heartbeats + phase/counter tables on
 //!   stderr (stdout is reserved for bench tables).
-//! - [`RingSink`] — bounded in-memory ring for cheap always-on capture;
-//!   read back through its [`RingHandle`].
-//! - [`NullSink`] — accepts everything, does nothing; the overhead-check
-//!   baseline.
+//!
+//! Tests that need the records back implement [`Sink`] on a small capture
+//! type of their own.
 
-use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
-use std::sync::{Arc, Mutex};
 
 use crate::json::{write_json_string, Record};
 use crate::metrics::{CounterSnapshot, GaugeSnapshot, HistSnapshot};
@@ -47,19 +44,6 @@ pub trait Sink: Send {
     fn record(&mut self, rec: &Record);
     /// Receives the end-of-run aggregate. Called once per `Obs::flush`.
     fn flush(&mut self, report: &FlushReport);
-}
-
-// ---------------------------------------------------------------------------
-// NullSink
-
-/// Discards everything. Exists so "obs wired but inert" can be measured
-/// against "obs disabled" in the hostperf overhead check.
-#[derive(Debug, Default)]
-pub struct NullSink;
-
-impl Sink for NullSink {
-    fn record(&mut self, _rec: &Record) {}
-    fn flush(&mut self, _report: &FlushReport) {}
 }
 
 // ---------------------------------------------------------------------------
@@ -253,78 +237,6 @@ impl Sink for SummarySink {
     }
 }
 
-// ---------------------------------------------------------------------------
-// RingSink
-
-#[derive(Debug, Default)]
-struct RingState {
-    capacity: usize,
-    records: VecDeque<Record>,
-    report: Option<FlushReport>,
-}
-
-/// Bounded in-memory capture: keeps the most recent `capacity` records and
-/// the last flush report. Cheap enough to leave on permanently.
-#[derive(Debug)]
-pub struct RingSink {
-    state: Arc<Mutex<RingState>>,
-}
-
-/// Reader side of a [`RingSink`]; clone freely.
-#[derive(Debug, Clone)]
-pub struct RingHandle {
-    state: Arc<Mutex<RingState>>,
-}
-
-impl RingSink {
-    /// Creates a ring holding at most `capacity` records, plus a handle to
-    /// read them back.
-    pub fn new(capacity: usize) -> (Self, RingHandle) {
-        let state = Arc::new(Mutex::new(RingState {
-            capacity: capacity.max(1),
-            records: VecDeque::new(),
-            report: None,
-        }));
-        (
-            RingSink {
-                state: state.clone(),
-            },
-            RingHandle { state },
-        )
-    }
-}
-
-impl RingHandle {
-    /// Copies out the buffered records, oldest first.
-    pub fn records(&self) -> Vec<Record> {
-        self.state.lock().unwrap().records.iter().cloned().collect()
-    }
-
-    /// Removes and returns the buffered records, oldest first.
-    pub fn drain(&self) -> Vec<Record> {
-        self.state.lock().unwrap().records.drain(..).collect()
-    }
-
-    /// The most recent flush report, if any flush has happened.
-    pub fn last_report(&self) -> Option<FlushReport> {
-        self.state.lock().unwrap().report.clone()
-    }
-}
-
-impl Sink for RingSink {
-    fn record(&mut self, rec: &Record) {
-        let mut state = self.state.lock().unwrap();
-        if state.records.len() == state.capacity {
-            state.records.pop_front();
-        }
-        state.records.push_back(rec.clone());
-    }
-
-    fn flush(&mut self, report: &FlushReport) {
-        self.state.lock().unwrap().report = Some(report.clone());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -336,18 +248,6 @@ mod tests {
             t_us: n,
             fields: vec![("n", Value::U64(n))],
         }
-    }
-
-    #[test]
-    fn ring_evicts_oldest() {
-        let (mut sink, handle) = RingSink::new(2);
-        sink.record(&rec("a", 1));
-        sink.record(&rec("b", 2));
-        sink.record(&rec("c", 3));
-        let kinds: Vec<_> = handle.records().iter().map(|r| r.kind).collect();
-        assert_eq!(kinds, vec!["b", "c"]);
-        assert_eq!(handle.drain().len(), 2);
-        assert!(handle.records().is_empty());
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! - every [`Hist`](crate::Hist) becomes three **quantile** series
 //!   (`<name>.p50`/`.p95`/`.p99`) plus a `<name>.rate` sample-rate series.
 //!
-//! Ticks are fed either by the background collector thread
+//! Ticks are fed either by the handle's background thread
 //! ([`Obs::attach_collector`](crate::Obs::attach_collector)) at the
 //! configured resolution, or manually
 //! ([`Obs::tick_collector`](crate::Obs::tick_collector)) for deterministic
@@ -178,7 +178,7 @@ impl Inner {
 
 /// Observer invoked after every tick with the store itself; registered by
 /// the SLO wiring in `asa-serve`. Runs on whichever thread ticked (the
-/// collector thread, or the caller of a manual tick).
+/// background thread, or the caller of a manual tick).
 pub type TickObserver = Box<dyn Fn(&TimeSeriesStore) + Send>;
 
 /// The per-handle series table. Obtain via
@@ -233,7 +233,7 @@ impl TimeSeriesStore {
     /// order after the series table lock is released, on the ticking
     /// thread. An observer must not register further observers (the
     /// observer list lock is held during delivery) and must not stop the
-    /// collector from inside a tick.
+    /// background thread from inside a tick.
     pub fn add_observer(&self, f: TickObserver) {
         self.observers.lock().unwrap().push(f);
     }

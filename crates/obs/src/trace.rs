@@ -155,8 +155,7 @@ impl TraceSnapshot {
 }
 
 /// The recorder behind one enabled [`Obs`](crate::Obs) handle. Created by
-/// [`Obs::attach_recorder`](crate::Obs::attach_recorder) or
-/// [`ObsConfig::trace_capacity`](crate::ObsConfig::trace_capacity).
+/// [`Obs::attach_recorder`](crate::Obs::attach_recorder).
 #[derive(Debug)]
 pub struct FlightRecorder {
     obs_id: u64,

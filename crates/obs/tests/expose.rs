@@ -309,7 +309,7 @@ fn tcp_endpoint_routes_diagnostics_paths() {
     assert!(head.starts_with("HTTP/1.0 404"), "{head}");
 
     server.stop();
-    obs.stop_profiler();
+    obs.stop_background();
 }
 
 #[test]
@@ -323,5 +323,45 @@ fn profile_endpoint_without_profiler_is_503() {
     let mut raw = String::new();
     conn.read_to_string(&mut raw).unwrap();
     assert!(raw.starts_with("HTTP/1.0 503"), "{raw}");
+    server.stop();
+}
+
+#[test]
+fn late_request_gets_its_own_page() {
+    let obs = populated_obs();
+    let server = expose::serve("127.0.0.1:0", obs).unwrap();
+    let mut conn = TcpStream::connect(server.local_addr()).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    // The request arrives well after the connection: the endpoint must
+    // wait for it rather than answer an empty read as `/`.
+    std::thread::sleep(Duration::from_millis(400));
+    write!(conn, "GET /debug HTTP/1.0\r\nHost: localhost\r\n\r\n").unwrap();
+    let mut raw = String::new();
+    conn.read_to_string(&mut raw).unwrap();
+    assert!(raw.starts_with("HTTP/1.0 200 OK"), "{raw}");
+    assert!(raw.contains("uptime_us:"), "{raw}");
+    server.stop();
+}
+
+#[test]
+fn connection_without_request_line_gets_no_answer() {
+    let obs = populated_obs();
+    let server = expose::serve("127.0.0.1:0", obs).unwrap();
+    let mut conn = TcpStream::connect(server.local_addr()).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    conn.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut raw = String::new();
+    let _ = conn.read_to_string(&mut raw);
+    assert!(raw.is_empty(), "{raw}");
+    // The endpoint keeps serving after the empty connection.
+    let mut conn = TcpStream::connect(server.local_addr()).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    write!(conn, "GET /metrics HTTP/1.0\r\n\r\n").unwrap();
+    let mut raw = String::new();
+    conn.read_to_string(&mut raw).unwrap();
+    assert!(raw.contains("e_requests_total 41"), "{raw}");
     server.stop();
 }

@@ -5,25 +5,24 @@
 use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use asa_obs::Obs;
+use asa_obs::{Obs, TimeSeriesConfig};
 
-/// Every test here starts a sampler thread, and the join test counts those
-/// threads process-wide, so the tests run one at a time.
+/// Every test here starts the background thread, and the thread tests
+/// count those threads process-wide, so the tests run one at a time.
 fn serial() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Live `asa-obs-profiler` threads per procfs (comm truncates to 15
-/// chars). `None` when procfs is unavailable (skip the assertion).
-fn profiler_threads() -> Option<usize> {
+/// Live `asa-obs` background threads per procfs. `None` when procfs is
+/// unavailable (skip the assertion).
+fn obs_threads() -> Option<usize> {
     let entries = std::fs::read_dir("/proc/self/task").ok()?;
     Some(
         entries
             .filter_map(Result::ok)
             .filter(|e| {
-                std::fs::read_to_string(e.path().join("comm"))
-                    .is_ok_and(|c| c.trim().starts_with("asa-obs-profile"))
+                std::fs::read_to_string(e.path().join("comm")).is_ok_and(|c| c.trim() == "asa-obs")
             })
             .count(),
     )
@@ -50,7 +49,7 @@ fn attach_is_idempotent_and_samples_in_background() {
     }
     assert!(samples >= 3, "background sampler never ran");
 
-    obs.stop_profiler();
+    obs.stop_background();
     let frozen = obs.prof_snapshot().unwrap().samples;
     std::thread::sleep(Duration::from_millis(20));
     assert_eq!(
@@ -59,24 +58,24 @@ fn attach_is_idempotent_and_samples_in_background() {
         "passes continued after stop"
     );
     // Stopping again (and dropping, which stops too) must not panic.
-    obs.stop_profiler();
+    obs.stop_background();
     drop(obs);
 }
 
 #[test]
 fn dropping_the_last_handle_joins_the_sampler_thread() {
     let _serial = serial();
-    let before = profiler_threads();
+    let before = obs_threads();
     let obs = Obs::new_enabled();
     obs.attach_profiler(Duration::from_millis(2));
     if let Some(b) = before {
         // A spawned thread sets its own name once it runs, so the count
         // may lag the spawn briefly.
         let deadline = Instant::now() + Duration::from_secs(5);
-        let mut after = profiler_threads();
+        let mut after = obs_threads();
         while after != Some(b + 1) && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(1));
-            after = profiler_threads();
+            after = obs_threads();
         }
         assert_eq!(after, Some(b + 1), "sampler thread not started");
     }
@@ -84,9 +83,38 @@ fn dropping_the_last_handle_joins_the_sampler_thread() {
     // Drop joins: once it returns, the thread is gone. Counted at once,
     // never polled: the sampler also exits on its own once its `Weak`
     // fails to upgrade, so a wait here would pass without a join.
-    if let (Some(b), Some(after)) = (before, profiler_threads()) {
+    if let (Some(b), Some(after)) = (before, obs_threads()) {
         assert_eq!(after, b, "sampler thread survived the last handle drop");
     }
+}
+
+#[test]
+fn collector_and_profiler_share_one_background_thread() {
+    let _serial = serial();
+    let Some(before) = obs_threads() else { return };
+    let obs = Obs::new_enabled();
+    // Hours-long periods: the thread idles, so no tick's transient strong
+    // reference can make it the one that drops the state below.
+    obs.attach_collector(TimeSeriesConfig {
+        resolution: Duration::from_secs(3600),
+        slots: 16,
+    });
+    obs.attach_profiler(Duration::from_secs(3600));
+    assert!(obs.tick_collector() && obs.tick_profiler());
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while obs_threads() != Some(before + 1) && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(
+        obs_threads(),
+        Some(before + 1),
+        "one asa-obs thread per handle"
+    );
+    let clone = obs.clone();
+    drop(obs);
+    assert_eq!(obs_threads(), Some(before + 1), "a clone keeps the thread");
+    drop(clone);
+    assert_eq!(obs_threads(), Some(before), "thread survived the last drop");
 }
 
 #[test]
@@ -122,7 +150,7 @@ fn samples_mid_trace_scope_attribute_to_the_trace_id() {
         .find(|s| s.frames.iter().any(|f| f == "untraced.work"))
         .expect("untraced stack sampled");
     assert!(untraced.traces.is_empty(), "{:?}", untraced.traces);
-    obs.stop_profiler();
+    obs.stop_background();
 }
 
 #[test]
@@ -160,7 +188,7 @@ fn thread_exit_mid_sample_never_poisons_the_aggregate() {
     assert_eq!(doomed.len(), 1);
     assert_eq!(doomed[0].count, 1, "dead thread sampled after exit");
     assert_eq!(doomed[0].thread, "doomed");
-    obs.stop_profiler();
+    obs.stop_background();
 }
 
 #[test]
@@ -174,7 +202,7 @@ fn rayon_pool_spans_sample_cleanly_under_contention() {
         let _inner = obs.span(if i % 2 == 0 { "pool.even" } else { "pool.odd" });
         std::thread::sleep(Duration::from_micros(200));
     });
-    obs.stop_profiler();
+    obs.stop_background();
     let snap = obs.prof_snapshot().unwrap();
     assert!(snap.samples > 0, "sampler never ran during the pool burst");
     for s in &snap.stacks {

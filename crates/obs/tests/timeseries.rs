@@ -113,12 +113,12 @@ fn collector_thread_start_and_stop_are_idempotent() {
     }
     assert!(store.ticks() >= 3, "background thread never ticked");
 
-    obs.stop_collector();
+    obs.stop_background();
     let after = store.ticks();
     std::thread::sleep(Duration::from_millis(30));
     assert_eq!(store.ticks(), after, "ticks continued after stop");
     // Stopping again (and dropping, which stops too) must not panic.
-    obs.stop_collector();
+    obs.stop_background();
     drop(obs);
     // Store stays readable after every handle is gone.
     assert_eq!(store.ticks(), after);

@@ -142,14 +142,14 @@ pub struct ServeConfig {
     /// into the flight recorder (attach it *before* `start`), and the
     /// human-readable report prints at shutdown.
     pub slo: Option<SloConfig>,
-    /// Black-box flight-data path. When set (default: `ASA_BLACKBOX_OUT`
-    /// when present) and the configured [`Obs`] is enabled, the engine
-    /// installs a panic hook at `start` and writes one JSON diagnostic
-    /// bundle there on any panic and again on graceful [`shutdown`]
-    /// (reason `"shutdown"`). The bundle carries the flight-recorder
-    /// drain, time-series tails, metric/resource snapshots, the folded
-    /// profile, and the engine's own `serve.shards` / `serve.slo`
-    /// sections.
+    /// Black-box flight-data path (default `None`; the serve bench sets
+    /// `blackbox.json` under its `--obs-dir`). When set and the configured
+    /// [`Obs`] is enabled, the engine installs a panic hook at `start` and
+    /// writes one JSON diagnostic bundle there on any panic and again on
+    /// graceful [`shutdown`] (reason `"shutdown"`). The bundle carries the
+    /// flight-recorder drain, time-series tails, metric/resource
+    /// snapshots, the folded profile, and the engine's own `serve.shards`
+    /// / `serve.slo` sections.
     ///
     /// [`shutdown`]: ServeEngine::shutdown
     pub blackbox_out: Option<PathBuf>,
@@ -173,7 +173,7 @@ impl Default for ServeConfig {
             incremental: IncrementalConfig::default(),
             obs: Obs::disabled(),
             slo: None,
-            blackbox_out: std::env::var_os("ASA_BLACKBOX_OUT").map(PathBuf::from),
+            blackbox_out: None,
         }
     }
 }

@@ -292,6 +292,6 @@ fn slo_evaluations_ride_the_background_collector_thread() {
     }
     assert!(store.ticks() >= 5, "collector thread must tick");
     assert_eq!(engine.health(), HealthState::Healthy);
-    obs.stop_collector();
+    obs.stop_background();
     engine.shutdown();
 }
