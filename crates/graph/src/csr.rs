@@ -449,8 +449,10 @@ fn mirror_rows(offsets: &[u64], targets: &[NodeId], weights: &[f64], upper: bool
     (new_offsets, new_targets, new_weights)
 }
 
-/// The transpose of sorted CSR rows, with sorted rows.
-pub(crate) fn transpose(offsets: &[u64], targets: &[NodeId], weights: &[f64]) -> CsrArrays {
+/// The transpose of sorted CSR rows, with sorted rows: one counting pass,
+/// no row is re-sorted. The graph builder builds a directed graph's
+/// in-rows through it, and the flow network its directed in-rows.
+pub fn transpose(offsets: &[u64], targets: &[NodeId], weights: &[f64]) -> CsrArrays {
     mirror_rows(offsets, targets, weights, false)
 }
 

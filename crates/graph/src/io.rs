@@ -165,6 +165,7 @@ pub fn write_edge_list<W: Write>(graph: &CsrGraph, writer: W) -> io::Result<()> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     const SAMPLE: &str = "\
 # Directed graph: example
@@ -239,5 +240,150 @@ mod tests {
     fn self_loops_dropped_by_default() {
         let (g, _) = read_edge_list("0 0\n0 1\n".as_bytes(), &ReadOptions::default()).unwrap();
         assert_eq!(g.num_edges(), 1);
+    }
+
+    /// External ids the hostile-input properties draw from, the largest
+    /// two at the top of the `u64` range.
+    const IDS: [u64; 6] = [0, 7, 42, 1 << 40, u64::MAX - 1, u64::MAX];
+
+    fn options(directed: bool) -> ReadOptions {
+        ReadOptions {
+            directed,
+            ..ReadOptions::default()
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        // Repeated arcs (and, undirected, both orientations of an edge)
+        // merge into one arc carrying the summed weight. Integer weights
+        // keep the sums exact in any order.
+        #[test]
+        fn duplicate_arcs_merge_to_summed_weight(
+            lines in prop::collection::vec((0usize..6, 0usize..6, 0u32..8), 0..60),
+            directed in any::<bool>(),
+        ) {
+            let mut text = String::from("# duplicates\n");
+            let mut want: HashMap<(u64, u64), f64> = HashMap::new();
+            let mut seen = Vec::new();
+            for &(a, b, w) in &lines {
+                let (u, v) = (IDS[a], IDS[b]);
+                // Weight 0 stands for a two-column line (default weight 1).
+                match w {
+                    0 => text.push_str(&format!("{u}\t{v}\n")),
+                    _ => text.push_str(&format!("{u} {v}  {w}\n")),
+                }
+                for id in [u, v] {
+                    if !seen.contains(&id) {
+                        seen.push(id);
+                    }
+                }
+                if u != v {
+                    let key = if directed { (u, v) } else { (u.min(v), u.max(v)) };
+                    *want.entry(key).or_default() += f64::from(w.max(1));
+                }
+            }
+            let (g, ext) = read_edge_list(text.as_bytes(), &options(directed)).unwrap();
+            prop_assert_eq!(&ext, &seen);
+            prop_assert_eq!(g.is_directed(), directed);
+            let per_edge = if directed { 1 } else { 2 };
+            prop_assert_eq!(g.num_arcs(), per_edge * want.len());
+            for (u, v, w) in g.arcs() {
+                let (eu, ev) = (ext[u as usize], ext[v as usize]);
+                let key = if directed { (eu, ev) } else { (eu.min(ev), eu.max(ev)) };
+                prop_assert_eq!(want.get(&key).copied(), Some(w));
+            }
+        }
+
+        // Ids at the top of the `u64` range intern in first-seen order and
+        // map back to themselves through the external-id table.
+        #[test]
+        fn ids_near_u64_max_round_trip(
+            lines in prop::collection::vec((0u64..40, 0u64..40), 1..80),
+        ) {
+            let ids: Vec<(u64, u64)> =
+                lines.iter().map(|&(a, b)| (u64::MAX - a, u64::MAX - b)).collect();
+            let text: String = ids.iter().map(|(u, v)| format!("{u} {v}\n")).collect();
+            let opts = ReadOptions {
+                directed: true,
+                drop_self_loops: false,
+                ..ReadOptions::default()
+            };
+            let (g, ext) = read_edge_list(text.as_bytes(), &opts).unwrap();
+            let mut first_seen = Vec::new();
+            for &(u, v) in &ids {
+                for id in [u, v] {
+                    if !first_seen.contains(&id) {
+                        first_seen.push(id);
+                    }
+                }
+            }
+            prop_assert_eq!(&ext, &first_seen);
+            let internal = |id: u64| ext.iter().position(|&e| e == id).unwrap() as u32;
+            for &(u, v) in &ids {
+                let (iu, iv) = (internal(u), internal(v));
+                prop_assert!(g.out_neighbors(iu).targets().contains(&iv));
+            }
+        }
+
+        // One past `u64::MAX` is a parse error on its own line, wherever
+        // it sits and whichever column holds it.
+        #[test]
+        fn id_past_u64_max_is_a_parse_error(
+            before in prop::collection::vec(0u32..3, 0..20),
+            column in 0u32..2,
+        ) {
+            let mut text = String::new();
+            for &kind in &before {
+                text.push_str(match kind {
+                    0 => "# comment\n",
+                    1 => "\n",
+                    _ => "18446744073709551615 1\n",
+                });
+            }
+            let bad = match column {
+                0 => "18446744073709551616 3",
+                _ => "3 18446744073709551616",
+            };
+            text.push_str(&format!("{bad}\n0 1\n"));
+            match read_edge_list(text.as_bytes(), &ReadOptions::default()) {
+                Err(IoError::Parse(line, got)) => {
+                    prop_assert_eq!(line, before.len() + 1);
+                    prop_assert_eq!(got, bad);
+                }
+                other => panic!("expected a parse error, got {other:?}"),
+            }
+        }
+
+        // Lines of hostile tokens, and raw bytes, return `Ok` or a typed
+        // error under every option set; they never panic.
+        #[test]
+        fn hostile_input_never_panics(
+            lines in prop::collection::vec(prop::collection::vec(0usize..18, 0..5), 0..30),
+            bytes in prop::collection::vec(any::<u8>(), 0..200),
+            directed in any::<bool>(),
+            drop_self_loops in any::<bool>(),
+        ) {
+            const TOKENS: [&str; 18] = [
+                "0", "1", "18446744073709551615", "18446744073709551616", "-1", "nan",
+                "inf", "1e308", "1e-320", "0.0", "abc", "#", "%", "\t", "3.5", "0x10",
+                "+5", "1 2 3 4",
+            ];
+            let text: String = lines
+                .iter()
+                .map(|l| l.iter().map(|&t| TOKENS[t]).collect::<Vec<_>>().join(" ") + "\n")
+                .collect();
+            let opts = ReadOptions {
+                directed,
+                drop_self_loops,
+                ..ReadOptions::default()
+            };
+            for input in [text.as_bytes(), &bytes] {
+                if let Ok((g, ext)) = read_edge_list(input, &opts) {
+                    prop_assert_eq!(g.num_nodes(), ext.len());
+                }
+            }
+        }
     }
 }

@@ -35,7 +35,40 @@ pub struct InfomapConfig {
     pub outer_loops: usize,
 }
 
+/// Why an [`InfomapConfig`] cannot run; from [`InfomapConfig::validate`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ConfigError {
+    /// `teleport` is not a finite value in `[0, 1)`.
+    Teleport(f64),
+    /// `pagerank_tol` is not a finite value `>= 0`.
+    PagerankTol(f64),
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::Teleport(v) => write!(f, "teleport {v} is not in [0, 1)"),
+            Self::PagerankTol(v) => write!(f, "pagerank_tol {v} is not finite and >= 0"),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
 impl InfomapConfig {
+    /// Checks the fields the flow computation relies on: `teleport`
+    /// finite in `[0, 1)` (PageRank asserts it) and `pagerank_tol` finite
+    /// and `>= 0`.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if !(0.0..1.0).contains(&self.teleport) {
+            return Err(ConfigError::Teleport(self.teleport));
+        }
+        if !(self.pagerank_tol.is_finite() && self.pagerank_tol >= 0.0) {
+            return Err(ConfigError::PagerankTol(self.pagerank_tol));
+        }
+        Ok(())
+    }
+
     /// The [`crate::mapeq::TeleportMode`] implied by this configuration.
     pub fn teleport_mode(&self) -> crate::mapeq::TeleportMode {
         if self.recorded_teleport {
@@ -71,5 +104,31 @@ mod tests {
         let c = InfomapConfig::default();
         assert!(c.teleport > 0.0 && c.teleport < 1.0);
         assert!(c.max_sweeps > 0 && c.max_levels > 0);
+        assert_eq!(c.validate(), Ok(()));
+    }
+
+    #[test]
+    fn validate_rejects_bad_teleport_and_tolerance() {
+        let with = |teleport: f64, pagerank_tol: f64| InfomapConfig {
+            teleport,
+            pagerank_tol,
+            ..InfomapConfig::default()
+        };
+        for t in [f64::NAN, 1.0, 1.5, -0.1, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(
+                matches!(with(t, 1e-12).validate(), Err(ConfigError::Teleport(_))),
+                "{t}"
+            );
+        }
+        for tol in [f64::NAN, -1e-9, f64::INFINITY] {
+            let err = with(0.15, tol).validate();
+            assert!(matches!(err, Err(ConfigError::PagerankTol(_))), "{tol}");
+        }
+        assert_eq!(with(0.0, 0.0).validate(), Ok(()));
+        assert_eq!(with(0.999, 1.0).validate(), Ok(()));
+        assert_eq!(
+            with(1.0, 1e-12).validate().unwrap_err().to_string(),
+            "teleport 1 is not in [0, 1)"
+        );
     }
 }

@@ -9,7 +9,7 @@
 //! levels for directed graphs, where PageRank does not compose under
 //! aggregation.
 
-use asa_graph::csr::expand_upper_triangle;
+use asa_graph::csr::{expand_upper_triangle, transpose};
 use asa_graph::{CsrArrays, CsrGraph, NodeId, Partition};
 use rayon::prelude::*;
 
@@ -156,20 +156,15 @@ impl FlowNetwork {
     }
 
     /// The network over merged, sorted `out` rows, with their transpose as
-    /// the in-rows. When the transpose equals `out` bit for bit, the
-    /// network is symmetric and keeps only `out`.
+    /// the in-rows. Rows with unique, sorted targets transpose by one
+    /// counting pass into rows of the same kind. When the transpose equals
+    /// `out` bit for bit, the network is symmetric and keeps only `out`.
     fn from_out_rows(node_flow: Vec<f64>, node_weight: Vec<u64>, out: CsrArrays) -> Self {
-        let (offsets, targets, flows) = &out;
-        let reversed = (0..offsets.len() - 1).flat_map(|u| {
-            let (lo, hi) = (offsets[u] as usize, offsets[u + 1] as usize);
-            (lo..hi).map(move |i| (targets[i], u as NodeId, flows[i]))
-        });
-        let transpose = rows_to_merged_csr(offsets.len() as u32 - 1, reversed);
-        let symmetric = out.0 == transpose.0
-            && out.1 == transpose.1
-            && (out.2.iter().zip(&transpose.2)).all(|(a, b)| a.to_bits() == b.to_bits());
-        let transpose = (!symmetric).then_some(transpose);
-        Self::assemble(node_flow, node_weight, out, transpose)
+        let t = transpose(&out.0, &out.1, &out.2);
+        let symmetric = out.0 == t.0
+            && out.1 == t.1
+            && (out.2.iter().zip(&t.2)).all(|(a, b)| a.to_bits() == b.to_bits());
+        Self::assemble(node_flow, node_weight, out, (!symmetric).then_some(t))
     }
 
     /// The network over `out` rows, with `transpose` as its in-rows, or
@@ -421,8 +416,8 @@ where
         idx.clear();
         idx.extend(0..(hi - lo) as u32);
         // Secondary key = flow bits: parallel-arc duplicates then merge in
-        // a deterministic value order, so mirrored arc streams produce
-        // byte-identical rows in both CSR directions.
+        // a deterministic value order, so a mirrored arc stream (both
+        // directions of each edge) merges into byte-symmetric rows.
         idx.sort_unstable_by_key(|&i| (row_t[i as usize], row_f[i as usize].to_bits()));
         for &i in &idx {
             let (t, f) = (row_t[i as usize], row_f[i as usize]);

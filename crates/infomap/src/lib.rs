@@ -52,7 +52,7 @@ pub mod result;
 pub mod schedule;
 
 pub use cancel::CancelToken;
-pub use config::InfomapConfig;
+pub use config::{ConfigError, InfomapConfig};
 pub use distributed::{detect_communities_distributed_cancellable, CommStats, DistEngine};
 pub use driver::{
     detect_communities, detect_communities_cancellable, detect_communities_renumbered,

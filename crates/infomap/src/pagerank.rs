@@ -18,10 +18,18 @@ pub struct PageRank {
     pub residual: f64,
 }
 
+/// Vertex blocks per power iteration (the last may be shorter). A block
+/// adds its residual and dangling terms in vertex order, and the block
+/// sums are added in block order, so the association depends on `n`
+/// alone, never on the thread count.
+const BLOCKS: usize = 256;
+
 /// Weighted PageRank with teleportation `tau`, dangling-mass
 /// redistribution, run until the L1 residual drops below `tol` or
 /// `max_iters` is hit. Parallelized with rayon (the paper's HyPC-Map uses
-/// the OpenMP equivalent).
+/// the OpenMP equivalent): each iteration is one parallel pass over fixed
+/// vertex blocks, which pulls the block's ranks and returns its share of
+/// the residual and of the next iteration's dangling mass.
 pub fn pagerank(graph: &CsrGraph, tau: f64, tol: f64, max_iters: usize) -> PageRank {
     assert!((0.0..1.0).contains(&tau), "teleport must be in [0,1)");
     let n = graph.num_nodes();
@@ -46,37 +54,67 @@ pub fn pagerank(graph: &CsrGraph, tau: f64, tol: f64, max_iters: usize) -> PageR
         })
         .collect();
 
+    // The dangling vertices grouped by block: block `b`'s are
+    // `dangling[dangling_at[b]..dangling_at[b + 1]]`, ascending.
+    let block = n.div_ceil(BLOCKS);
+    let blocks = n.div_ceil(block);
+    let dangling = graph.dangling_nodes();
+    let mut dangling_at = vec![0usize; blocks + 1];
+    for &d in &dangling {
+        dangling_at[d as usize / block + 1] += 1;
+    }
+    for b in 0..blocks {
+        dangling_at[b + 1] += dangling_at[b];
+    }
+    let dangling_of = |b: usize| &dangling[dangling_at[b]..dangling_at[b + 1]];
+
+    let (in_offsets, in_sources, in_weights) = graph.in_csr();
     let mut rank = vec![1.0 / n as f64; n];
     let mut next = vec![0.0f64; n];
     let uniform = 1.0 / n as f64;
 
+    // Dangling mass teleports uniformly.
+    let mut dangling_mass: f64 = (0..blocks)
+        .map(|b| {
+            dangling_of(b)
+                .iter()
+                .map(|&d| rank[d as usize])
+                .sum::<f64>()
+        })
+        .sum();
     let mut iterations = 0;
     let mut residual = f64::INFINITY;
     while iterations < max_iters && residual > tol {
-        // Dangling mass teleports uniformly.
-        let dangling_mass: f64 = (0..n as u32)
-            .into_par_iter()
-            .filter(|&u| graph.out_degree(u) == 0)
-            .map(|u| rank[u as usize])
-            .sum();
-
         // Pull formulation: next[v] from v's in-neighbours. Embarrassingly
         // parallel and deterministic (no atomics, fixed reduction order per
         // vertex).
         let base = tau * uniform + (1.0 - tau) * dangling_mass * uniform;
-        next.par_iter_mut().enumerate().for_each(|(v, slot)| {
-            let mut acc = 0.0;
-            for e in graph.in_neighbors(v as u32).iter() {
-                acc += rank[e.target as usize] * e.weight * inv_strength[e.target as usize];
-            }
-            *slot = base + (1.0 - tau) * acc;
-        });
-
-        residual = rank
-            .par_iter()
-            .zip(next.par_iter())
-            .map(|(a, b)| (a - b).abs())
-            .sum();
+        let prev = &rank;
+        let sums: Vec<(f64, f64)> = next
+            .par_chunks_mut(block)
+            .enumerate()
+            .map(|(b, out)| {
+                let lo = b * block;
+                let block_residual = (out.iter_mut().enumerate())
+                    .map(|(i, slot)| {
+                        let v = lo + i;
+                        let (a, z) = (in_offsets[v] as usize, in_offsets[v + 1] as usize);
+                        let mut acc = 0.0;
+                        for (&u, &w) in in_sources[a..z].iter().zip(&in_weights[a..z]) {
+                            acc += prev[u as usize] * w * inv_strength[u as usize];
+                        }
+                        *slot = base + (1.0 - tau) * acc;
+                        (prev[v] - *slot).abs()
+                    })
+                    .sum::<f64>();
+                let block_dangling = (dangling_of(b).iter())
+                    .map(|&d| out[d as usize - lo])
+                    .sum::<f64>();
+                (block_residual, block_dangling)
+            })
+            .collect();
+        residual = sums.iter().map(|s| s.0).sum();
+        dangling_mass = sums.iter().map(|s| s.1).sum();
         std::mem::swap(&mut rank, &mut next);
         iterations += 1;
     }
@@ -176,6 +214,120 @@ mod tests {
         let g = b.build();
         let pr = pagerank(&g, 0.15, 1e-12, 500);
         assert!(pr.rank[1] > 2.0 * pr.rank[2]);
+    }
+
+    /// The three-pass power iteration the blocked loop replaced: a
+    /// dangling-mass scan, the pull, and the residual, each its own
+    /// parallel call with rayon's length-only block split.
+    fn three_pass(graph: &CsrGraph, tau: f64, tol: f64, max_iters: usize) -> PageRank {
+        let n = graph.num_nodes();
+        let inv_strength: Vec<f64> = (0..n as u32)
+            .map(|u| {
+                let s = graph.out_weight(u);
+                if s > 0.0 {
+                    1.0 / s
+                } else {
+                    0.0
+                }
+            })
+            .collect();
+        let mut rank = vec![1.0 / n as f64; n];
+        let mut next = vec![0.0f64; n];
+        let uniform = 1.0 / n as f64;
+        let mut iterations = 0;
+        let mut residual = f64::INFINITY;
+        while iterations < max_iters && residual > tol {
+            let dangling_mass: f64 = (0..n as u32)
+                .into_par_iter()
+                .filter(|&u| graph.out_degree(u) == 0)
+                .map(|u| rank[u as usize])
+                .sum();
+            let base = tau * uniform + (1.0 - tau) * dangling_mass * uniform;
+            next.par_iter_mut().enumerate().for_each(|(v, slot)| {
+                let mut acc = 0.0;
+                for e in graph.in_neighbors(v as u32).iter() {
+                    acc += rank[e.target as usize] * e.weight * inv_strength[e.target as usize];
+                }
+                *slot = base + (1.0 - tau) * acc;
+            });
+            residual = rank
+                .par_iter()
+                .zip(next.par_iter())
+                .map(|(a, b)| (a - b).abs())
+                .sum();
+            std::mem::swap(&mut rank, &mut next);
+            iterations += 1;
+        }
+        PageRank {
+            rank,
+            iterations,
+            residual,
+        }
+    }
+
+    /// A random directed graph on `n` vertices: about `deg` arcs per
+    /// source, weights `1..=9` when `weighted`, and every vertex in
+    /// `dangling` left without out-arcs.
+    fn random_digraph(
+        n: usize,
+        deg: usize,
+        weighted: bool,
+        dangling: impl Fn(u32) -> bool,
+        seed: u64,
+    ) -> CsrGraph {
+        let mut x = seed | 1;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut b = GraphBuilder::directed(n);
+        for u in (0..n as u32).filter(|&u| !dangling(u)) {
+            for _ in 0..deg {
+                let r = next();
+                let w = if weighted { (r >> 40) % 9 + 1 } else { 1 };
+                b.add_edge(u, (r % n as u64) as u32, w as f64);
+            }
+        }
+        b.build()
+    }
+
+    fn assert_pinned(g: &CsrGraph, what: &str) {
+        for threads in [1, 3, 8] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            for (tol, cap) in [(1e-12, 200), (1e-3, 200), (0.0, 7)] {
+                let (got, want) =
+                    pool.install(|| (pagerank(g, 0.15, tol, cap), three_pass(g, 0.15, tol, cap)));
+                let ctx = format!("{what}, {threads} threads, tol {tol}, cap {cap}");
+                assert_eq!(got.iterations, want.iterations, "{ctx}");
+                assert_eq!(got.residual.to_bits(), want.residual.to_bits(), "{ctx}");
+                let bits = |p: &PageRank| p.rank.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "{ctx}");
+            }
+        }
+    }
+
+    #[test]
+    fn blocked_pass_matches_three_pass_loop_bit_for_bit() {
+        // n below one vertex per block, one past 256, and multiples of 256.
+        for (n, seed) in [(1, 1), (5, 2), (200, 3), (257, 4), (512, 5), (2560, 6)] {
+            let g = random_digraph(n, 4, false, |u| u % 11 == 3, seed);
+            assert_pinned(&g, &format!("n {n}"));
+        }
+        // Blocks of 10: the first two blocks hold only dangling vertices.
+        let g = random_digraph(2560, 3, true, |u| u < 20, 7);
+        assert_pinned(&g, "dangling-only blocks");
+        // No dangling vertex at all (every source keeps its arcs).
+        let g = random_digraph(1000, 3, true, |_| false, 8);
+        assert!(g.dangling_nodes().is_empty());
+        assert_pinned(&g, "no dangling");
+        // Non-unit weights with scattered dangling vertices.
+        let g = random_digraph(777, 5, true, |u| u % 7 == 0, 9);
+        assert_pinned(&g, "weighted");
     }
 
     #[test]

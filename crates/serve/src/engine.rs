@@ -7,9 +7,11 @@
 //! serving for the diagrams):
 //!
 //! 1. **Validation** ([`ServeEngine::submit`]): the request is keyed by
-//!    `(graph fingerprint, config hash)`. An update whose delta names a
-//!    vertex outside its base graph resolves [`Outcome::Rejected`] here,
-//!    before routing, so no worker ever folds it.
+//!    `(graph fingerprint, config hash)`. A config that fails
+//!    [`asa_infomap::InfomapConfig::validate`], or an update whose delta
+//!    names a vertex outside its base graph, resolves
+//!    [`Outcome::Rejected`] here, before routing, so no worker ever runs
+//!    it.
 //! 2. **Routing**: the fingerprint picks the shard — home shard
 //!    `fingerprint % shards`, widened to a round-robined routing set once
 //!    the graph proves hot ([`crate::shard::Router`]).
@@ -59,8 +61,8 @@ use asa_obs::{intern_name, Counter, Gauge, HealthState, Hist, Obs, SloConfig, Sl
 use crate::cache::{CacheKey, ResultCache};
 use crate::queue::{JobQueue, Popped, PushError};
 use crate::request::{
-    DegradeReason, JobHandle, Outcome, Priority, Request, RequestKind, Response, ResponseSlot,
-    UpdateInfo,
+    DegradeReason, JobHandle, Outcome, Priority, Rejection, Request, RequestKind, Response,
+    ResponseSlot, UpdateInfo,
 };
 use crate::shard::{ReplicationConfig, Router, ShardStats};
 use crate::store::PartitionStore;
@@ -379,8 +381,8 @@ pub struct EngineStats {
     pub degraded_deadline: u64,
     /// Requests that expired before any work ran.
     pub deadline_exceeded: u64,
-    /// Updates rejected at admission (`Rejected`): their delta named a
-    /// vertex outside the base graph.
+    /// Requests rejected at admission (`Rejected`): an invalid config, or
+    /// an update delta naming a vertex outside the base graph.
     pub rejected: u64,
     /// Requests answered from the cache.
     pub cache_hits: u64,
@@ -673,16 +675,18 @@ impl ServeEngine {
         obs.trace_async_begin(trace, "fingerprint", "request");
         let fingerprint = request.graph.fingerprint();
         let key = (fingerprint, config_hash(&request.config));
-        // A delta naming a vertex outside its base graph would panic the
-        // worker that folds it: reject it before it is routed.
+        // An invalid config (a teleport PageRank asserts on) or a delta
+        // naming a vertex outside its base graph would panic the worker
+        // that runs it: reject it before it is routed.
         let num_nodes = request.graph.num_nodes();
-        let rejected = match &request.kind {
-            RequestKind::Update(delta) => delta
+        let rejected = match (&request.kind, request.config.validate()) {
+            (_, Err(e)) => Some(Rejection::Config(e)),
+            (RequestKind::Update(delta), Ok(())) => delta
                 .endpoints()
                 .last()
                 .filter(|&&v| v as usize >= num_nodes)
-                .map(|&vertex| Outcome::Rejected { vertex, num_nodes }),
-            RequestKind::Detect => None,
+                .map(|&vertex| Rejection::Vertex { vertex, num_nodes }),
+            (RequestKind::Detect, Ok(())) => None,
         };
         let home = shared.router.home(fingerprint);
         let mut job = Job {
@@ -700,8 +704,8 @@ impl ServeEngine {
         let handle = JobHandle {
             slot: Arc::clone(&job.slot),
         };
-        if let Some(outcome) = rejected {
-            finish(shared, job, Exit::at("fingerprint", outcome));
+        if let Some(why) = rejected {
+            finish(shared, job, Exit::at("fingerprint", Outcome::Rejected(why)));
             return handle;
         }
         obs.trace_async_end(trace, "fingerprint", "request");
@@ -1602,10 +1606,10 @@ mod tests {
             .collect();
         assert!(matches!(
             responses[0].outcome,
-            Outcome::Rejected {
+            Outcome::Rejected(Rejection::Vertex {
                 vertex: 9,
                 num_nodes: 6
-            }
+            })
         ));
         assert_eq!(responses[0].outcome.name(), "rejected");
         assert!(responses[0].outcome.result().is_none());
@@ -1616,5 +1620,65 @@ mod tests {
         assert_eq!(stats.completed, 1);
         assert_eq!(stats.submitted, 2);
         assert_eq!(stats.partition_live, 0, "a rejected update seeds no stream");
+    }
+
+    /// A teleport PageRank asserts on, or a NaN tolerance, is rejected at
+    /// submit; before that check such a request panicked the one worker,
+    /// and the valid request behind it was never served.
+    #[test]
+    fn invalid_config_is_rejected_at_submit() {
+        use asa_infomap::ConfigError;
+        let engine = ServeEngine::start(ServeConfig {
+            shards: 1,
+            workers: 1,
+            ..ServeConfig::default()
+        });
+        let mut b = GraphBuilder::directed(6);
+        for &(u, v) in &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 3)] {
+            b.add_edge(u, v, 1.0);
+        }
+        let graph = Arc::new(b.build());
+        let with = |teleport: f64, pagerank_tol: f64| InfomapConfig {
+            teleport,
+            pagerank_tol,
+            ..InfomapConfig::default()
+        };
+        let mut delta = asa_graph::EdgeDelta::new();
+        delta.insert(0, 4, 1.0);
+        let handles = [
+            engine.submit(Request::batch(Arc::clone(&graph)).with_config(with(f64::NAN, 1e-12))),
+            engine.submit(Request::interactive(Arc::clone(&graph)).with_config(with(1.0, 1e-12))),
+            engine.submit(
+                Request::update(Arc::clone(&graph), delta).with_config(with(0.15, f64::NAN)),
+            ),
+            engine.submit(Request::batch(graph)),
+        ];
+        let give_up = Instant::now() + Duration::from_secs(30);
+        let responses: Vec<Response> = handles
+            .iter()
+            .map(|h| loop {
+                if let Some(r) = h.try_get() {
+                    break r;
+                }
+                assert!(Instant::now() < give_up, "a handle never resolved");
+                std::thread::sleep(Duration::from_millis(1));
+            })
+            .collect();
+        for r in &responses[..2] {
+            let Outcome::Rejected(why) = r.outcome else {
+                panic!("{} instead of a rejection", r.outcome.name());
+            };
+            assert!(matches!(why, Rejection::Config(ConfigError::Teleport(_))));
+            assert!(why.to_string().starts_with("invalid config: teleport"));
+        }
+        assert!(matches!(
+            responses[2].outcome,
+            Outcome::Rejected(Rejection::Config(ConfigError::PagerankTol(_)))
+        ));
+        assert!(responses[3].outcome.result().is_some());
+        let stats = engine.shutdown();
+        assert_eq!(stats.rejected, 3);
+        assert_eq!(stats.completed, 1);
+        assert_eq!(stats.submitted, 4);
     }
 }

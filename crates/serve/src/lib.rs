@@ -9,9 +9,10 @@
 //! * **Admission control** — a bounded two-class priority queue
 //!   ([`queue::JobQueue`]). Interactive requests dequeue before batch
 //!   ones; a full class rejects with [`Outcome::Overloaded`] at submit
-//!   time rather than queueing unboundedly. An update whose delta names
-//!   a vertex outside its base graph rejects with [`Outcome::Rejected`]
-//!   at submit, before it can reach a worker.
+//!   time rather than queueing unboundedly. A request whose config fails
+//!   validation, or an update whose delta names a vertex outside its
+//!   base graph, rejects with [`Outcome::Rejected`] at submit, before it
+//!   can reach a worker.
 //! * **Result caching** — a sharded LRU+TTL cache
 //!   ([`cache::ResultCache`]) keyed by `(graph fingerprint, config
 //!   hash)`, so repeated requests for the same graph are answered in
@@ -63,7 +64,8 @@ pub use cache::{CacheKey, ResultCache};
 pub use engine::{config_hash, EngineStats, LatencyStats, ServeConfig, ServeEngine};
 pub use queue::{JobQueue, Popped, PushError};
 pub use request::{
-    DegradeReason, JobHandle, Outcome, Priority, Request, RequestKind, Response, UpdateInfo,
+    DegradeReason, JobHandle, Outcome, Priority, Rejection, Request, RequestKind, Response,
+    UpdateInfo,
 };
 pub use shard::{ReplicationConfig, RouteDecision, Router, ShardStats};
 pub use store::PartitionStore;

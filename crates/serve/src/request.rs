@@ -5,7 +5,7 @@ use std::time::Duration;
 
 use asa_graph::{CsrGraph, EdgeDelta, NodeId};
 use asa_infomap::incremental::FallbackReason;
-use asa_infomap::{InfomapConfig, InfomapResult};
+use asa_infomap::{ConfigError, InfomapConfig, InfomapResult};
 
 /// Scheduling class of a request. Interactive requests are drained before
 /// batch requests and are never quality-degraded under load; batch
@@ -143,14 +143,35 @@ pub enum Outcome {
     /// The deadline expired before any work ran; there is no partial
     /// result to return.
     DeadlineExceeded,
-    /// Rejected at admission: the update's delta names `vertex`, which
-    /// lies outside its base graph's `0..num_nodes`.
-    Rejected {
+    /// Rejected at admission: the request could not run as given.
+    Rejected(Rejection),
+}
+
+/// Why [`crate::ServeEngine::submit`] refused a request before routing it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Rejection {
+    /// The update's delta names `vertex`, which lies outside its base
+    /// graph's `0..num_nodes`.
+    Vertex {
         /// The largest out-of-range endpoint in the delta.
         vertex: NodeId,
         /// Vertex count of the request's base graph.
         num_nodes: usize,
     },
+    /// The request's [`InfomapConfig`] fails
+    /// [`InfomapConfig::validate`].
+    Config(ConfigError),
+}
+
+impl std::fmt::Display for Rejection {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::Vertex { vertex, num_nodes } => {
+                write!(f, "vertex {vertex} is not in 0..{num_nodes}")
+            }
+            Self::Config(e) => write!(f, "invalid config: {e}"),
+        }
+    }
 }
 
 impl Outcome {
