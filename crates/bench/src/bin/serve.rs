@@ -14,8 +14,9 @@
 //!
 //! Per level it reports exact p50/p95/p99 latency over the resolved
 //! requests (computed from the collected samples, not histogram buckets)
-//! with the queue-wait and service components separated, throughput,
-//! cache hit rate, shed rate, and steal/replication counts. Writes
+//! with the queue-wait and service components separated, the caller's
+//! cost of each `submit` call, throughput, cache hit rate, shed rate, and
+//! steal/replication counts. Writes
 //! `BENCH_serve.json` into the working directory (override with
 //! `ASA_SERVE_OUT`): the top-level `levels` array is the shards=1 curve
 //! (the historical schema), `shard_sweep` carries every shard count.
@@ -104,7 +105,7 @@ fn percentile_us(sorted: &[u64], q: f64) -> f64 {
     sorted[rank - 1] as f64
 }
 
-/// p50/p95/p99 triple over unsorted microsecond samples.
+/// p50/p95/p99 triple over unsorted samples, in their own unit.
 fn pct_triple(samples: &mut [u64]) -> (f64, f64, f64) {
     samples.sort_unstable();
     (
@@ -141,6 +142,9 @@ struct LevelReport {
     service_p50_us: f64,
     service_p95_us: f64,
     service_p99_us: f64,
+    submit_p50_us: f64,
+    submit_p95_us: f64,
+    submit_p99_us: f64,
     cache_hit_rate: f64,
     shed_rate: f64,
     queue_depth_max: u64,
@@ -167,6 +171,9 @@ impl LevelReport {
             }),
             "service_us": serde_json::json!({
                 "p50": self.service_p50_us, "p95": self.service_p95_us, "p99": self.service_p99_us
+            }),
+            "submit_us": serde_json::json!({
+                "p50": self.submit_p50_us, "p95": self.submit_p95_us, "p99": self.submit_p99_us
             }),
             "cache_hit_rate": self.cache_hit_rate,
             "shed_rate": self.shed_rate,
@@ -202,6 +209,9 @@ fn run_level(
     let interarrival = Duration::from_secs_f64(1.0 / offered_rps);
     let start = Instant::now();
     let mut handles = Vec::with_capacity(requests);
+    // What each `submit` call costs its caller, in nanoseconds: a graph's
+    // first request hashes its CSR, every later one reuses the memo.
+    let mut submit_ns: Vec<u64> = Vec::with_capacity(requests);
     for i in 0..requests {
         // Open loop: submit at the scheduled instant regardless of how
         // far behind the engine is.
@@ -220,7 +230,9 @@ fn run_level(
         if i % 8 == 0 {
             req = req.with_deadline(Duration::from_secs(10));
         }
+        let t = Instant::now();
         handles.push(engine.submit(req));
+        submit_ns.push(t.elapsed().as_nanos() as u64);
     }
 
     let mut latencies_us: Vec<u64> = Vec::with_capacity(requests);
@@ -258,6 +270,7 @@ fn run_level(
     let (p50_us, p95_us, p99_us) = pct_triple(&mut latencies_us);
     let (queue_p50_us, queue_p95_us, queue_p99_us) = pct_triple(&mut queue_us);
     let (service_p50_us, service_p95_us, service_p99_us) = pct_triple(&mut service_us);
+    let (submit_p50_ns, submit_p95_ns, submit_p99_ns) = pct_triple(&mut submit_ns);
     let report = LevelReport {
         offered_rps,
         requests,
@@ -275,6 +288,9 @@ fn run_level(
         service_p50_us,
         service_p95_us,
         service_p99_us,
+        submit_p50_us: submit_p50_ns / 1e3,
+        submit_p95_us: submit_p95_ns / 1e3,
+        submit_p99_us: submit_p99_ns / 1e3,
         cache_hit_rate: if resolved == 0 {
             0.0
         } else {

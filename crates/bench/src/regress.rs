@@ -170,8 +170,9 @@ pub fn extract_simthroughput(doc: &Value) -> Vec<MetricSpec> {
 }
 
 /// Extracts the gated metrics from a `BENCH_serve.json` document: per
-/// offered-load level, p50/p95 latency (relative), cache hit rate and shed
-/// rate (absolute — the rates sit in `[0, 1]` and are often exactly 0).
+/// offered-load level, p50/p95 latency and the caller's p95 `submit` cost
+/// (relative), cache hit rate and shed rate (absolute — the rates sit in
+/// `[0, 1]` and are often exactly 0).
 pub fn extract_serve(doc: &Value) -> Vec<MetricSpec> {
     let mut out = Vec::new();
     let Some(levels) = doc.get("levels").and_then(Value::as_array) else {
@@ -183,6 +184,9 @@ pub fn extract_serve(doc: &Value) -> Vec<MetricSpec> {
         }
         if let Some(v) = get_f64(level, &["latency_us", "p95"]) {
             out.push(MetricSpec::time(format!("serve.level{i}.p95_us"), v));
+        }
+        if let Some(v) = get_f64(level, &["submit_us", "p95"]) {
+            out.push(MetricSpec::time(format!("serve.level{i}.submit_p95_us"), v));
         }
         if let Some(v) = get_f64(level, &["cache_hit_rate"]) {
             out.push(MetricSpec::rate(
@@ -513,6 +517,7 @@ mod tests {
                 "bench": "serve",
                 "levels": [{{
                     "latency_us": {{"p50": 10000.0, "p95": {p95}}},
+                    "submit_us": {{"p50": 3.0, "p95": 40.0, "p99": 900.0}},
                     "cache_hit_rate": {hit_rate},
                     "shed_rate": {shed_rate}
                 }}]
@@ -540,6 +545,7 @@ mod tests {
             vec![
                 "serve.level0.p50_us",
                 "serve.level0.p95_us",
+                "serve.level0.submit_p95_us",
                 "serve.level0.cache_hit_rate",
                 "serve.level0.shed_rate",
             ]

@@ -263,6 +263,8 @@ fn assert_serve_level(level: &serde_json::Value, what: &str) -> f64 {
     // requests the end-to-end latency dominates its own service component.
     assert_pct_triple(&level["queue_us"], &format!("{what}.queue_us"), true);
     assert_pct_triple(&level["service_us"], &format!("{what}.service_us"), true);
+    // What `submit` cost the caller: positive at every percentile.
+    assert_pct_triple(&level["submit_us"], &format!("{what}.submit_us"), false);
     let hit_rate = level["cache_hit_rate"]
         .as_f64()
         .unwrap_or_else(|| panic!("{what}: cache_hit_rate"));

@@ -224,6 +224,7 @@ pub fn read_partition<R: Read>(mut reader: R) -> io::Result<Partition> {
 mod tests {
     use super::*;
     use crate::generators::{barabasi_albert, planted_partition, PlantedConfig};
+    use crate::GraphBuilder;
 
     #[test]
     fn graph_round_trip() {
@@ -452,5 +453,20 @@ mod tests {
             back.arcs().collect::<Vec<_>>()
         );
         assert_eq!(g.fingerprint(), back.fingerprint());
+    }
+
+    #[test]
+    fn upper_triangle_whose_mirrored_total_overflows_is_an_error() {
+        let mut b = GraphBuilder::undirected(2);
+        b.add_edge(0, 1, 1.0);
+        let mut blob = Vec::new();
+        write_graph(&b.build(), &mut blob).unwrap();
+        // The one stored weight is the blob's last eight bytes. It is
+        // finite, but the mirrored rows hold it twice.
+        let at = blob.len() - 8;
+        blob[at..].copy_from_slice(&1e308f64.to_le_bytes());
+        let err = read_graph(blob.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("overflows"), "{err}");
     }
 }

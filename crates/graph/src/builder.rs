@@ -5,7 +5,9 @@
 //! connected to another super node, a single super edge is created with
 //! accumulated edge weights."
 
-use crate::csr::{expand_upper_triangle, transpose, CsrGraph, NodeId};
+use crate::csr::{
+    check_total_weight, expand_upper_triangle, transpose, CsrError, CsrGraph, NodeId,
+};
 
 /// Streaming graph builder.
 ///
@@ -110,7 +112,19 @@ impl GraphBuilder {
     }
 
     /// Compiles the accumulated edges into an immutable [`CsrGraph`].
-    pub fn build(mut self) -> CsrGraph {
+    ///
+    /// # Panics
+    /// Panics where [`GraphBuilder::try_build`] returns an error.
+    pub fn build(self) -> CsrGraph {
+        self.try_build().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`GraphBuilder::build`] that reports an overflowing weight instead
+    /// of panicking: every added weight is finite, but parallel edges can
+    /// merge, and weights can sum, past `f64::MAX`. Errors when the total
+    /// weight (`2W` for an undirected graph), which bounds every merged
+    /// weight and vertex strength, is not finite.
+    pub fn try_build(mut self) -> Result<CsrGraph, CsrError> {
         // Merge parallel edges: sort by (u, v) and fold equal keys.
         self.edges.sort_unstable_by_key(|a| (a.0, a.1));
         let mut merged: Vec<(NodeId, NodeId, f64)> = Vec::with_capacity(self.edges.len());
@@ -136,14 +150,17 @@ impl GraphBuilder {
         let weights: Vec<f64> = merged.iter().map(|a| a.2).collect();
         if self.directed {
             let transpose = transpose(&offsets, &targets, &weights);
-            CsrGraph::from_sorted_parts(
+            check_total_weight(&weights)?;
+            check_total_weight(&transpose.2)?;
+            Ok(CsrGraph::from_sorted_parts(
                 self.num_nodes,
                 (offsets, targets, weights),
                 Some(transpose),
-            )
+            ))
         } else {
             let rows = expand_upper_triangle(&offsets, &targets, &weights);
-            CsrGraph::from_sorted_parts(self.num_nodes, rows, None)
+            check_total_weight(&rows.2)?;
+            Ok(CsrGraph::from_sorted_parts(self.num_nodes, rows, None))
         }
     }
 }

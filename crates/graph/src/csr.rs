@@ -14,6 +14,7 @@
 //! constructors reject arrays that break it.
 
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Vertex identifier. The paper's largest network (Orkut) has ~3M vertices, so
 /// `u32` is sufficient and halves index memory versus `usize` (Rust
@@ -86,6 +87,10 @@ pub struct CsrGraph {
     /// The transpose of `out`, stored for directed graphs only. `None`
     /// marks an undirected graph, whose in-rows are its out-rows.
     transpose: Option<Rows>,
+    /// [`CsrGraph::fingerprint`], hashed from the arrays above on first
+    /// use. Sound because no method mutates the graph; a clone copies the
+    /// arrays and so may copy the value too.
+    fingerprint: OnceLock<u64>,
 }
 
 impl CsrGraph {
@@ -105,9 +110,10 @@ impl CsrGraph {
     /// [`CsrGraph::from_csr_parts`] that reports invalid arrays instead of
     /// panicking. Rejects offsets that do not run monotonically from 0 to
     /// the arc count, targets out of range, rows that are not strictly
-    /// increasing, weights that are not finite and positive, a `transpose`
-    /// that is not the transpose of `out`, and undirected rows that are not
-    /// symmetric (weights compared bit for bit).
+    /// increasing, weights that are not finite and positive, weights whose
+    /// total (which bounds every vertex strength) overflows `f64`, a
+    /// `transpose` that is not the transpose of `out`, and undirected rows
+    /// that are not symmetric (weights compared bit for bit).
     pub fn try_from_csr_parts(
         num_nodes: u32,
         out: CsrArrays,
@@ -121,18 +127,17 @@ impl CsrGraph {
     /// holds the neighbours `v >= u`. The rows are checked like
     /// [`CsrGraph::try_from_csr_parts`] checks them, plus the triangle rule,
     /// and then mirrored with [`expand_upper_triangle`]; the result is
-    /// symmetric by construction.
+    /// symmetric by construction. The total weight is checked on the
+    /// mirrored rows, where it is `2W`.
     pub(crate) fn try_from_upper_triangle(
         num_nodes: u32,
         upper: CsrArrays,
     ) -> Result<Self, CsrError> {
         check_rows(num_nodes, &upper, true)?;
         let (o, t, w) = &upper;
-        Ok(Self::from_sorted_parts(
-            num_nodes,
-            expand_upper_triangle(o, t, w),
-            None,
-        ))
+        let rows = expand_upper_triangle(o, t, w);
+        check_total_weight(&rows.2)?;
+        Ok(Self::from_sorted_parts(num_nodes, rows, None))
     }
 
     /// The constructor for arrays that are valid by construction (builder,
@@ -147,7 +152,27 @@ impl CsrGraph {
             num_nodes,
             out: Rows::new(out),
             transpose: transpose.map(Rows::new),
+            fingerprint: OnceLock::new(),
         }
+    }
+
+    /// A stable 64-bit structural fingerprint: FNV-1a over the node count,
+    /// directedness, and the out-adjacency CSR arrays (offsets, targets,
+    /// and weight bit patterns). The in-adjacency is derived from the same
+    /// edges, so hashing one direction covers both.
+    ///
+    /// Identical inputs fingerprint identically across runs and processes;
+    /// any change to structure or weights — including relabelling the
+    /// vertices of an isomorphic graph — changes the fingerprint.
+    ///
+    /// The hash is O(arcs) and runs once per graph: the value is memoized
+    /// on first use, so later calls (on this graph or a clone of it) are a
+    /// load. It is always computed from the arrays in memory, never read
+    /// from a blob, so no input can claim another graph's identity.
+    pub fn fingerprint(&self) -> u64 {
+        *self
+            .fingerprint
+            .get_or_init(|| crate::fingerprint::hash_graph(self))
     }
 
     /// Number of vertices.
@@ -333,6 +358,11 @@ fn check_rows(
     if !weights.iter().all(|&w| w.is_finite() && w > 0.0) {
         return fail("edge weight must be finite and positive");
     }
+    // An upper triangle holds only half of `2W`; its caller checks the
+    // mirrored rows.
+    if !upper {
+        check_total_weight(weights)?;
+    }
     for u in 0..num_nodes {
         let (lo, hi) = range(offsets, u);
         let row = &targets[lo..hi];
@@ -347,6 +377,19 @@ fn check_rows(
         }
     }
     Ok(())
+}
+
+/// Checks that positive weights sum to a finite total, summed in arc order
+/// as [`CsrGraph::total_arc_weight`] sums them (`2W` for an undirected
+/// graph). Rounding is monotone, so a sequential sum over any row, or one
+/// merged weight, never exceeds the sequential sum over all rows: a finite
+/// total bounds every vertex strength and every weight too.
+pub(crate) fn check_total_weight(weights: &[f64]) -> Result<(), CsrError> {
+    if weights.iter().sum::<f64>().is_finite() {
+        Ok(())
+    } else {
+        Err(CsrError("total edge weight overflows f64"))
+    }
 }
 
 /// The checks of [`CsrGraph::try_from_csr_parts`].
@@ -670,6 +713,14 @@ mod tests {
         assert!(err((vec![0, 1, 2, 2], vec![1, 0], vec![1.0, 2.0]), None).contains("symmetric"));
         let upper = CsrGraph::try_from_upper_triangle(3, (vec![0, 0, 1, 1], vec![0], vec![1.0]));
         assert!(upper.unwrap_err().to_string().contains("below its row"));
+        // Finite weights whose total is not: out-strength of 0 past
+        // `f64::MAX`, then an undirected `2W` past it.
+        let big = f64::MAX / 1.5;
+        let t = (vec![0, 0, 1, 2], vec![0, 0], vec![big, big]);
+        assert!(err((vec![0, 2, 2, 2], vec![1, 2], vec![big; 2]), Some(t)).contains("overflows"));
+        assert!(err((vec![0, 1, 2, 2], vec![1, 0], vec![big; 2]), None).contains("overflows"));
+        let upper = CsrGraph::try_from_upper_triangle(3, (vec![0, 1, 1, 1], vec![1], vec![big]));
+        assert!(upper.unwrap_err().to_string().contains("overflows"));
     }
 
     #[test]
@@ -694,6 +745,17 @@ mod tests {
         assert_eq!(o, vec![0, 2, 5, 7]);
         assert_eq!(t, vec![1, 2, 0, 1, 2, 0, 1]);
         assert_eq!(w, vec![1.0, 3.0, 1.0, 5.0, 2.0, 3.0, 2.0]);
+    }
+
+    #[test]
+    fn fingerprint_is_hashed_once_and_cloned_with_the_graph() {
+        let g = triangle();
+        assert_eq!(g.fingerprint.get(), None);
+        let fp = g.fingerprint();
+        assert_eq!(g.fingerprint.get(), Some(&fp));
+        let copy = g.clone();
+        assert_eq!(copy.fingerprint.get(), Some(&fp));
+        assert_eq!(copy.fingerprint(), fp);
     }
 
     #[test]

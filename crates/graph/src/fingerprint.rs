@@ -9,6 +9,9 @@
 //! identically (the builder canonicalizes adjacency order), while
 //! relabelled/isomorphic graphs hash differently, which is correct for a
 //! cache: Infomap's output labels differ too.
+//!
+//! The hash is O(arcs), so [`CsrGraph::fingerprint`] memoizes it on the
+//! (immutable) graph: a graph is hashed once, however many requests name it.
 
 use crate::csr::CsrGraph;
 
@@ -66,31 +69,24 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
-impl CsrGraph {
-    /// A stable 64-bit structural fingerprint: FNV-1a over the node count,
-    /// directedness, and the out-adjacency CSR arrays (offsets, targets,
-    /// and weight bit patterns). The in-adjacency is derived from the same
-    /// edges, so hashing one direction covers both.
-    ///
-    /// Identical inputs fingerprint identically across runs and processes;
-    /// any change to structure or weights — including relabelling the
-    /// vertices of an isomorphic graph — changes the fingerprint.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv64::new();
-        h.write_u64(self.num_nodes() as u64);
-        h.write_u64(u64::from(self.is_directed()));
-        let (offsets, targets, weights) = self.out_csr();
-        for &o in offsets {
-            h.write_u64(o);
-        }
-        for &t in targets {
-            h.write_u64(u64::from(t));
-        }
-        for &w in weights {
-            h.write_f64(w);
-        }
-        h.finish()
+/// FNV-1a over the node count, directedness, and the out-adjacency CSR
+/// arrays (offsets, targets, and weight bit patterns), one byte at a time:
+/// the value [`CsrGraph::fingerprint`] memoizes. O(arcs).
+pub(crate) fn hash_graph(graph: &CsrGraph) -> u64 {
+    let mut h = Fnv64::new();
+    h.write_u64(graph.num_nodes() as u64);
+    h.write_u64(u64::from(graph.is_directed()));
+    let (offsets, targets, weights) = graph.out_csr();
+    for &o in offsets {
+        h.write_u64(o);
     }
+    for &t in targets {
+        h.write_u64(u64::from(t));
+    }
+    for &w in weights {
+        h.write_f64(w);
+    }
+    h.finish()
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@ use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 use crate::builder::GraphBuilder;
-use crate::csr::CsrGraph;
+use crate::csr::{CsrError, CsrGraph};
 
 /// Errors arising while parsing an edge list.
 #[derive(Debug)]
@@ -19,6 +19,10 @@ pub enum IoError {
     Io(io::Error),
     /// A line could not be parsed; carries the 1-based line number and text.
     Parse(usize, String),
+    /// Every line parsed, but the weights overflow `f64` once summed: a
+    /// merged parallel edge, a vertex strength or the total weight `2W` is
+    /// not finite.
+    WeightOverflow(CsrError),
 }
 
 impl std::fmt::Display for IoError {
@@ -26,6 +30,7 @@ impl std::fmt::Display for IoError {
         match self {
             IoError::Io(e) => write!(f, "I/O error: {e}"),
             IoError::Parse(line, text) => write!(f, "parse error on line {line}: {text:?}"),
+            IoError::WeightOverflow(e) => write!(f, "invalid edge weights: {e}"),
         }
     }
 }
@@ -120,7 +125,8 @@ pub fn read_edge_list<R: Read>(
     .drop_self_loops(opts.drop_self_loops);
     builder.reserve(edges.len());
     builder.extend_edges(edges);
-    Ok((builder.build(), external))
+    let graph = builder.try_build().map_err(IoError::WeightOverflow)?;
+    Ok((graph, external))
 }
 
 /// Reads an edge list from a file path. See [`read_edge_list`].
@@ -222,6 +228,31 @@ mod tests {
             match read_edge_list(text.as_bytes(), &ReadOptions::default()) {
                 Err(IoError::Parse(5, line)) => assert_eq!(line, format!("1 2 {bad}")),
                 other => panic!("weight {bad}: expected a parse error on line 5, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn overflowing_weight_sums_are_typed_errors() {
+        // (lines, directed, overflows): a merged parallel edge, a vertex
+        // strength, and the total weight, each past `f64::MAX` from finite
+        // weights.
+        let cases = [
+            ("0 1 1e308\n0 1 1e308\n", true, true),
+            ("0 1 1e308\n1 0 1e308\n", false, true),
+            ("0 1 1e308\n0 2 1e308\n", true, true),
+            ("0 1 1e308\n2 3 1e308\n", true, true),
+            // One undirected edge counts twice in `2W`.
+            ("0 1 1e308\n", false, true),
+            ("0 1 1e308\n", true, false),
+        ];
+        for (text, directed, overflows) in cases {
+            match read_edge_list(text.as_bytes(), &options(directed)) {
+                Err(IoError::WeightOverflow(e)) if overflows => {
+                    assert!(e.to_string().contains("overflows"), "{e}");
+                }
+                Ok(_) if !overflows => {}
+                other => panic!("{text:?} directed {directed}: got {other:?}"),
             }
         }
     }

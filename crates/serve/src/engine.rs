@@ -7,7 +7,9 @@
 //! serving for the diagrams):
 //!
 //! 1. **Validation** ([`ServeEngine::submit`]): the request is keyed by
-//!    `(graph fingerprint, config hash)`. A config that fails
+//!    `(graph fingerprint, config hash)`. The fingerprint is hashed once
+//!    per graph and memoized on it, so resubmitting the same
+//!    `Arc<CsrGraph>` hashes nothing. A config that fails
 //!    [`asa_infomap::InfomapConfig::validate`], or an update whose delta
 //!    names a vertex outside its base graph, resolves
 //!    [`Outcome::Rejected`] here, before routing, so no worker ever runs
@@ -670,8 +672,10 @@ impl ServeEngine {
         let submitted = Instant::now();
         let trace = obs.mint_trace_id();
         obs.trace_async_begin(trace, "request", "request");
-        // Hashing the whole CSR is O(arcs); its stage shows that cost in
-        // the tail report.
+        // The fingerprint is memoized on the graph: O(arcs) on the first
+        // request that names a graph, a load on every later one (the
+        // cache probe of a hit, an update's stream key, the route). Its
+        // stage shows that first-request cost in the tail report.
         obs.trace_async_begin(trace, "fingerprint", "request");
         let fingerprint = request.graph.fingerprint();
         let key = (fingerprint, config_hash(&request.config));
