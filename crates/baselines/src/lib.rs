@@ -9,18 +9,13 @@
 //!   2008), the paper's reference for the resolution-limit discussion,
 //! * [`mod@labelprop`] — asynchronous label propagation, a fast low-quality
 //!   baseline,
-//! * [`mod@girvan_newman`] — the original divisive edge-betweenness method
-//!   (the paper's ref 16), usable on small instances as an independent
-//!   third opinion,
 //! * [`metrics`] — normalized mutual information, adjusted Rand index, and
 //!   modularity for scoring detected partitions against planted ones.
 
-pub mod girvan_newman;
 pub mod labelprop;
 pub mod louvain;
 pub mod metrics;
 
-pub use girvan_newman::{edge_betweenness, girvan_newman, GirvanNewmanResult};
 pub use labelprop::label_propagation;
 pub use louvain::{louvain, LouvainConfig, LouvainResult};
 pub use metrics::{

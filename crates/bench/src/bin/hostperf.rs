@@ -39,9 +39,7 @@
 //! `--obs-overhead` runs a dedicated overhead check instead of the bench:
 //! the SPA sweep phase with obs fully disabled, versus an enabled handle
 //! with no sinks, versus the flight recorder attached, versus the
-//! continuous-telemetry collector sampling at its default 250 ms
-//! resolution, versus the sampling profiler attached at its default 10 ms
-//! interval — failing if any instrumented run is more than `ASA_OBS_TOL`
+//! sampling profiler attached at its default 10 ms interval — failing if any instrumented run is more than `ASA_OBS_TOL`
 //! percent slower (default 5). CI runs this as the overhead smoke gate.
 
 use std::time::Instant;
@@ -124,10 +122,9 @@ fn run_hash(graph: &CsrGraph, reps: usize, obs: &Obs) -> PathTiming {
     })
 }
 
-/// `--obs-overhead`: the disabled path vs four instrumented legs — an
+/// `--obs-overhead`: the disabled path vs three instrumented legs — an
 /// enabled handle with no sinks, the same with the flight recorder
-/// attached, with the continuous-telemetry collector sampling at its
-/// default resolution, and with the sampling profiler — on the SPA sweep
+/// attached, and with the sampling profiler — on the SPA sweep
 /// phase. Exits non-zero when any instrumented sweep is more than
 /// the tolerance slower.
 fn obs_overhead_check(reps: usize) {
@@ -145,21 +142,17 @@ fn obs_overhead_check(reps: usize) {
     let traced = Obs::new_enabled();
     traced.attach_recorder(asa_bench::trace_capacity());
     let rec = run_spa(&graph, reps, &traced);
-    let collected = Obs::new_enabled();
-    collected.attach_collector(asa_obs::TimeSeriesConfig::default());
-    let col = run_spa(&graph, reps, &collected);
-    collected.stop_background();
     let profiled = Obs::new_enabled();
     profiled.attach_profiler(asa_bench::prof_interval());
     let prof = run_spa(&graph, reps, &profiled);
     profiled.stop_background();
 
-    for (leg, timing) in [
+    let legs = [
         ("enabled handle", &on),
-        ("recorder", &rec),
-        ("collector", &col),
-        ("profiler", &prof),
-    ] {
+        ("recorder attached", &rec),
+        ("profiler attached", &prof),
+    ];
+    for (leg, timing) in legs {
         assert_eq!(
             off.result.partition.labels(),
             timing.result.partition.labels(),
@@ -167,12 +160,7 @@ fn obs_overhead_check(reps: usize) {
         );
     }
     let mut failed = false;
-    for (leg, timing) in [
-        ("enabled handle", &on),
-        ("recorder attached", &rec),
-        ("collector attached", &col),
-        ("profiler attached", &prof),
-    ] {
+    for (leg, timing) in legs {
         let overhead_pct = (timing.find_best / off.find_best - 1.0) * 100.0;
         println!(
             "obs overhead on {}-like SPA sweeps (best of {reps}): \

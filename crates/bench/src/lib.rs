@@ -123,8 +123,8 @@ pub fn run_metadata(dataset: &str, icfg: &InfomapConfig) -> serde_json::Value {
 #[derive(Debug, Clone, Default)]
 pub struct ObsArgs {
     /// Artifact directory (`--obs-dir` / `ASA_OBS_DIR`), created if
-    /// missing. Attaches the JSONL and summary sinks, the flight recorder,
-    /// the continuous-telemetry collector and the sampling profiler;
+    /// missing. Attaches the JSONL and summary sinks, the flight recorder
+    /// and the sampling profiler;
     /// [`ObsArgs::finish`] writes `obs.jsonl`, `trace.json` (Chrome trace
     /// for Perfetto or `chrome://tracing`), `metrics.prom` (Prometheus
     /// exposition), `prof.folded` and `prof.svg` (folded profile and its
@@ -135,7 +135,7 @@ pub struct ObsArgs {
     pub progress: bool,
     /// Live scrape endpoint bind address (`--metrics-addr` /
     /// `ASA_METRICS_ADDR`, e.g. `127.0.0.1:9184`). Also attaches the
-    /// collector and the profiler; the endpoint serves for the life of the
+    /// profiler; the endpoint serves for the life of the
     /// process, so a `curl` mid-run sees current values — including
     /// `/flame.svg` and `/profile?seconds=N`.
     pub metrics_addr: Option<String>,
@@ -240,11 +240,9 @@ impl ObsArgs {
         if self.obs_dir.is_some() || self.progress {
             obs.add_sink(Box::new(SummarySink::new(self.progress)));
         }
-        // The collector and the sampler ride along whenever an exposition
-        // consumer exists; the endpoint's `/flame.svg` and `/profile`
-        // routes need the profiler.
+        // The sampler rides along whenever an exposition consumer exists;
+        // the endpoint's `/flame.svg` and `/profile` routes need it.
         if self.obs_dir.is_some() || self.metrics_addr.is_some() {
-            obs.attach_collector(asa_obs::TimeSeriesConfig::default());
             obs.attach_profiler(prof_interval());
         }
         if let Some(addr) = &self.metrics_addr {

@@ -388,9 +388,12 @@ pub(crate) fn check_total_weight(weights: &[f64]) -> Result<(), CsrError> {
     if weights.iter().sum::<f64>().is_finite() {
         Ok(())
     } else {
-        Err(CsrError("total edge weight overflows f64"))
+        Err(WEIGHT_OVERFLOW)
     }
 }
+
+/// The error of a total edge weight past `f64::MAX`.
+pub(crate) const WEIGHT_OVERFLOW: CsrError = CsrError("total edge weight overflows f64");
 
 /// The checks of [`CsrGraph::try_from_csr_parts`].
 fn check_parts(

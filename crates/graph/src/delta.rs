@@ -24,12 +24,16 @@
 //!
 //! Weight semantics mirror [`crate::GraphBuilder`]: inserting an arc that
 //! already exists accumulates weight; deleting removes the arc entirely.
-//! The vertex set is fixed by the base graph.
+//! The vertex set is fixed by the base graph. Like the builder, a version
+//! whose total weight overflows `f64` is refused:
+//! [`DeltaGraph::fingerprint_after`] reports it in O(Δ) before the batch
+//! is applied. It reads a running total, not the arc-order sum, so it
+//! refuses totals within a relative [`TOTAL_MARGIN`] of `f64::MAX` too.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use crate::csr::{CsrGraph, EdgeRef, NodeId};
+use crate::csr::{CsrError, CsrGraph, EdgeRef, NodeId, WEIGHT_OVERFLOW};
 use crate::fingerprint::Fnv64;
 
 /// One batch of edge mutations. Deletions apply before insertions, so a
@@ -101,6 +105,21 @@ impl EdgeDelta {
     }
 }
 
+/// Relative headroom below `f64::MAX` that
+/// [`DeltaGraph::fingerprint_after`] keeps. The running total and the
+/// arc-order sum of [`CsrGraph::total_arc_weight`] each differ from the
+/// exact sum by at most one rounding per addition, about 2⁻⁵³ of
+/// `f64::MAX` each, so a running total below the limit proves the
+/// materialized sum finite for fewer than 2³³ arcs plus additions since
+/// the last rebase. Totals inside the margin are refused though finite.
+pub const TOTAL_MARGIN: f64 = 1.0 / (1u64 << 20) as f64;
+
+/// The largest running total [`DeltaGraph::fingerprint_after`] accepts.
+const TOTAL_LIMIT: f64 = f64::MAX * (1.0 - TOTAL_MARGIN);
+
+/// Net per-arc patches keyed by directed `(source, target)`.
+type Overlay = BTreeMap<(NodeId, NodeId), Option<f64>>;
+
 /// A base [`CsrGraph`] plus the canonical net overlay of every
 /// [`EdgeDelta`] applied since the last rebase. See the module docs.
 #[derive(Debug, Clone)]
@@ -115,9 +134,15 @@ pub struct DeltaGraph {
     /// Undirected patches are stored mirrored (both directions), so row
     /// queries are a single range scan; the chain fingerprint
     /// canonicalizes by hashing only the `source <= target` half.
-    overlay: BTreeMap<(NodeId, NodeId), Option<f64>>,
+    overlay: Overlay,
     /// Batches folded in since the last rebase (compaction-policy input).
     batches_since_compact: usize,
+    /// Total arc weight of the merged view. Set to the base graph's
+    /// [`CsrGraph::total_arc_weight`] at each rebase and moved by each
+    /// patch's weight change, so it costs O(Δ) per batch. Rounding makes
+    /// it drift from the arc-order sum by up to an ulp of the largest
+    /// total it passed per addition; only [`TOTAL_LIMIT`] reads it.
+    total: f64,
 }
 
 impl DeltaGraph {
@@ -126,6 +151,7 @@ impl DeltaGraph {
     pub fn new(base: Arc<CsrGraph>) -> Self {
         let anchor = base.fingerprint();
         DeltaGraph {
+            total: base.total_arc_weight(),
             base,
             anchor,
             overlay: BTreeMap::new(),
@@ -174,15 +200,26 @@ impl DeltaGraph {
     }
 
     /// The chain head `apply(delta)` would produce, without mutating
-    /// anything.
-    pub fn fingerprint_after(&self, delta: &EdgeDelta) -> u64 {
+    /// anything; an error when the merged total weight would overflow
+    /// `f64` (which no checked [`CsrGraph`] constructor accepts) or come
+    /// within [`TOTAL_MARGIN`] of it. Costs O(Δ) plus a copy of the
+    /// overlay.
+    ///
+    /// # Panics
+    /// Panics where [`DeltaGraph::apply`] does.
+    pub fn fingerprint_after(&self, delta: &EdgeDelta) -> Result<u64, CsrError> {
         let mut overlay = self.overlay.clone();
-        self.fold(&mut overlay, delta);
-        chain_of(self.anchor, &overlay, self.is_directed())
+        let total = self.total + self.fold(&mut overlay, delta);
+        // NaN: one batch accumulated an arc to infinity and past it.
+        if total.is_nan() || total > TOTAL_LIMIT {
+            return Err(WEIGHT_OVERFLOW);
+        }
+        Ok(chain_of(self.anchor, &overlay, self.is_directed()))
     }
 
     /// Folds one batch into the net overlay and returns the new chain
-    /// head.
+    /// head. It does not check weights: a caller that takes batches from
+    /// outside checks [`DeltaGraph::fingerprint_after`] first.
     ///
     /// # Panics
     /// Panics if an operation references a vertex outside the base
@@ -190,7 +227,7 @@ impl DeltaGraph {
     pub fn apply(&mut self, delta: &EdgeDelta) -> u64 {
         // Split the borrow: fold writes a detached map, never `self`.
         let mut overlay = std::mem::take(&mut self.overlay);
-        self.fold(&mut overlay, delta);
+        self.total += self.fold(&mut overlay, delta);
         self.overlay = overlay;
         if !delta.is_empty() {
             self.batches_since_compact += 1;
@@ -200,12 +237,15 @@ impl DeltaGraph {
 
     /// Applies `delta`'s operations onto `overlay` (deletions first),
     /// normalizing away patches that restore an arc to its base weight.
-    fn fold(&self, overlay: &mut BTreeMap<(NodeId, NodeId), Option<f64>>, delta: &EdgeDelta) {
+    /// Returns the change in the merged total weight.
+    fn fold(&self, overlay: &mut Overlay, delta: &EdgeDelta) -> f64 {
         let n = self.num_nodes() as NodeId;
         let mirror = !self.is_directed();
+        let mut change = 0.0;
         for &(u, v) in delta.deletes() {
             assert!(u < n && v < n, "delete ({u},{v}) outside 0..{n}");
             for (s, t) in arc_and_mirror(u, v, mirror) {
+                change -= self.weight_in(overlay, s, t).unwrap_or(0.0);
                 if self.base_weight(s, t).is_some() {
                     overlay.insert((s, t), None);
                 } else {
@@ -217,11 +257,9 @@ impl DeltaGraph {
         for &(u, v, w) in delta.inserts() {
             assert!(u < n && v < n, "insert ({u},{v}) outside 0..{n}");
             for (s, t) in arc_and_mirror(u, v, mirror) {
-                let current = match overlay.get(&(s, t)) {
-                    Some(&patch) => patch.unwrap_or(0.0),
-                    None => self.base_weight(s, t).unwrap_or(0.0),
-                };
+                let current = self.weight_in(overlay, s, t).unwrap_or(0.0);
                 let next = current + w;
+                change += next - current;
                 // A patch that lands exactly on the base weight is a
                 // no-op: drop it so the overlay stays net (this is what
                 // makes delete-then-reinsert restore the chain head).
@@ -232,6 +270,7 @@ impl DeltaGraph {
                 }
             }
         }
+        change
     }
 
     /// The base graph's weight for arc `(u, v)`, if present.
@@ -243,7 +282,12 @@ impl DeltaGraph {
 
     /// Effective weight of arc `(u, v)` in the merged view, if present.
     pub fn arc_weight(&self, u: NodeId, v: NodeId) -> Option<f64> {
-        match self.overlay.get(&(u, v)) {
+        self.weight_in(&self.overlay, u, v)
+    }
+
+    /// Weight of arc `(u, v)` in the base patched by `overlay`, if present.
+    fn weight_in(&self, overlay: &Overlay, u: NodeId, v: NodeId) -> Option<f64> {
+        match overlay.get(&(u, v)) {
             Some(&patch) => patch,
             None => self.base_weight(u, v),
         }
@@ -355,6 +399,7 @@ impl DeltaGraph {
             self.anchor = self.chain_fingerprint();
             self.base = Arc::new(self.materialize());
             self.overlay.clear();
+            self.total = self.base.total_arc_weight();
         }
         self.batches_since_compact = 0;
         Arc::clone(&self.base)
@@ -372,7 +417,7 @@ fn arc_and_mirror(u: NodeId, v: NodeId, mirror: bool) -> impl Iterator<Item = (N
 /// endpoints, a delete/override tag, and the weight bit pattern. For
 /// undirected graphs only the `source <= target` half participates (the
 /// mirrored entries are redundant).
-fn chain_of(anchor: u64, overlay: &BTreeMap<(NodeId, NodeId), Option<f64>>, directed: bool) -> u64 {
+fn chain_of(anchor: u64, overlay: &Overlay, directed: bool) -> u64 {
     if overlay.is_empty() {
         return anchor;
     }
@@ -561,8 +606,112 @@ mod tests {
         let mut dg = DeltaGraph::new(diamond());
         let mut d = EdgeDelta::new();
         d.insert(4, 0, 3.0).delete(1, 2);
-        let preview = dg.fingerprint_after(&d);
+        let preview = dg.fingerprint_after(&d).unwrap();
         assert_eq!(dg.apply(&d), preview);
+    }
+
+    #[test]
+    fn total_weight_tracks_the_merged_graph() {
+        let mut dg = DeltaGraph::new(diamond());
+        let mut batches = [EdgeDelta::new(), EdgeDelta::new(), EdgeDelta::new()];
+        batches[0].insert(4, 2, 1.0).insert(0, 1, 0.25).delete(2, 3);
+        batches[1].insert(2, 3, 4.0).insert(4, 4, 2.0).delete(0, 2);
+        batches[2].delete(4, 2).delete(3, 3).insert(0, 1, 3.0);
+        for (i, d) in batches.iter().enumerate() {
+            dg.apply(d);
+            if i == 1 {
+                dg.compact();
+            }
+            let want = dg.materialize().total_arc_weight();
+            assert!(
+                (dg.total - want).abs() <= 1e-12 * want,
+                "{} vs {want}",
+                dg.total
+            );
+        }
+    }
+
+    #[test]
+    fn total_weight_stays_sound_near_f64_max() {
+        let mut dg = DeltaGraph::new(diamond());
+        // An undirected edge counts twice in `2W`.
+        let big = f64::MAX / 4.0;
+        let mut batches = vec![EdgeDelta::new(); 7];
+        batches[0].insert(0, 1, big);
+        batches[1].insert(2, 3, big);
+        batches[2].insert(2, 3, 0.9 * big);
+        batches[3].insert(3, 4, 0.2 * big);
+        batches[4].delete(0, 1).insert(4, 4, 0.5 * big);
+        batches[5].delete(2, 3).insert(0, 1, 1.5 * big);
+        batches[6].delete(4, 4).delete(0, 1).insert(1, 2, 3.0);
+        let mut refused = 0;
+        for d in &batches {
+            // The arc-order sum `materialize().total_arc_weight()` would
+            // give, without the debug build's finiteness assert.
+            let merged = |dg: &DeltaGraph| {
+                let mut probe = dg.clone();
+                probe.apply(d);
+                probe.arcs().map(|(_, _, w)| w).sum::<f64>()
+            };
+            match dg.fingerprint_after(d) {
+                Ok(head) => {
+                    let want = merged(&dg);
+                    assert_eq!(dg.apply(d), head);
+                    assert!(want <= f64::MAX * (1.0 - TOTAL_MARGIN / 2.0));
+                    assert_eq!(want, dg.materialize().total_arc_weight());
+                }
+                Err(e) => {
+                    assert_eq!(e, WEIGHT_OVERFLOW);
+                    assert!(merged(&dg) > TOTAL_LIMIT, "refused a total below the limit");
+                    refused += 1;
+                }
+            }
+        }
+        // Batches 1 (total exactly f64::MAX) and 3 (past it) are refused.
+        assert_eq!(refused, 2);
+        // The running total lost the small weights to the huge ones that
+        // came and went; a rebase sets it to the arc-order sum again.
+        let drifted = dg.total;
+        dg.compact();
+        assert_ne!(drifted, dg.total);
+        assert_eq!(dg.total.to_bits(), dg.base().total_arc_weight().to_bits());
+        // Left: 1-2 (2 + 3), 3-0 and 0-2.
+        assert_eq!(dg.total, 2.0 * (5.0 + 1.0 + 0.5));
+    }
+
+    #[test]
+    fn overflowing_batches_are_refused_before_apply() {
+        let dg = DeltaGraph::new(diamond());
+        let head = dg.chain_fingerprint();
+        // One undirected edge of 1e308 counts twice in `2W`; two edges of
+        // 5e307 overflow it together though neither arc does alone.
+        let mut one = EdgeDelta::new();
+        one.insert(0, 1, 1e308);
+        let mut two = EdgeDelta::new();
+        two.insert(0, 1, 5e307).insert(3, 4, 5e307);
+        let mut thrice = EdgeDelta::new();
+        for _ in 0..3 {
+            thrice.insert(2, 4, f64::MAX);
+        }
+        for d in [&one, &two, &thrice] {
+            assert_eq!(dg.fingerprint_after(d), Err(WEIGHT_OVERFLOW));
+        }
+        assert_eq!(dg.chain_fingerprint(), head);
+        assert_eq!(dg.pending_patches(), 0);
+
+        // Directed arcs count once: one 1e308 arc fits, a second does not
+        // until the first is deleted.
+        let mut b = GraphBuilder::directed(3);
+        b.add_edge(0, 1, 1.0);
+        let mut dg = DeltaGraph::new(Arc::new(b.build()));
+        let mut big = EdgeDelta::new();
+        big.insert(1, 2, 1e308);
+        dg.apply(&big);
+        let mut more = EdgeDelta::new();
+        more.insert(2, 0, 1e308);
+        assert_eq!(dg.fingerprint_after(&more), Err(WEIGHT_OVERFLOW));
+        more.delete(1, 2);
+        assert!(dg.fingerprint_after(&more).is_ok());
     }
 
     #[test]

@@ -32,7 +32,6 @@ pub mod delta;
 pub mod fingerprint;
 pub mod generators;
 pub mod io;
-pub mod kcore;
 pub mod partition;
 pub mod reorder;
 pub mod stats;

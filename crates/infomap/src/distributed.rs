@@ -103,9 +103,8 @@ pub struct DistEngine {
     c_supersteps: Counter,
     c_cut_arcs: Counter,
     /// Per-superstep allreduce volume as a level (the cumulative counter
-    /// above only yields a rate): the continuous-telemetry collector turns
-    /// this into a time-series that tracks module-count collapse across a
-    /// run — the allreduce shrinks as modules merge.
+    /// above only yields a rate). The allreduce shrinks as modules merge,
+    /// so a scrape mid-run shows how far module count has collapsed.
     g_allreduce_step: Gauge,
 }
 

@@ -38,7 +38,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use asa_graph::delta::{DeltaGraph, EdgeDelta};
-use asa_graph::{CsrGraph, NodeId, Partition};
+use asa_graph::{CsrError, CsrGraph, NodeId, Partition};
 use asa_obs::Obs;
 
 use crate::cancel::CancelToken;
@@ -194,8 +194,12 @@ impl IncrementalState {
         self.graph.chain_fingerprint()
     }
 
-    /// The chain head `apply(delta)` would produce.
-    pub fn fingerprint_after(&self, delta: &EdgeDelta) -> u64 {
+    /// The chain head `apply(delta)` would produce, or the error when the
+    /// merged total weight would overflow `f64` or come within a small
+    /// margin of it ([`DeltaGraph::fingerprint_after`]). A caller that takes deltas
+    /// from outside checks this before [`IncrementalState::apply`], which
+    /// does not.
+    pub fn fingerprint_after(&self, delta: &EdgeDelta) -> Result<u64, CsrError> {
         self.graph.fingerprint_after(delta)
     }
 

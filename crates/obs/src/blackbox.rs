@@ -4,11 +4,10 @@
 //! an operator pulling the plug — the question is "what did the process
 //! look like at the end?". This module renders everything the attached
 //! observability stack knows into a single self-describing JSON document:
-//! the flight recorder's last events per thread, the tail of every
-//! time-series window, the metric registry, a resource snapshot, the
-//! cumulative folded profile, plus any *extra sections* the embedding
-//! layer registered (the serve engine contributes per-shard queue depths,
-//! partition-store occupancy, and SLO state machine states).
+//! the flight recorder's last events per thread, the metric registry, a
+//! resource snapshot, the cumulative folded profile, plus any *extra
+//! sections* the embedding layer registered (the serve engine contributes
+//! per-shard queue depths and partition-store occupancy).
 //!
 //! Two triggers write a bundle:
 //!
@@ -34,9 +33,6 @@ use crate::{Obs, ObsInner};
 /// Trace events retained per thread track in a bundle (the newest ones;
 /// the in-memory ring may hold far more than a post-mortem needs).
 const MAX_EVENTS_PER_THREAD: usize = 256;
-
-/// Time-series points retained per series in a bundle.
-const MAX_POINTS_PER_SERIES: usize = 64;
 
 /// Folded stacks retained in a bundle's profile section.
 const MAX_PROFILE_STACKS: usize = 128;
@@ -219,46 +215,6 @@ fn render_flight_recorder(out: &mut String, obs: &Obs) {
     out.push_str("]}");
 }
 
-fn render_timeseries(out: &mut String, obs: &Obs) {
-    let Some(store) = obs.timeseries() else {
-        out.push_str("null");
-        return;
-    };
-    let _ = write!(out, "{{\"ticks\":{},\"series\":[", store.ticks());
-    for (i, info) in store.series().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"name\":");
-        write_json_string(&info.name, out);
-        let kind = match info.kind {
-            crate::SeriesKind::Rate => "rate",
-            crate::SeriesKind::Level => "level",
-            crate::SeriesKind::Quantile => "quantile",
-        };
-        let _ = write!(
-            out,
-            ",\"kind\":\"{kind}\",\"samples\":{},\"last\":",
-            info.samples
-        );
-        push_f64(out, info.last);
-        out.push_str(",\"points\":[");
-        if let Some(points) = store.points(&info.name) {
-            let skipped = points.len().saturating_sub(MAX_POINTS_PER_SERIES);
-            for (j, p) in points.iter().skip(skipped).enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{{\"t_us\":{},\"value\":", p.t_us);
-                push_f64(out, p.value);
-                out.push('}');
-            }
-        }
-        out.push_str("]}");
-    }
-    out.push_str("]}");
-}
-
 fn render_profile(out: &mut String, obs: &Obs) {
     let Some(snap) = obs.prof_snapshot() else {
         out.push_str("null");
@@ -282,7 +238,7 @@ fn render_profile(out: &mut String, obs: &Obs) {
 
 /// Renders the full diagnostic bundle as one JSON object. Callable at any
 /// time (the "black box" is just a view of live state); missing layers —
-/// no recorder, no collector, no profiler — render as `null` rather than
+/// no recorder, no profiler — render as `null` rather than
 /// being omitted, so consumers can distinguish "not attached" from
 /// "attached but empty".
 pub fn render_bundle(obs: &Obs, reason: &str) -> String {
@@ -296,8 +252,6 @@ pub fn render_bundle(obs: &Obs, reason: &str) -> String {
     render_metrics(&mut out, obs);
     out.push_str(",\"flight_recorder\":");
     render_flight_recorder(&mut out, obs);
-    out.push_str(",\"timeseries\":");
-    render_timeseries(&mut out, obs);
     out.push_str(",\"profile\":");
     render_profile(&mut out, obs);
     out.push_str(",\"sections\":{");
@@ -390,16 +344,11 @@ mod tests {
         obs.gauge("bb.depth").set(2);
         obs.hist("bb.lat").record(40);
         obs.attach_recorder(64);
-        obs.attach_collector(crate::TimeSeriesConfig {
-            resolution: Duration::from_secs(3600),
-            slots: 16,
-        });
         obs.attach_profiler(Duration::from_secs(3600));
         {
             let _s = obs.span("bb.work");
             obs.tick_profiler();
         }
-        obs.tick_collector();
         let json = render_bundle(&obs, "test");
         for key in [
             "\"bundle\":\"asa-blackbox\"",
@@ -407,7 +356,6 @@ mod tests {
             "\"resource\":",
             "\"metrics\":",
             "\"flight_recorder\":",
-            "\"timeseries\":",
             "\"profile\":",
             "\"sections\":{",
             "bb.hits",
@@ -428,7 +376,6 @@ mod tests {
         let obs = Obs::new_enabled();
         let json = render_bundle(&obs, "bare");
         assert!(json.contains("\"flight_recorder\":null"));
-        assert!(json.contains("\"timeseries\":null"));
         assert!(json.contains("\"profile\":null"));
     }
 

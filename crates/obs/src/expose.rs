@@ -16,11 +16,7 @@
 //!   terminated by the mandatory `+Inf` bucket, plus `_sum`/`_count`;
 //! - process families (`process_resident_memory_bytes`, peak RSS, CPU
 //!   seconds, fds) come from [`crate::resource::sample`] when procfs is
-//!   available;
-//! - when a collector is attached, each time-series contributes
-//!   `asa_timeseries_samples`/`asa_timeseries_last` samples labelled
-//!   `series="<name>"`, so a scrape proves which series are live and how
-//!   much retention they hold.
+//!   available.
 //!
 //! The endpoint ([`serve`]) is deliberately tiny: one listener thread,
 //! blocking accept with a poll-interval stop flag, HTTP/1.0, one response
@@ -55,13 +51,6 @@ fn sanitize(name: &str) -> String {
         out.insert(0, '_');
     }
     out
-}
-
-/// Escapes a label value (`\` → `\\`, `"` → `\"`, newline → `\n`).
-fn escape_label(v: &str) -> String {
-    v.replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n")
 }
 
 fn fmt_value(v: f64) -> String {
@@ -151,9 +140,8 @@ impl Renderer {
     }
 }
 
-/// Renders the handle's full registry — metrics, process resources, and
-/// (when a collector is attached) time-series occupancy — as Prometheus
-/// text format. A disabled handle still renders the process families.
+/// Renders the handle's full registry — metrics and process resources —
+/// as Prometheus text format. A disabled handle still renders the process families.
 pub fn render(obs: &Obs) -> String {
     let mut r = Renderer::new();
     if let Some((counters, gauges, hists)) = obs.metrics_snapshot() {
@@ -210,33 +198,6 @@ pub fn render(obs: &Obs) -> String {
                 "",
                 (rs.voluntary_ctx_switches + rs.involuntary_ctx_switches) as f64,
             );
-        }
-    }
-    if let Some(store) = obs.timeseries() {
-        let series = store.series();
-        if !series.is_empty() {
-            // One contiguous block per family — interleaving the two
-            // would fail strict validation.
-            if r.family(
-                "asa_timeseries_samples",
-                "gauge",
-                "retained ring samples per collected series",
-            ) {
-                for s in &series {
-                    let label = format!("{{series=\"{}\"}}", escape_label(&s.name));
-                    r.sample("asa_timeseries_samples", &label, s.samples as f64);
-                }
-            }
-            if r.family(
-                "asa_timeseries_last",
-                "gauge",
-                "latest sample value per collected series",
-            ) {
-                for s in &series {
-                    let label = format!("{{series=\"{}\"}}", escape_label(&s.name));
-                    r.sample("asa_timeseries_last", &label, s.last);
-                }
-            }
         }
     }
     r.out
@@ -701,7 +662,7 @@ fn respond(obs: &Obs, path: &str) -> (&'static str, &'static str, String) {
 }
 
 /// The `/debug` text status page: uptime, resources, metric registry
-/// shape, live time-series, profiler state, top-k slow request stages
+/// shape, profiler state, top-k slow request stages
 /// (when a flight recorder is attached), and registered black-box
 /// sections.
 fn debug_page(obs: &Obs) -> String {
@@ -725,15 +686,6 @@ fn debug_page(obs: &Obs) -> String {
             out.push_str(&format!(
                 "  gauge {} = {} (max {})\n",
                 g.name, g.last, g.max
-            ));
-        }
-    }
-    if let Some(store) = obs.timeseries() {
-        out.push_str(&format!("\ntimeseries: {} ticks\n", store.ticks()));
-        for s in store.series() {
-            out.push_str(&format!(
-                "  {} [{:?}] samples={} last={}\n",
-                s.name, s.kind, s.samples, s.last
             ));
         }
     }

@@ -10,9 +10,8 @@
 //! - **Subscriber side** — pluggable [`Sink`]s: [`JsonlSink`] for machine
 //!   consumption, [`SummarySink`] for humans; tests add their own capture
 //!   sinks.
-//! - **Background** — one `asa-obs` thread per handle, started by the first
-//!   [`Obs::attach_collector`] or [`Obs::attach_profiler`], ticks whichever
-//!   of the two is attached.
+//! - **Background** — one `asa-obs` thread per handle, started by
+//!   [`Obs::attach_profiler`], ticks the sampling profiler.
 //!
 //! The disabled handle (`Obs::disabled()`, one `Option<Arc<_>>` that is
 //! `None`) is the default everywhere; every operation on it is a single
@@ -43,10 +42,8 @@ pub mod metrics;
 pub mod prof;
 pub mod resource;
 pub mod sink;
-pub mod slo;
 pub mod span;
 pub mod tail;
-pub mod timeseries;
 pub mod trace;
 
 pub use json::{Record, Value};
@@ -54,12 +51,8 @@ pub use metrics::{Counter, CounterSnapshot, Gauge, GaugeSnapshot, Hist, HistSnap
 pub use prof::{render_flamegraph, FoldedStack, ProfSnapshot};
 pub use resource::ResourceSample;
 pub use sink::{FlushReport, JsonlSink, Sink, SummarySink};
-pub use slo::{Breach, HealthState, HealthTransition, Objective, SloConfig, SloEngine, Stat};
 pub use span::{Span, SpanSnapshot};
 pub use tail::{RequestAttribution, TailReport};
-pub use timeseries::{
-    SeriesInfo, SeriesKind, SeriesPoint, TimeSeriesConfig, TimeSeriesStore, WindowStats,
-};
 pub use trace::{FlightRecorder, TraceEvent, TraceId, TraceKind, TraceScope, TraceSnapshot};
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -112,64 +105,52 @@ pub(crate) struct ObsInner {
     /// the hot path, so span instrumentation without a recorder stays a
     /// no-op branch.
     pub(crate) trace: OnceLock<Arc<FlightRecorder>>,
-    /// Continuous-telemetry store, set at most once by
-    /// [`Obs::attach_collector`]. Like `trace`, a `OnceLock` so hot-path
-    /// instrumentation never pays for its existence.
-    collector: OnceLock<Arc<TimeSeriesStore>>,
     /// Sampling profiler, set at most once by [`Obs::attach_profiler`].
     /// Span enter/exit only mirrors frames once this is populated, so an
     /// unprofiled process pays one `OnceLock::get` per span.
-    pub(crate) prof: OnceLock<prof::ProfCore>,
-    /// The `asa-obs` background thread, started by the first collector or
-    /// profiler attach.
+    pub(crate) prof: OnceLock<Arc<prof::ProfCore>>,
+    /// The `asa-obs` background thread, started by the profiler attach.
     ticker: OnceLock<Ticker>,
 }
 
 /// Longest single sleep of the background thread, so a stop (or the last
-/// handle drop) and a newly attached task are noticed promptly.
+/// handle drop) is noticed promptly.
 const TICKER_SLICE: Duration = Duration::from_millis(10);
 
-/// Lifecycle of the `asa-obs` thread. The thread holds only a `Weak` to
-/// [`ObsInner`]: when the last handle drops, the upgrade fails and the
-/// thread exits; dropping the ticker also stops and joins it.
+/// Lifecycle of the `asa-obs` thread. The thread owns only the profiler
+/// core, never [`ObsInner`], so the last handle drop always happens on
+/// another thread; dropping the ticker (with `ObsInner`) stops and joins
+/// the thread.
 struct Ticker {
     stop: Arc<AtomicBool>,
     thread: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl Ticker {
-    /// Starts `inner`'s background thread unless it already runs.
-    fn start(inner: &Arc<ObsInner>) {
-        inner.ticker.get_or_init(|| {
-            let stop = Arc::new(AtomicBool::new(false));
-            let (stop2, weak) = (Arc::clone(&stop), Arc::downgrade(inner));
-            let thread = std::thread::Builder::new()
-                .name("asa-obs".into())
-                .spawn(move || {
-                    let (mut next_col, mut next_prof) = (None, None);
-                    while !stop2.load(Ordering::Relaxed) {
-                        let Some(inner) = weak.upgrade() else { return };
-                        let now = Instant::now();
-                        let mut wake = now + TICKER_SLICE;
-                        if let Some(store) = inner.collector.get() {
-                            let every = store.config().resolution;
-                            let tick = || collector_tick(&inner, store);
-                            wake = wake.min(run_due(&mut next_col, now, every, tick));
-                        }
-                        if let Some(core) = inner.prof.get() {
-                            let tick = || core.tick();
-                            wake = wake.min(run_due(&mut next_prof, now, core.interval, tick));
-                        }
-                        drop(inner);
-                        std::thread::sleep(wake.saturating_duration_since(Instant::now()));
+    /// Starts a thread that runs one sampling pass of `core` per
+    /// interval. The next pass is due a full interval after the last one
+    /// ends, so a slow pass skips passes and never bursts.
+    fn start(core: Arc<prof::ProfCore>) -> Self {
+        let stop = Arc::new(AtomicBool::new(false));
+        let stop2 = Arc::clone(&stop);
+        let thread = std::thread::Builder::new()
+            .name("asa-obs".into())
+            .spawn(move || {
+                let mut next = Instant::now() + core.interval;
+                while !stop2.load(Ordering::Relaxed) {
+                    if Instant::now() >= next {
+                        core.tick();
+                        next = Instant::now() + core.interval;
                     }
-                })
-                .expect("spawn obs background thread");
-            Ticker {
-                stop,
-                thread: Mutex::new(Some(thread)),
-            }
-        });
+                    let wait = next.saturating_duration_since(Instant::now());
+                    std::thread::sleep(wait.min(TICKER_SLICE));
+                }
+            })
+            .expect("spawn obs background thread");
+        Ticker {
+            stop,
+            thread: Mutex::new(Some(thread)),
+        }
     }
 
     /// Signals the thread and joins it; idempotent. Bounded wait: the
@@ -177,12 +158,7 @@ impl Ticker {
     fn shutdown(&self) {
         self.stop.store(true, Ordering::Relaxed);
         if let Some(t) = self.thread.lock().unwrap().take() {
-            // The thread drops `ObsInner` itself when its transient upgrade
-            // outlives the last handle; it then exits on the stop flag, and
-            // joining it from itself would deadlock.
-            if t.thread().id() != std::thread::current().id() {
-                let _ = t.join();
-            }
+            let _ = t.join();
         }
     }
 }
@@ -193,47 +169,8 @@ impl Drop for Ticker {
     }
 }
 
-/// Runs `tick` once the deadline in `next` has passed and schedules the
-/// next one a full `every` after the tick ends (a slow tick skips, it
-/// never bursts). A task seen for the first time is due one period out.
-/// Returns the next deadline.
-fn run_due(
-    next: &mut Option<Instant>,
-    now: Instant,
-    every: Duration,
-    tick: impl FnOnce(),
-) -> Instant {
-    let every = every.max(Duration::from_millis(1));
-    let deadline = next.get_or_insert(now + every);
-    if now >= *deadline {
-        tick();
-        *deadline = Instant::now() + every;
-    }
-    *deadline
-}
-
-/// One collector tick: snapshot every registered metric (plus synthetic
-/// process-resource gauges) into the time-series store.
-fn collector_tick(inner: &ObsInner, store: &TimeSeriesStore) {
-    let t_us = inner.start.elapsed().as_micros() as u64;
-    let (counters, mut gauges, hists) = registry_snapshot(inner);
-    if let Some(rs) = resource::sample() {
-        gauges.push(GaugeSnapshot {
-            name: "proc.rss_bytes",
-            last: rs.rss_bytes,
-            max: rs.peak_rss_bytes,
-        });
-        gauges.push(GaugeSnapshot {
-            name: "proc.open_fds",
-            last: rs.open_fds,
-            max: rs.open_fds,
-        });
-    }
-    store.record_tick(t_us, &counters, &gauges, &hists);
-}
-
-/// Snapshots the full metric registry (shared by [`Obs::flush`], the
-/// collector tick, and exposition).
+/// Snapshots the full metric registry (shared by [`Obs::flush`] and
+/// exposition).
 fn registry_snapshot(
     inner: &ObsInner,
 ) -> (Vec<CounterSnapshot>, Vec<GaugeSnapshot>, Vec<HistSnapshot>) {
@@ -282,7 +219,6 @@ impl Obs {
             registry: Mutex::new(Registry::default()),
             sinks: Mutex::new(Vec::new()),
             trace: OnceLock::new(),
-            collector: OnceLock::new(),
             prof: OnceLock::new(),
             ticker: OnceLock::new(),
         })))
@@ -400,54 +336,21 @@ impl Obs {
         self.0.as_ref().and_then(|inner| inner.trace.get().cloned())
     }
 
-    /// Attaches the continuous-telemetry collector: the background
-    /// thread snapshots every registered metric into a [`TimeSeriesStore`]
-    /// every `cfg.resolution`. Idempotent (a second call keeps the first
-    /// collector) and a no-op on a disabled handle.
-    ///
-    /// The thread holds only a `Weak` reference to this handle's state:
-    /// when the last `Obs` clone drops, the thread exits, so attaching a
-    /// collector never leaks the registry.
-    pub fn attach_collector(&self, cfg: TimeSeriesConfig) {
-        let Some(inner) = &self.0 else { return };
-        inner
-            .collector
-            .get_or_init(|| Arc::new(TimeSeriesStore::new(cfg)));
-        Ticker::start(inner);
-    }
-
-    /// The attached collector's time-series store, if any.
-    pub fn timeseries(&self) -> Option<Arc<TimeSeriesStore>> {
-        self.0
-            .as_ref()
-            .and_then(|inner| inner.collector.get())
-            .map(Arc::clone)
-    }
-
-    /// Performs one synchronous collector tick on the calling thread.
-    /// Test hook: attach the collector with an hours-long resolution so
-    /// the background thread stays idle, then drive ticks manually for
-    /// deterministic time-series content. `false` when no collector is
-    /// attached.
-    pub fn tick_collector(&self) -> bool {
-        let Some(inner) = &self.0 else { return false };
-        let Some(store) = inner.collector.get() else {
-            return false;
-        };
-        collector_tick(inner, store);
-        true
-    }
-
     /// Attaches the sampling profiler: the background thread snapshots
     /// every registered thread's live span stack every `interval` and
     /// folds the observations into a collapsed-stack profile. Idempotent
     /// (a second call keeps the first profiler and its interval) and a
-    /// no-op on a disabled handle. Same thread and lifecycle as
-    /// [`Obs::attach_collector`].
+    /// no-op on a disabled handle.
+    ///
+    /// The profiler runs on one `asa-obs` background thread per handle.
+    /// The thread holds only the profiler's own state, never the handle's:
+    /// dropping the last `Obs` clone stops and joins it.
     pub fn attach_profiler(&self, interval: Duration) {
         let Some(inner) = &self.0 else { return };
-        inner.prof.get_or_init(|| prof::ProfCore::new(interval));
-        Ticker::start(inner);
+        let core = inner
+            .prof
+            .get_or_init(|| Arc::new(prof::ProfCore::new(interval)));
+        inner.ticker.get_or_init(|| Ticker::start(Arc::clone(core)));
     }
 
     /// Whether a profiler is attached (and spans mirror live stacks).
@@ -459,8 +362,7 @@ impl Obs {
     }
 
     /// Performs one synchronous sampling pass on the calling thread.
-    /// Test hook, mirroring [`Obs::tick_collector`]: attach the profiler
-    /// with an hours-long interval so the background thread stays idle,
+    /// Test hook: attach the profiler with an hours-long interval so the background thread stays idle,
     /// then drive passes manually for deterministic profiles. `false`
     /// when no profiler is attached.
     pub fn tick_profiler(&self) -> bool {
@@ -472,10 +374,9 @@ impl Obs {
         true
     }
 
-    /// Stops and joins the background thread: neither the collector nor
-    /// the profiler ticks on its own again, and the time-series store and
-    /// folded profile stay readable. Idempotent; also happens when the last
-    /// handle drops.
+    /// Stops and joins the background thread: the profiler no longer
+    /// ticks on its own, and the folded profile stays readable.
+    /// Idempotent; also happens when the last handle drops.
     pub fn stop_background(&self) {
         if let Some(ticker) = self.0.as_ref().and_then(|inner| inner.ticker.get()) {
             ticker.shutdown();
@@ -488,7 +389,7 @@ impl Obs {
         self.0
             .as_ref()
             .and_then(|inner| inner.prof.get())
-            .map(prof::ProfCore::snapshot)
+            .map(|core| core.snapshot())
     }
 
     /// On-demand capture: blocks the calling thread for `duration`,
@@ -504,8 +405,7 @@ impl Obs {
     }
 
     /// Snapshot of every registered counter/gauge/histogram; `None` when
-    /// disabled. This is what exposition renders and the collector ticks
-    /// from.
+    /// disabled. This is what exposition renders.
     pub fn metrics_snapshot(
         &self,
     ) -> Option<(Vec<CounterSnapshot>, Vec<GaugeSnapshot>, Vec<HistSnapshot>)> {
@@ -634,6 +534,37 @@ macro_rules! record {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The profiler core of an enabled handle with a profiler attached at
+    /// an hours-long interval, so its thread idles in 10 ms sleeps.
+    fn idle_profiler(obs: &Obs) -> &Arc<prof::ProfCore> {
+        obs.attach_profiler(Duration::from_secs(3600));
+        obs.0.as_ref().unwrap().prof.get().unwrap()
+    }
+
+    // The thread holds the only other reference to the profiler core and
+    // releases it as it finishes, so the counts below hold at once only
+    // if the stop joined the thread; a thread that was merely signalled
+    // still sleeps with its reference.
+    #[test]
+    fn stop_background_joins_the_thread() {
+        let obs = Obs::new_enabled();
+        let core = idle_profiler(&obs);
+        assert_eq!(Arc::strong_count(core), 2);
+        obs.stop_background();
+        assert_eq!(Arc::strong_count(core), 1, "thread still holds the core");
+    }
+
+    #[test]
+    fn dropping_the_last_handle_joins_the_thread() {
+        let obs = Obs::new_enabled();
+        let core = Arc::downgrade(idle_profiler(&obs));
+        let clone = obs.clone();
+        drop(obs);
+        assert!(core.upgrade().is_some(), "a clone keeps the profiler");
+        drop(clone);
+        assert!(core.upgrade().is_none(), "thread still holds the core");
+    }
 
     #[test]
     fn disabled_handle_is_inert_and_cheap() {

@@ -6,12 +6,9 @@
 //! [`sample`] returns `None` and every consumer degrades gracefully (bench
 //! metadata omits the fields, exposition skips the process families).
 //!
-//! The headline number is **peak RSS** (`VmHWM`): ROADMAP item 2 requires
-//! every bench JSON to certify the memory high-water mark before 100M+-arc
-//! runs are trusted, so [`crate::expose`] publishes it and the bench
-//! harness embeds it in `BENCH_*.json` run metadata. The collector tick
-//! also folds [`sample`] into the time-series each tick as `proc.*` level
-//! series, which lets SLO objectives target memory directly.
+//! The headline number is **peak RSS** (`VmHWM`): every bench JSON
+//! certifies the memory high-water mark, so [`crate::expose`] publishes it
+//! and the bench harness embeds it in `BENCH_*.json` run metadata.
 
 use std::time::Duration;
 

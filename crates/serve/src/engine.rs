@@ -13,7 +13,9 @@
 //!    [`asa_infomap::InfomapConfig::validate`], or an update whose delta
 //!    names a vertex outside its base graph, resolves
 //!    [`Outcome::Rejected`] here, before routing, so no worker ever runs
-//!    it.
+//!    it. Whether an update's weights overflow depends on its stream's
+//!    state, so the worker checks that before applying it (O(Δ)) and
+//!    rejects it the same way.
 //! 2. **Routing**: the fingerprint picks the shard — home shard
 //!    `fingerprint % shards`, widened to a round-robined routing set once
 //!    the graph proves hot ([`crate::shard::Router`]).
@@ -58,7 +60,7 @@ use asa_infomap::{
     InfomapConfig, InfomapResult,
 };
 use asa_obs::blackbox::{self, SectionGuard};
-use asa_obs::{intern_name, Counter, Gauge, HealthState, Hist, Obs, SloConfig, SloEngine, TraceId};
+use asa_obs::{intern_name, Counter, Gauge, Hist, Obs, TraceId};
 
 use crate::cache::{CacheKey, ResultCache};
 use crate::queue::{JobQueue, Popped, PushError};
@@ -138,22 +140,13 @@ pub struct ServeConfig {
     /// here; pass a disabled handle to keep metrics readable via
     /// [`ServeEngine::stats`] without any sink wiring.
     pub obs: Obs,
-    /// Declarative service-level objectives evaluated on every collector
-    /// tick (`None` disables the health engine). Requires a collector on
-    /// `obs` ([`Obs::attach_collector`]) to fire automatically; overall
-    /// health surfaces as the `serve.health` gauge (0 healthy, 1
-    /// degraded, 2 critical), state transitions emit `slo.*` instants
-    /// into the flight recorder (attach it *before* `start`), and the
-    /// human-readable report prints at shutdown.
-    pub slo: Option<SloConfig>,
     /// Black-box flight-data path (default `None`; the serve bench sets
     /// `blackbox.json` under its `--obs-dir`). When set and the configured
     /// [`Obs`] is enabled, the engine installs a panic hook at `start` and
     /// writes one JSON diagnostic bundle there on any panic and again on
     /// graceful [`shutdown`] (reason `"shutdown"`). The bundle carries the
-    /// flight-recorder drain, time-series tails, metric/resource
-    /// snapshots, the folded profile, and the engine's own `serve.shards`
-    /// / `serve.slo` sections.
+    /// flight-recorder drain, metric/resource snapshots, the folded
+    /// profile, and the engine's own `serve.shards` section.
     ///
     /// [`shutdown`]: ServeEngine::shutdown
     pub blackbox_out: Option<PathBuf>,
@@ -176,7 +169,6 @@ impl Default for ServeConfig {
             partition_compact_batches: 8,
             incremental: IncrementalConfig::default(),
             obs: Obs::disabled(),
-            slo: None,
             blackbox_out: None,
         }
     }
@@ -208,9 +200,6 @@ struct Metrics {
     update_cold: Counter,
     queue_depth: Gauge,
     partition_store: Gauge,
-    /// Quality-guard fallbacks per 1000 warm updates, for SLO objectives
-    /// over the fallback rate (gauges are integers, hence permille).
-    update_fallback_permille: Gauge,
     latency_interactive_us: Hist,
     latency_batch_us: Hist,
 }
@@ -239,7 +228,6 @@ impl Metrics {
             update_cold: obs.counter("serve.update.cold"),
             queue_depth: obs.gauge("serve.queue.depth"),
             partition_store: obs.gauge("serve.partition.store"),
-            update_fallback_permille: obs.gauge("serve.update.fallback_permille"),
             latency_interactive_us: obs.hist("serve.latency_us.interactive"),
             latency_batch_us: obs.hist("serve.latency_us.batch"),
         }
@@ -383,8 +371,9 @@ pub struct EngineStats {
     pub degraded_deadline: u64,
     /// Requests that expired before any work ran.
     pub deadline_exceeded: u64,
-    /// Requests rejected at admission (`Rejected`): an invalid config, or
-    /// an update delta naming a vertex outside the base graph.
+    /// Requests rejected (`Rejected`): at admission for an invalid config
+    /// or an update delta naming a vertex outside the base graph, on the
+    /// worker for an update whose weights overflow the stream's total.
     pub rejected: u64,
     /// Requests answered from the cache.
     pub cache_hits: u64,
@@ -542,14 +531,9 @@ impl Shared {
 pub struct ServeEngine {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
-    /// The SLO health engine, shared with the collector's tick observer.
-    /// The observer holds its own `Arc` (never an `Obs` clone — that
-    /// would cycle the obs registry back to itself through the store).
-    slo: Option<Arc<Mutex<SloEngine>>>,
-    /// Black-box section registrations (`serve.shards`, `serve.slo`);
-    /// dropping the engine unregisters them from the process-global
-    /// bundle table.
-    _sections: Vec<SectionGuard>,
+    /// The `serve.shards` black-box section registration; dropping the
+    /// engine unregisters it from the process-global bundle table.
+    _section: Option<SectionGuard>,
 }
 
 impl std::fmt::Debug for ServeEngine {
@@ -573,24 +557,6 @@ impl ServeEngine {
             Obs::new_enabled()
         };
         let metrics = Metrics::new(&metrics_obs);
-        // SLO health engine: evaluated after every collector tick via a
-        // store observer. The closure captures the engine Arc, the
-        // health gauge, and the recorder resolved *now* — attach the
-        // flight recorder before `start` if transition instants are
-        // wanted — but never the Obs handle itself (cycle avoidance).
-        let slo = cfg.slo.clone().map(|slo_cfg| {
-            let engine = Arc::new(Mutex::new(SloEngine::new(slo_cfg)));
-            let health_gauge = metrics_obs.gauge("serve.health");
-            let recorder = metrics_obs.recorder();
-            if let Some(store) = metrics_obs.timeseries() {
-                let eng = Arc::clone(&engine);
-                store.add_observer(Box::new(move |store| {
-                    let state = eng.lock().unwrap().evaluate(store, recorder.as_deref());
-                    health_gauge.set(state.as_gauge());
-                }));
-            }
-            engine
-        });
         let shards = (0..cfg.shards)
             .map(|i| Shard::new(i, &cfg, &metrics_obs, &metrics))
             .collect();
@@ -608,21 +574,14 @@ impl ServeEngine {
             cfg,
             panic_drill: AtomicBool::new(false),
         });
-        // Black-box wiring. Section closures capture a `Weak<Shared>` (a
-        // dead engine renders `null`, never keeps shards alive) and the
-        // SLO engine Arc — never an `Obs` clone, which would cycle the
-        // registry through the process-global section table.
-        let mut sections = Vec::new();
-        if shared.cfg.obs.enabled() {
+        // Black-box wiring. The section closure captures a `Weak<Shared>`
+        // (a dead engine renders `null`, never keeps shards alive) — never
+        // an `Obs` clone, which would cycle the registry through the
+        // process-global section table.
+        let section = shared.cfg.obs.enabled().then(|| {
             let weak: Weak<Shared> = Arc::downgrade(&shared);
-            sections.push(blackbox::register_section("serve.shards", move || {
-                render_shards_section(&weak)
-            }));
-            let slo = slo.clone();
-            sections.push(blackbox::register_section("serve.slo", move || {
-                render_slo_section(slo.as_deref())
-            }));
-        }
+            blackbox::register_section("serve.shards", move || render_shards_section(&weak))
+        });
         if let Some(path) = &shared.cfg.blackbox_out {
             if shared.cfg.obs.enabled() {
                 blackbox::install_panic_hook(&shared.cfg.obs, path);
@@ -641,8 +600,7 @@ impl ServeEngine {
         ServeEngine {
             shared,
             workers,
-            slo,
-            _sections: sections,
+            _section: section,
         }
     }
 
@@ -807,33 +765,15 @@ impl ServeEngine {
         }
     }
 
-    /// Current overall SLO health; [`HealthState::Healthy`] when no SLO
-    /// configuration was given (nothing can burn).
-    pub fn health(&self) -> HealthState {
-        self.slo
-            .as_ref()
-            .map_or(HealthState::Healthy, |s| s.lock().unwrap().state())
-    }
-
-    /// The human-readable SLO health report (overall state, per-objective
-    /// status, transition history); `None` without an SLO configuration.
-    pub fn slo_report(&self) -> Option<String> {
-        self.slo.as_ref().map(|s| s.lock().unwrap().report())
-    }
-
     /// Graceful shutdown: stops admission on every shard, drains every
-    /// queued job (each still resolves normally), joins the workers,
-    /// prints the SLO health report (when objectives were configured),
-    /// and returns the final statistics.
+    /// queued job (each still resolves normally), joins the workers, and
+    /// returns the final statistics.
     pub fn shutdown(mut self) -> EngineStats {
         for shard in &self.shared.shards {
             shard.queue.close();
         }
         for worker in self.workers.drain(..) {
             let _ = worker.join();
-        }
-        if let Some(report) = self.slo_report() {
-            eprintln!("{report}");
         }
         // Final black-box bundle: everything drained and joined, so the
         // flight recorder, queues and stores are quiescent. The panic
@@ -876,21 +816,6 @@ fn degraded_config(cfg: &InfomapConfig, rung: u8) -> InfomapConfig {
     out
 }
 
-/// `HealthState` as the lowercase token used in black-box sections.
-fn health_name(state: HealthState) -> &'static str {
-    match state {
-        HealthState::Healthy => "healthy",
-        HealthState::Degraded => "degraded",
-        HealthState::Critical => "critical",
-    }
-}
-
-/// Minimal JSON string escaping for the static names embedded in
-/// black-box sections.
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 /// `serve.shards` black-box section: per-shard queue depth and
 /// partition-store occupancy at dump time. Renders `null` once the engine
 /// is gone (the closure only holds a `Weak`).
@@ -916,51 +841,6 @@ fn render_shards_section(shared: &Weak<Shared>) -> String {
         );
     }
     out.push(']');
-    out
-}
-
-/// `serve.slo` black-box section: overall health, per-objective states
-/// and the transition history. Uses `try_lock` — a panicking evaluator
-/// thread must never deadlock its own hook — and recovers a poisoned
-/// engine (the state is plain data, still worth dumping).
-fn render_slo_section(slo: Option<&Mutex<SloEngine>>) -> String {
-    use std::fmt::Write as _;
-    let Some(slo) = slo else {
-        return "null".to_string();
-    };
-    let eng = match slo.try_lock() {
-        Ok(g) => g,
-        Err(std::sync::TryLockError::Poisoned(p)) => p.into_inner(),
-        Err(std::sync::TryLockError::WouldBlock) => return "\"unavailable\"".to_string(),
-    };
-    let mut out = String::new();
-    let _ = write!(out, "{{\"state\":\"{}\"", health_name(eng.state()));
-    out.push_str(",\"objectives\":[");
-    for (i, (name, state)) in eng.objective_states().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"name\":\"{}\",\"state\":\"{}\"}}",
-            json_escape(name),
-            health_name(*state),
-        );
-    }
-    out.push_str("],\"transitions\":[");
-    for (i, tr) in eng.transitions().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"t_us\":{},\"from\":\"{}\",\"to\":\"{}\"}}",
-            tr.t_us,
-            health_name(tr.from),
-            health_name(tr.to),
-        );
-    }
-    out.push_str("]}");
     out
 }
 
@@ -1277,7 +1157,12 @@ fn execute_update(
     shared.note_partitions(job.shard);
 
     let mut state = state_arc.lock().unwrap();
-    let chain = state.fingerprint_after(delta);
+    // A delta that would overflow the stream's total weight is refused
+    // before it touches the stream: head and partition stay as they were.
+    let chain = match state.fingerprint_after(delta) {
+        Ok(chain) => chain,
+        Err(e) => return Exit::at("execute", Outcome::Rejected(Rejection::Weight(e))),
+    };
     let cache_key = (chain, job.key.1);
     let info = UpdateInfo {
         incremental: !cold,
@@ -1320,17 +1205,14 @@ fn execute_update(
     obs.trace_async_end(job.trace, "execute", "request");
     obs.trace_async_begin(job.trace, "respond", "request");
 
-    // Warm updates feed the fallback-rate telemetry (cold seeds are full
-    // runs by construction, not guard decisions).
+    // Warm updates count by path (cold seeds are full runs by
+    // construction, not guard decisions).
     if !cold {
         if fallback.is_none() {
             m.update_incremental.incr();
         } else {
             m.update_fallback.incr();
         }
-        let warm = m.update_incremental.value() + m.update_fallback.value();
-        m.update_fallback_permille
-            .set(m.update_fallback.value() * 1000 / warm.max(1));
     }
 
     let outcome = ran(result, 0);
@@ -1571,14 +1453,84 @@ mod tests {
                 d.insert(u, v, 6.0);
             }
         }
-        let response = engine.submit(Request::update(graph, d)).wait();
+        let response = engine.submit(Request::update(Arc::clone(&graph), d)).wait();
         let info = response.update.expect("update info");
         assert!(!info.cold);
         assert!(!info.incremental);
         assert!(info.fallback.is_some());
         assert!(response.outcome.result().is_some());
+        // Gentle local edits after the storm stay on the incremental path.
+        for (u, v) in [(1u32, 2u32), (3, 5)] {
+            let mut d = asa_graph::EdgeDelta::new();
+            d.insert(u, v, 0.5);
+            let r = engine.submit(Request::update(Arc::clone(&graph), d)).wait();
+            assert!(r.update.expect("update info").incremental);
+        }
         let stats = engine.shutdown();
+        assert_eq!(stats.update_cold, 1);
         assert_eq!(stats.update_fallback, 1);
+        assert_eq!(stats.update_incremental, 2);
+    }
+
+    /// Updates whose weights overflow the stream's total `2W` are rejected
+    /// on the worker. Before that check the second of two `1e308`
+    /// inserts resolved `Ok` with codelength 0 (`materialize` checks
+    /// weights in debug builds only).
+    #[test]
+    fn overflowing_update_is_rejected_and_the_stream_stays_incremental() {
+        let engine = ServeEngine::start(ServeConfig {
+            shards: 1,
+            workers: 1,
+            ..ServeConfig::default()
+        });
+        let graph = clique_chain();
+        let edit = |u, v, w| {
+            let mut d = asa_graph::EdgeDelta::new();
+            d.insert(u, v, w);
+            d
+        };
+        let (seed, gentle) = (edit(1, 2, 0.5), edit(5, 6, 0.5));
+        let mut twice = edit(9, 10, 5e307);
+        twice.insert(13, 14, 5e307);
+        let submit = |d: &asa_graph::EdgeDelta| {
+            engine
+                .submit(Request::update(Arc::clone(&graph), d.clone()))
+                .wait()
+        };
+        assert!(submit(&seed).update.expect("update info").cold);
+        // One edge of 1e308 (counted twice in 2W), the same edge again,
+        // and two edges of 5e307 that overflow only together.
+        for bad in [edit(0, 1, 1e308), edit(0, 1, 1e308), twice] {
+            let r = submit(&bad);
+            let Outcome::Rejected(why) = r.outcome else {
+                panic!("{} instead of a rejection", r.outcome.name());
+            };
+            assert!(matches!(why, Rejection::Weight(_)));
+            assert_eq!(
+                why.to_string(),
+                "invalid update: total edge weight overflows f64"
+            );
+            assert!(r.update.is_none());
+        }
+
+        // The stream still holds the seeded version, so the next valid
+        // edit is served incrementally, at the head it would have had
+        // without the rejected updates.
+        let mut expected = asa_graph::DeltaGraph::new(Arc::clone(&graph));
+        expected.apply(&seed);
+        let r = submit(&gentle);
+        let info = r.update.expect("update info");
+        assert!(info.incremental && !info.cold);
+        assert_eq!(
+            Ok(info.chain_fingerprint),
+            expected.fingerprint_after(&gentle)
+        );
+        assert!(r.outcome.result().unwrap().codelength > 0.0);
+        let stats = engine.shutdown();
+        assert_eq!(stats.rejected, 3);
+        assert_eq!(stats.update_cold, 1);
+        assert_eq!(stats.update_incremental, 1);
+        assert_eq!(stats.partition_live, 1);
     }
 
     #[test]

@@ -36,22 +36,16 @@
 //!   keep [`asa_infomap::IncrementalState`] warm, results cache under
 //!   the chain fingerprint, and a quality guard falls back to a full
 //!   run when codelength drift escapes its budget — reported per
-//!   response as [`request::UpdateInfo`].
-//!
-//! * **SLO health** — declarative objectives over the continuous
-//!   time-series ([`ServeConfig::slo`] + an attached obs collector):
-//!   multi-window burn-rate evaluation drives a
-//!   Healthy → Degraded → Critical state machine with hysteresis,
-//!   surfaced as the `serve.health` gauge, flight-recorder `slo.*`
-//!   instants on transitions, and a shutdown health report.
+//!   response as [`request::UpdateInfo`]. An update whose inserts would
+//!   push the stream's total weight past `f64::MAX` rejects with
+//!   [`Outcome::Rejected`] on the worker and leaves the stream as it was.
 //!
 //! Every request, detect or update, runs one lifecycle and resolves
 //! through one exit, so it ends in exactly one [`Outcome`].
 //!
 //! Entry points: [`ServeEngine::start`], [`ServeEngine::submit`],
-//! [`Request`]. See `DESIGN.md` § "Serving layer", § "Sharded serving"
-//! and § "Continuous telemetry & SLO engine" for the architecture
-//! diagrams and the degradation ladder.
+//! [`Request`]. See `DESIGN.md` § "Serving layer" and § "Sharded
+//! serving" for the architecture diagrams and the degradation ladder.
 
 pub mod cache;
 pub mod engine;

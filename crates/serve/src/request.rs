@@ -3,7 +3,7 @@
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use asa_graph::{CsrGraph, EdgeDelta, NodeId};
+use asa_graph::{CsrError, CsrGraph, EdgeDelta, NodeId};
 use asa_infomap::incremental::FallbackReason;
 use asa_infomap::{ConfigError, InfomapConfig, InfomapResult};
 
@@ -147,7 +147,9 @@ pub enum Outcome {
     Rejected(Rejection),
 }
 
-/// Why [`crate::ServeEngine::submit`] refused a request before routing it.
+/// Why the engine refused a request: at [`crate::ServeEngine::submit`],
+/// before routing it, or for [`Rejection::Weight`] on the worker, before
+/// the update touches its stream.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Rejection {
     /// The update's delta names `vertex`, which lies outside its base
@@ -161,6 +163,10 @@ pub enum Rejection {
     /// The request's [`InfomapConfig`] fails
     /// [`InfomapConfig::validate`].
     Config(ConfigError),
+    /// The update's inserts would push the stream's total edge weight past
+    /// `f64::MAX`, or within [`asa_graph::delta::TOTAL_MARGIN`] of it. The
+    /// stream keeps its previous version.
+    Weight(CsrError),
 }
 
 impl std::fmt::Display for Rejection {
@@ -170,6 +176,7 @@ impl std::fmt::Display for Rejection {
                 write!(f, "vertex {vertex} is not in 0..{num_nodes}")
             }
             Self::Config(e) => write!(f, "invalid config: {e}"),
+            Self::Weight(e) => write!(f, "invalid update: {e}"),
         }
     }
 }

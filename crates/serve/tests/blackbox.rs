@@ -1,7 +1,7 @@
 //! Black-box flight-data acceptance: a deliberately panicked worker
 //! triggers the panic hook, which dumps one JSON diagnostic bundle with
-//! every layer present (flight recorder, time-series tails, SLO states,
-//! resource snapshot, folded profile, engine sections); a later graceful
+//! every layer present (flight recorder, metrics, resource snapshot,
+//! folded profile, engine sections); a later graceful
 //! shutdown overwrites it with a `"shutdown"`-reason bundle.
 //!
 //! The panic hook and the section table are process-global, so this file
@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use asa_graph::{CsrGraph, GraphBuilder};
-use asa_obs::{Objective, Obs, SloConfig, Stat, TimeSeriesConfig};
+use asa_obs::Obs;
 use asa_serve::{Request, ServeConfig, ServeEngine};
 
 fn two_triangles() -> Arc<CsrGraph> {
@@ -29,48 +29,29 @@ fn forced_panic_then_shutdown_write_complete_bundles() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("blackbox.json");
 
-    // Every observability layer attached, all on manual ticks (hours-long
-    // intervals) so the bundle contents are deterministic.
+    // Every observability layer attached, the profiler on manual ticks
+    // (an hours-long interval) so the bundle contents are deterministic.
     let obs = Obs::new_enabled();
     obs.attach_recorder(1 << 12);
-    obs.attach_collector(TimeSeriesConfig {
-        resolution: Duration::from_secs(3600),
-        slots: 64,
-    });
     obs.attach_profiler(Duration::from_secs(3600));
 
-    let slo = SloConfig {
-        objectives: vec![Objective::at_most(
-            "queue_depth",
-            "serve.queue.depth",
-            Stat::Max,
-            1e9,
-            0.05,
-            0.2,
-        )],
-        degrade_after: 1,
-        critical_after: 100,
-        recover_after: 2,
-    };
     let engine = ServeEngine::start(ServeConfig {
         shards: 1,
         workers: 2,
         cache_capacity: 0,
         obs: obs.clone(),
-        slo: Some(slo),
         blackbox_out: Some(path.clone()),
         ..ServeConfig::default()
     });
 
     // Populate every layer: one real request (flight-recorder events,
-    // latency histograms), a collector tick (time-series points + SLO
-    // evaluation), and a profiler tick with a span open (folded stacks).
+    // latency histograms) and a profiler tick with a span open (folded
+    // stacks).
     let graph = two_triangles();
     let response = engine
         .submit(Request::interactive(Arc::clone(&graph)))
         .wait();
     assert!(response.outcome.result().is_some());
-    assert!(obs.tick_collector());
     {
         let _s = obs.span("blackbox.test.work");
         assert!(obs.tick_profiler());
@@ -107,12 +88,6 @@ fn forced_panic_then_shutdown_write_complete_bundles() {
         .sum();
     assert!(events > 0, "flight recorder drained empty");
 
-    // Time-series tails: the manual tick produced at least one point in
-    // at least one series.
-    let ts = &bundle["timeseries"];
-    assert!(ts["ticks"].as_u64().unwrap() >= 1, "{ts:?}");
-    assert!(!ts["series"].as_array().unwrap().is_empty());
-
     // Folded profile: the ticked span is in there.
     let prof = &bundle["profile"];
     assert!(prof["samples"].as_u64().unwrap() >= 1, "{prof:?}");
@@ -130,14 +105,17 @@ fn forced_panic_then_shutdown_write_complete_bundles() {
         !matches!(bundle["resource"], serde_json::Value::Null) || cfg!(not(target_os = "linux"))
     );
 
-    // Engine sections: per-shard occupancy and the SLO state machine.
+    // Engine sections: per-shard occupancy, and nothing else.
     let shards = bundle["sections"]["serve.shards"].as_array().unwrap();
     assert_eq!(shards.len(), 1);
     assert!(shards[0]["queue_depth"].as_u64().is_some());
     assert!(shards[0]["store"].as_u64().is_some());
-    let slo_section = &bundle["sections"]["serve.slo"];
-    assert_eq!(slo_section["state"], "healthy");
-    assert_eq!(slo_section["objectives"][0]["name"], "queue_depth");
+    let serde_json::Value::Object(sections) = &bundle["sections"] else {
+        panic!("sections is not an object");
+    };
+    let names: Vec<&str> = sections.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(names, ["serve.shards"]);
+    assert!(bundle.get("timeseries").is_none(), "no time-series store");
 
     // Graceful shutdown: remaining workers drain, the bundle is
     // overwritten with reason "shutdown", and the hook is disarmed.

@@ -1,17 +1,19 @@
 //! Integration coverage of the sharded engine: routing determinism,
 //! work-stealing liveness, steal-vs-affinity invariants under concurrent
-//! submit/shutdown, per-shard statistics, and the per-shard
-//! flight-recorder counter tracks.
+//! submit/shutdown, per-shard statistics, the per-shard flight-recorder
+//! counter tracks, and the per-shard gauges a `/metrics` scrape serves.
 //!
 //! Tests that pin shard counts construct an explicit [`ServeConfig`]
 //! rather than relying on `ASA_SERVE_SHARDS` (which parametrizes the
 //! *default*-config suites in CI).
 
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
 use asa_graph::{CsrGraph, GraphBuilder};
-use asa_obs::{Obs, TraceKind};
+use asa_obs::{expose, Obs, TraceKind};
 use asa_serve::{Outcome, Priority, ReplicationConfig, Request, Router, ServeConfig, ServeEngine};
 
 /// How long an idle shard worker waits on its own queue before it tries
@@ -448,4 +450,52 @@ fn per_shard_depth_counter_tracks_recorded() {
             );
         }
     }
+}
+
+#[test]
+fn scraped_metrics_carry_per_shard_queue_depth_gauges() {
+    // An overload burst on two shards, then a live `/metrics` scrape: the
+    // body is valid text format, every shard exposes its queue-depth
+    // gauge, and the engine-wide high-water mark saw the backlog.
+    let obs = Obs::new_enabled();
+    let engine = ServeEngine::start(ServeConfig {
+        obs: obs.clone(),
+        degrade_depth: 0,
+        ..sharded_config(2)
+    });
+    let graphs = [clique_ring(6, 6, 17), clique_ring(7, 6, 23)];
+    let handles: Vec<_> = (0..32)
+        .map(|i| engine.submit(Request::batch(Arc::clone(&graphs[i % 2]))))
+        .collect();
+    assert!(
+        engine.queue_depth() > 8,
+        "burst must actually back up the queues"
+    );
+    for h in handles {
+        assert!(h.wait().outcome.result().is_some());
+    }
+
+    let server = expose::serve("127.0.0.1:0", obs.clone()).expect("bind scrape endpoint");
+    let mut conn = TcpStream::connect(server.local_addr()).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    write!(conn, "GET /metrics HTTP/1.0\r\n\r\n").unwrap();
+    let mut raw = String::new();
+    conn.read_to_string(&mut raw).unwrap();
+    drop(server);
+    let body = raw.split_once("\r\n\r\n").expect("http response").1;
+    expose::validate(body).unwrap_or_else(|e| panic!("invalid exposition: {e:#?}"));
+    let value = |name: &str| -> f64 {
+        let line = body
+            .lines()
+            .find(|l| l.split(' ').next() == Some(name))
+            .unwrap_or_else(|| panic!("missing gauge {name}"));
+        line.rsplit(' ').next().unwrap().parse().unwrap()
+    };
+    for shard in 0..2 {
+        assert_eq!(value(&format!("serve_shard_{shard}_queue_depth")), 0.0);
+        value(&format!("serve_shard_{shard}_queue_depth_max"));
+    }
+    assert!(value("serve_queue_depth_max") > 8.0);
+    let stats = engine.shutdown();
+    assert_eq!(stats.completed, 32);
 }

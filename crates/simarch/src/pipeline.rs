@@ -58,9 +58,9 @@ struct PipeObs {
     /// Events per shipped batch (buffer occupancy at handoff; partial
     /// batches come from sweep-barrier flushes).
     fill: Hist,
-    /// The same occupancy as a level, so the continuous-telemetry
-    /// collector can sample a live `pipeline.buf_fill` series (a
-    /// sustained drop below capacity means barrier flushes dominate).
+    /// The same occupancy as a level, so a scrape mid-run reads the live
+    /// `pipeline.buf_fill` (a sustained drop below capacity means barrier
+    /// flushes dominate).
     fill_level: Gauge,
     /// Handle for `pipeline.ingest` spans and `pipeline.stall` trace
     /// instants when a flight recorder is attached.
