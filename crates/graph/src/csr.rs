@@ -262,6 +262,14 @@ impl CsrGraph {
         }
     }
 
+    /// Weight of the arc `u → v`, if present (a binary search of `u`'s
+    /// sorted row).
+    pub fn arc_weight(&self, u: NodeId, v: NodeId) -> Option<f64> {
+        let row = self.out_neighbors(u);
+        let i = row.targets().binary_search(&v).ok()?;
+        Some(row.weights()[i])
+    }
+
     /// Sum of outgoing edge weights of `u` (the random walker's normalization
     /// denominator in the flow model).
     pub fn out_weight(&self, u: NodeId) -> f64 {
@@ -511,6 +519,60 @@ pub fn expand_upper_triangle(offsets: &[u64], targets: &[NodeId], weights: &[f64
     mirror_rows(offsets, targets, weights, true)
 }
 
+/// Sorted CSR rows rewritten by sorted arc patches: each patch `(u, v, w)`
+/// sets the entry `v` of row `u` to `w`, or removes it when `w` is
+/// `None`. Patches must be sorted by `(u, v)`, one per arc. Every entry no
+/// patch names keeps its target and takes `value(weight)`; the spans of
+/// rows between patched rows are copied whole, their offsets shifted by
+/// the running change in length. Delta materialization and the
+/// incremental flow update rewrite their rows through it.
+pub fn splice_rows(
+    (offsets, targets, weights): (&[u64], &[NodeId], &[f64]),
+    patches: impl IntoIterator<Item = (NodeId, NodeId, Option<f64>)>,
+    value: impl Fn(f64) -> f64,
+) -> CsrArrays {
+    let n = offsets.len() - 1;
+    let mut patches = patches.into_iter().peekable();
+    // Room for every patch to insert, so the arrays never reallocate.
+    let len = targets.len() + patches.size_hint().0;
+    let mut new_offsets = Vec::with_capacity(n + 1);
+    let mut new_targets = Vec::with_capacity(len);
+    let mut new_weights = Vec::with_capacity(len);
+    new_offsets.push(0u64);
+    let mut row = 0;
+    loop {
+        // Rows `row..next` carry no patch: one copy for all of them.
+        let next = patches.peek().map_or(n, |&(u, _, _)| u as usize);
+        let (lo, hi) = (offsets[row], offsets[next]);
+        let at = new_targets.len() as u64;
+        new_offsets.extend(offsets[row + 1..=next].iter().map(|&x| x - lo + at));
+        new_targets.extend_from_slice(&targets[lo as usize..hi as usize]);
+        new_weights.extend(weights[lo as usize..hi as usize].iter().map(|&x| value(x)));
+        if next == n {
+            return (new_offsets, new_targets, new_weights);
+        }
+        let (mut i, hi) = range(offsets, next as NodeId);
+        while let Some((_, v, patch)) = patches.next_if(|&(u, _, _)| u as usize == next) {
+            while i < hi && targets[i] < v {
+                new_targets.push(targets[i]);
+                new_weights.push(value(weights[i]));
+                i += 1;
+            }
+            if i < hi && targets[i] == v {
+                i += 1;
+            }
+            if let Some(w) = patch {
+                new_targets.push(v);
+                new_weights.push(w);
+            }
+        }
+        new_targets.extend_from_slice(&targets[i..hi]);
+        new_weights.extend(weights[i..hi].iter().map(|&x| value(x)));
+        new_offsets.push(new_targets.len() as u64);
+        row = next + 1;
+    }
+}
+
 /// Borrowed view of one vertex's adjacency.
 #[derive(Debug, Clone, Copy)]
 pub struct Neighbors<'g> {
@@ -739,6 +801,29 @@ mod tests {
             again.arcs().collect::<Vec<_>>(),
             g.arcs().collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn splice_rewrites_patched_rows_and_maps_the_rest() {
+        // Rows: 0 → {1, 3}, 1 → {}, 2 → {0}, 3 → {2, 3}.
+        let rows = (
+            vec![0, 2, 2, 3, 5],
+            vec![1, 3, 0, 2, 3],
+            vec![1.0, 2.0, 3.0, 4.0, 5.0],
+        );
+        let patches = [
+            (0, 0, Some(9.0)), // insert before every entry
+            (0, 3, None),      // delete the row's last entry
+            (1, 2, Some(8.0)), // insert into an empty row
+            (2, 3, Some(7.0)), // insert after every entry
+        ];
+        let (o, t, w) = splice_rows((&rows.0, &rows.1, &rows.2), patches, |x| 10.0 * x);
+        assert_eq!(o, vec![0, 2, 3, 5, 7]);
+        assert_eq!(t, vec![0, 1, 2, 0, 3, 2, 3]);
+        assert_eq!(w, vec![9.0, 10.0, 8.0, 30.0, 7.0, 40.0, 50.0]);
+        // No patch: every row is copied, every weight mapped.
+        let (o, t, w) = splice_rows((&rows.0, &rows.1, &rows.2), [], |x| x);
+        assert_eq!((o, t, w), rows);
     }
 
     #[test]

@@ -10,8 +10,11 @@
 //!   deletions, the unit a client ships per update.
 //! * [`DeltaGraph`] — a base `CsrGraph` plus a canonical *net overlay* of
 //!   applied batches. Adjacency queries merge the base row with its
-//!   overlay patches lazily; [`DeltaGraph::compact`] periodically folds
-//!   the overlay back into a fresh CSR.
+//!   overlay patches lazily; [`DeltaGraph::materialize`] builds the merged
+//!   CSR. A caller that keeps the merged CSR brings it to the next version
+//!   with [`DeltaGraph::splice`], which rewrites only the rows a batch
+//!   touched, and periodically compacts the overlay by
+//!   [`DeltaGraph::rebase`]-ing onto it.
 //! * The **fingerprint chain** — [`DeltaGraph::chain_fingerprint`] is the
 //!   FNV of the chain *anchor* (the base fingerprint at the last rebase)
 //!   concatenated with the canonicalized net overlay. Because the overlay
@@ -33,7 +36,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use crate::csr::{CsrError, CsrGraph, EdgeRef, NodeId, WEIGHT_OVERFLOW};
+use crate::csr::{splice_rows, CsrError, CsrGraph, EdgeRef, NodeId, WEIGHT_OVERFLOW};
 use crate::fingerprint::Fnv64;
 
 /// One batch of edge mutations. Deletions apply before insertions, so a
@@ -103,6 +106,23 @@ impl EdgeDelta {
         out.dedup();
         out
     }
+
+    /// Every arc an operation names, with its mirror `(v, u)` too when
+    /// `mirror` is set (an undirected graph stores both), sorted and
+    /// deduplicated. These are the only arcs whose weight the batch can
+    /// change.
+    pub fn arcs(&self, mirror: bool) -> Vec<(NodeId, NodeId)> {
+        let mut out: Vec<(NodeId, NodeId)> = self
+            .inserts
+            .iter()
+            .map(|&(u, v, _)| (u, v))
+            .chain(self.deletes.iter().copied())
+            .flat_map(|(u, v)| arc_and_mirror(u, v, mirror))
+            .collect();
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
 }
 
 /// Relative headroom below `f64::MAX` that
@@ -126,7 +146,7 @@ type Overlay = BTreeMap<(NodeId, NodeId), Option<f64>>;
 pub struct DeltaGraph {
     base: Arc<CsrGraph>,
     /// Chain fingerprint at the last rebase (construction or
-    /// [`DeltaGraph::compact`]). With an empty overlay this *is* the
+    /// [`DeltaGraph::rebase`]). With an empty overlay this *is* the
     /// chain head.
     anchor: u64,
     /// Net per-arc patches keyed by directed `(source, target)`:
@@ -275,9 +295,7 @@ impl DeltaGraph {
 
     /// The base graph's weight for arc `(u, v)`, if present.
     fn base_weight(&self, u: NodeId, v: NodeId) -> Option<f64> {
-        let row = self.base.out_neighbors(u);
-        let i = row.targets().binary_search(&v).ok()?;
-        Some(row.weights()[i])
+        self.base.arc_weight(u, v)
     }
 
     /// Effective weight of arc `(u, v)` in the merged view, if present.
@@ -355,54 +373,66 @@ impl DeltaGraph {
     }
 
     /// Materializes the merged view into a fresh [`CsrGraph`] without
-    /// touching the overlay. Untouched rows are copied verbatim from the
-    /// base CSR.
+    /// touching the overlay: the base CSR with every overlaid arc spliced
+    /// in, in one ordered pass over the overlay.
     pub fn materialize(&self) -> CsrGraph {
-        let n = self.num_nodes() as u32;
-        let out = merge_csr(self.base.out_csr(), n, |u| self.out_patches(u));
-        // Undirected: the overlay is mirrored, so the merged rows stay
-        // symmetric and are the only rows stored. Directed: in-rows are
-        // patched by the transposed overlay.
+        let patches = self.overlay.iter().map(|(&(u, v), &p)| (u, v, p));
+        self.splice_arcs(&self.base, patches.collect())
+    }
+
+    /// The merged view after `delta`, spliced from `prev`, the merged view
+    /// before it: only the rows holding an arc `delta` names are rewritten
+    /// (undirected: both endpoints' rows; directed: the sources' out-rows
+    /// and the targets' in-rows), each arc taking its current weight, and
+    /// every other row span is copied. Call it after
+    /// [`DeltaGraph::apply`]`(delta)`; the result equals
+    /// [`DeltaGraph::materialize`] bit for bit, in O(n + m) copying plus
+    /// O(Δ log overlay) lookups instead of a merge of the whole overlay.
+    pub fn splice(&self, prev: &CsrGraph, delta: &EdgeDelta) -> CsrGraph {
+        let arcs = delta.arcs(!self.is_directed()).into_iter();
+        self.splice_arcs(
+            prev,
+            arcs.map(|(u, v)| (u, v, self.arc_weight(u, v))).collect(),
+        )
+    }
+
+    /// `graph` with the arcs in `patches` (sorted, one per arc) set to
+    /// their weight or deleted. Undirected: the patches are mirrored, so
+    /// the rows stay symmetric and are the only rows stored. Directed: the
+    /// in-rows take the transposed patches.
+    fn splice_arcs(
+        &self,
+        graph: &CsrGraph,
+        patches: Vec<(NodeId, NodeId, Option<f64>)>,
+    ) -> CsrGraph {
         let transpose = self.is_directed().then(|| {
-            let mut transposed: Vec<((NodeId, NodeId), Option<f64>)> = self
-                .overlay
-                .iter()
-                .map(|(&(u, v), &p)| ((v, u), p))
-                .collect();
-            transposed.sort_unstable_by_key(|&(k, _)| k);
-            merge_csr(self.base.in_csr(), n, |u| {
-                let lo = transposed.partition_point(|&((s, _), _)| s < u);
-                let hi = transposed.partition_point(|&((s, _), _)| s <= u);
-                transposed[lo..hi]
-                    .iter()
-                    .map(|&((_, t), p)| (t, p))
-                    .collect()
-            })
+            let mut transposed: Vec<_> = patches.iter().map(|&(u, v, w)| (v, u, w)).collect();
+            transposed.sort_unstable_by_key(|&(v, u, _)| (v, u));
+            splice_rows(graph.in_csr(), transposed, |w| w)
         });
-        CsrGraph::from_sorted_parts(n, out, transpose)
+        let out = splice_rows(graph.out_csr(), patches, |w| w);
+        CsrGraph::from_sorted_parts(self.num_nodes() as u32, out, transpose)
     }
 
-    /// Overlay patches for row `u`, in target order.
-    fn out_patches(&self, u: NodeId) -> Vec<(NodeId, Option<f64>)> {
-        self.overlay
-            .range((u, 0)..=(u, NodeId::MAX))
-            .map(|(&(_, t), &p)| (t, p))
-            .collect()
-    }
-
-    /// Folds the overlay into a fresh base CSR (rebase) and returns it.
-    /// The chain head is **unchanged** — the new anchor is the old chain
-    /// head, so caches keyed on [`DeltaGraph::chain_fingerprint`] keep
-    /// hitting across compactions.
-    pub fn compact(&mut self) -> Arc<CsrGraph> {
-        if !self.overlay.is_empty() {
-            self.anchor = self.chain_fingerprint();
-            self.base = Arc::new(self.materialize());
-            self.overlay.clear();
-            self.total = self.base.total_arc_weight();
-        }
+    /// Compacts the overlay onto `merged`, a materialization of the
+    /// current view ([`DeltaGraph::materialize`], or the
+    /// [`DeltaGraph::splice`] a caller already holds, so no second merge
+    /// runs): `merged` becomes the base, the overlay empties and the
+    /// running total is set to `merged`'s arc-order sum. The chain head is
+    /// **unchanged** — the new anchor is the old chain head, so caches
+    /// keyed on [`DeltaGraph::chain_fingerprint`] keep hitting across
+    /// compactions.
+    pub fn rebase(&mut self, merged: Arc<CsrGraph>) {
+        debug_assert_eq!(
+            merged.fingerprint(),
+            self.materialize().fingerprint(),
+            "rebase onto a graph that is not the merged view"
+        );
+        self.anchor = self.chain_fingerprint();
+        self.total = merged.total_arc_weight();
+        self.base = merged;
+        self.overlay.clear();
         self.batches_since_compact = 0;
-        Arc::clone(&self.base)
     }
 }
 
@@ -438,51 +468,6 @@ fn chain_of(anchor: u64, overlay: &Overlay, directed: bool) -> u64 {
         }
     }
     h.finish()
-}
-
-/// Merges one direction's base CSR with per-row patch lists into new CSR
-/// arrays. `patches(u)` returns row `u`'s patches sorted by target.
-fn merge_csr(
-    base: (&[u64], &[NodeId], &[f64]),
-    n: u32,
-    patches: impl Fn(NodeId) -> Vec<(NodeId, Option<f64>)>,
-) -> (Vec<u64>, Vec<NodeId>, Vec<f64>) {
-    let (offsets, targets, weights) = base;
-    let mut out_offsets = Vec::with_capacity(n as usize + 1);
-    let mut out_targets = Vec::with_capacity(targets.len());
-    let mut out_weights = Vec::with_capacity(weights.len());
-    out_offsets.push(0u64);
-    for u in 0..n {
-        let (lo, hi) = (
-            offsets[u as usize] as usize,
-            offsets[u as usize + 1] as usize,
-        );
-        let row_patches = patches(u);
-        if row_patches.is_empty() {
-            out_targets.extend_from_slice(&targets[lo..hi]);
-            out_weights.extend_from_slice(&weights[lo..hi]);
-        } else {
-            let mut i = lo;
-            for (t, patch) in row_patches {
-                while i < hi && targets[i] < t {
-                    out_targets.push(targets[i]);
-                    out_weights.push(weights[i]);
-                    i += 1;
-                }
-                if i < hi && targets[i] == t {
-                    i += 1;
-                }
-                if let Some(w) = patch {
-                    out_targets.push(t);
-                    out_weights.push(w);
-                }
-            }
-            out_targets.extend_from_slice(&targets[i..hi]);
-            out_weights.extend_from_slice(&weights[i..hi]);
-        }
-        out_offsets.push(out_targets.len() as u64);
-    }
-    (out_offsets, out_targets, out_weights)
 }
 
 #[cfg(test)]
@@ -620,7 +605,7 @@ mod tests {
         for (i, d) in batches.iter().enumerate() {
             dg.apply(d);
             if i == 1 {
-                dg.compact();
+                dg.rebase(Arc::new(dg.materialize()));
             }
             let want = dg.materialize().total_arc_weight();
             assert!(
@@ -672,7 +657,7 @@ mod tests {
         // The running total lost the small weights to the huge ones that
         // came and went; a rebase sets it to the arc-order sum again.
         let drifted = dg.total;
-        dg.compact();
+        dg.rebase(Arc::new(dg.materialize()));
         assert_ne!(drifted, dg.total);
         assert_eq!(dg.total.to_bits(), dg.base().total_arc_weight().to_bits());
         // Left: 1-2 (2 + 3), 3-0 and 0-2.
@@ -722,7 +707,8 @@ mod tests {
         let head = dg.apply(&d);
         let merged_before = dg.materialize().fingerprint();
 
-        let compacted = dg.compact();
+        dg.rebase(Arc::new(dg.materialize()));
+        let compacted = Arc::clone(dg.base());
         assert_eq!(
             dg.chain_fingerprint(),
             head,
@@ -782,6 +768,78 @@ mod tests {
         d.delete(0, 4); // never existed
         assert_eq!(dg.apply(&d), head);
         assert_eq!(dg.num_arcs(), base.num_arcs());
+    }
+
+    /// The three CSR arrays of both directions, for exact comparison.
+    fn arrays(g: &CsrGraph) -> [(Vec<u64>, Vec<NodeId>, Vec<u64>); 2] {
+        [g.out_csr(), g.in_csr()].map(|(o, t, w)| {
+            (
+                o.to_vec(),
+                t.to_vec(),
+                w.iter().map(|x| x.to_bits()).collect(),
+            )
+        })
+    }
+
+    #[test]
+    fn splice_equals_materialize_across_batches() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        for directed in [false, true] {
+            let n = 12u32;
+            let mut b = if directed {
+                GraphBuilder::directed(n as usize)
+            } else {
+                GraphBuilder::undirected(n as usize)
+            };
+            for u in 0..n - 2 {
+                b.add_edge(u, u + 1, 1.0);
+            }
+            let mut dg = DeltaGraph::new(Arc::new(b.build()));
+            let mut merged = Arc::clone(dg.base());
+            for batch in 0..60 {
+                let mut d = EdgeDelta::new();
+                for _ in 0..1 + next(5) {
+                    // Self-loops, vertex 11 (isolated at first), repeats.
+                    let (u, v) = (next(12) as NodeId, next(12) as NodeId);
+                    if next(3) == 0 {
+                        d.delete(u, v);
+                    } else {
+                        d.insert(u, v, 0.25 * (1 + next(8)) as f64);
+                    }
+                }
+                dg.apply(&d);
+                let spliced = dg.splice(&merged, &d);
+                let want = dg.materialize();
+                assert_eq!(arrays(&spliced), arrays(&want), "batch {batch}");
+                assert_eq!(spliced.fingerprint(), want.fingerprint());
+                merged = Arc::new(spliced);
+                if batch % 16 == 15 {
+                    let head = dg.chain_fingerprint();
+                    dg.rebase(Arc::clone(&merged));
+                    assert!(Arc::ptr_eq(dg.base(), &merged));
+                    assert_eq!(dg.chain_fingerprint(), head);
+                    assert_eq!(dg.pending_patches(), 0);
+                    assert_eq!(dg.total, merged.total_arc_weight());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn batch_arcs_name_every_arc_and_mirror() {
+        let mut d = EdgeDelta::new();
+        d.insert(3, 1, 1.0)
+            .insert(2, 2, 1.0)
+            .delete(1, 3)
+            .delete(0, 4);
+        assert_eq!(d.arcs(false), vec![(0, 4), (1, 3), (2, 2), (3, 1)]);
+        assert_eq!(d.arcs(true), vec![(0, 4), (1, 3), (2, 2), (3, 1), (4, 0)]);
     }
 
     #[test]

@@ -96,6 +96,20 @@ impl Partition {
         self.num_communities()
     }
 
+    /// [`Partition::compact`], returning the old→new label map as well:
+    /// entry `l` is label `l`'s new label, `u32::MAX` for an empty one
+    /// (labels past the map's end are empty too). State indexed by label
+    /// follows the renumbering through it.
+    pub fn compact_with_map(&mut self) -> Vec<u32> {
+        let old = self.labels.clone();
+        self.compact();
+        let mut map = vec![u32::MAX; old.iter().max().map_or(0, |&m| m as usize + 1)];
+        for (&from, &to) in old.iter().zip(&self.labels) {
+            map[from as usize] = to;
+        }
+        map
+    }
+
     /// Sizes of each community, indexed by label.
     pub fn community_sizes(&self) -> Vec<usize> {
         let mut sizes = vec![0usize; self.num_communities as usize];
@@ -151,6 +165,21 @@ mod tests {
         let p = Partition::from_labels(vec![7, 7, 3, 9, 3]);
         assert_eq!(p.num_communities(), 3);
         assert_eq!(p.labels(), &[0, 0, 1, 2, 1]);
+    }
+
+    #[test]
+    fn compaction_reports_its_renumbering() {
+        let mut p = Partition::singletons(5);
+        p.assign(0, 3);
+        p.assign(2, 3);
+        p.assign(4, 1);
+        let old = p.labels().to_vec();
+        let map = p.compact_with_map();
+        assert_eq!(p, Partition::from_labels(old.clone()));
+        assert_eq!(map, vec![u32::MAX, 1, u32::MAX, 0]);
+        for (u, &l) in old.iter().enumerate() {
+            assert_eq!(map[l as usize], p.community_of(u as NodeId));
+        }
     }
 
     #[test]

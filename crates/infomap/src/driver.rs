@@ -147,6 +147,18 @@ pub fn run_with_engine<E: DecideEngine>(
     obs: &Obs,
     cancel: &CancelToken,
 ) -> InfomapResult {
+    run_keeping_flow(graph, cfg, engine, obs, cancel).1
+}
+
+/// [`run_with_engine`], returning the flow network the run was built on
+/// beside its result (the incremental path keeps it across batches).
+pub(crate) fn run_keeping_flow<E: DecideEngine>(
+    graph: &CsrGraph,
+    cfg: &InfomapConfig,
+    engine: &mut E,
+    obs: &Obs,
+    cancel: &CancelToken,
+) -> (FlowNetwork, InfomapResult) {
     let _run = obs.span("infomap");
     let t = Instant::now();
     let flow = {
@@ -159,7 +171,7 @@ pub fn run_with_engine<E: DecideEngine>(
         optimize_multilevel_cancellable(&flow, cfg, engine, cancel)
     };
     result.timings.pagerank = pagerank;
-    result
+    (flow, result)
 }
 
 /// Detects communities in `graph` with `cfg`, returning the partition,

@@ -9,12 +9,12 @@
 //! levels for directed graphs, where PageRank does not compose under
 //! aggregation.
 
-use asa_graph::csr::{expand_upper_triangle, transpose};
+use asa_graph::csr::{expand_upper_triangle, splice_rows, transpose};
 use asa_graph::{CsrArrays, CsrGraph, NodeId, Partition};
 use rayon::prelude::*;
 
 use crate::config::InfomapConfig;
-use crate::pagerank::{pagerank, undirected_stationary};
+use crate::pagerank::{pagerank, undirected_stationary, ISOLATED_FLOW};
 
 /// One stored arc direction: `(offsets, targets, flows)` CSR arrays.
 #[derive(Debug, Clone)]
@@ -189,6 +189,71 @@ impl FlowNetwork {
             out_total,
             in_total,
         }
+    }
+
+    /// The flow network of the undirected `graph`, patched from `self`,
+    /// the network of the graph before one batch of edits, in O(n + m)
+    /// copying instead of a rebuild. Every flow of an undirected graph is
+    /// its weight times one normalizer, `flow_per_weight` =
+    /// `(1 − ISOLATED_FLOW · isolated) / 2W` (see
+    /// [`undirected_stationary`]), and an edit changes `2W`. So every arc
+    /// and visit rate the batch left alone is `self`'s times `factor`, the
+    /// ratio of the new normalizer to the old, except that an isolated
+    /// vertex keeps [`ISOLATED_FLOW`]. The arcs in `changed` (sorted,
+    /// mirrored: every arc the batch named) take their new weight times
+    /// `flow_per_weight`; the vertices in `touched` (every endpoint) take
+    /// their new strength times it, and their row totals are summed again.
+    ///
+    /// The result matches [`FlowNetwork::from_graph`] on `graph` to a few
+    /// roundings per batch since the last build, not bit for bit.
+    pub(crate) fn patched_undirected(
+        &self,
+        graph: &CsrGraph,
+        changed: &[(NodeId, NodeId)],
+        touched: &[NodeId],
+        flow_per_weight: f64,
+        factor: f64,
+    ) -> FlowNetwork {
+        debug_assert!(self.is_symmetric() && !graph.is_directed());
+        let patches: Vec<_> = (changed.iter().filter(|&&(u, v)| u != v))
+            .map(|&(u, v)| (u, v, graph.arc_weight(u, v).map(|w| w * flow_per_weight)))
+            .collect();
+        let (offsets, targets, flows) = &self.out.0;
+        let out = ArcRows(splice_rows((offsets, targets, flows), patches, |f| {
+            f * factor
+        }));
+        let isolated = |u: NodeId| graph.out_degree(u) == 0;
+        let mut node_flow: Vec<f64> = (self.node_flow.iter().enumerate())
+            .map(|(u, &p)| {
+                if isolated(u as NodeId) {
+                    ISOLATED_FLOW
+                } else {
+                    p * factor
+                }
+            })
+            .collect();
+        let mut out_total: Vec<f64> = self.out_total.iter().map(|&f| f * factor).collect();
+        for &u in touched {
+            if !isolated(u) {
+                node_flow[u as usize] = graph.out_weight(u) * flow_per_weight;
+            }
+            out_total[u as usize] = out.row(u).1.iter().sum();
+        }
+        FlowNetwork {
+            num_nodes: self.num_nodes,
+            out,
+            transpose: None,
+            node_flow,
+            node_weight: self.node_weight.clone(),
+            in_total: out_total.clone(),
+            out_total,
+        }
+    }
+
+    /// The flow of arc `u → v`, or 0 when there is none.
+    pub(crate) fn arc_flow(&self, u: NodeId, v: NodeId) -> f64 {
+        let (targets, flows) = self.out.row(u);
+        targets.binary_search(&v).map_or(0.0, |i| flows[i])
     }
 
     /// Aggregates the network by a partition: the paper's

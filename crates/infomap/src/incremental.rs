@@ -2,14 +2,22 @@
 //! re-optimization seeded from the previous partition.
 //!
 //! A fresh multilevel run costs the full pipeline for every edit batch.
-//! [`IncrementalState`] instead keeps the last partition (plus its module
-//! statistics and flow vectors) alive and, on an [`EdgeDelta`]:
+//! [`IncrementalState`] instead keeps the last partition, the merged CSR,
+//! its flow network and the partition's module statistics alive and, on
+//! an [`EdgeDelta`]:
 //!
-//! 1. **Flow rescale** — rebuilds the [`FlowNetwork`] on the merged
-//!    graph. For undirected graphs node and arc flows are the analytic
-//!    `w / 2W` values (any weight edit rescales *every* flow through the
-//!    normalizer, so the honest "local rescale" is the O(m) closed form);
-//!    directed graphs re-run PageRank.
+//! 1. **Patch** — splices the batch's rows into the merged CSR
+//!    ([`DeltaGraph::splice`]): only the rows holding an edited arc are
+//!    rewritten, every other span is copied. For undirected graphs the
+//!    flows are `w / 2W` up to one normalizer, so an edit rescales every
+//!    flow by one factor: the kept network is copied with that factor
+//!    applied and only the edited arcs, their endpoints' visit rates and
+//!    row totals are computed again; the kept module statistics rescale
+//!    in O(modules) and move only by the edited arcs' exits. No arc is
+//!    re-derived from the graph and no module statistic is re-summed over
+//!    the arcs. Directed flow is PageRank, which an edit moves everywhere
+//!    by different amounts, so directed graphs rebuild the flow network
+//!    and module statistics from the spliced CSR.
 //! 2. **Touched frontier** — the endpoints of changed arcs plus the
 //!    boundary vertices of their modules (members with an arc crossing
 //!    the module boundary) form the initial active set.
@@ -23,15 +31,21 @@
 //! 4. **Quality guard** — the incremental codelength is compared against
 //!    the anchor (the codelength of the last full run) under a drift
 //!    budget. Exceeding the budget — or a frontier that rippled across
-//!    too much of the graph — triggers a full multilevel fallback, which
-//!    also re-anchors the drift reference. Both paths poll the
-//!    [`CancelToken`] at sweep boundaries.
+//!    too much of the graph — triggers a full multilevel fallback on a
+//!    freshly built flow network, bit-identical to
+//!    [`crate::detect_communities`] on the merged graph, which also
+//!    re-anchors the drift reference and reseeds the kept network and
+//!    statistics. Both paths poll the [`CancelToken`] at sweep
+//!    boundaries.
 //!
 //! The incremental pass never coarsens, so it can only refine locally;
 //! the drift budget is what bounds the slow quality erosion this could
-//! otherwise accumulate across many batches. Telemetry:
-//! `infomap.incr.frontier_size` / `infomap.incr.ripple_rounds` gauges
-//! (plus flight-recorder instants) per batch and an
+//! otherwise accumulate across many batches. The patched flows drift
+//! from a rebuilt network by a few roundings per batch; the codelength the
+//! state reports stays within 1e-9 of a from-scratch recomputation
+//! (`tests/incremental.rs`). Telemetry: `incr.patch` and `incr.frontier`
+//! spans, `infomap.incr.frontier_size` / `infomap.incr.ripple_rounds`
+//! gauges (plus flight-recorder instants) per batch and an
 //! `infomap.incr.fallback` counter/instant when the guard fires.
 
 use std::sync::Arc;
@@ -43,11 +57,12 @@ use asa_obs::Obs;
 
 use crate::cancel::CancelToken;
 use crate::config::InfomapConfig;
-use crate::driver::HostEngine;
+use crate::driver::{run_keeping_flow, HostEngine};
 use crate::flow::FlowNetwork;
 use crate::mapeq::{plogp, MapState};
+use crate::pagerank::ISOLATED_FLOW;
 use crate::result::{InfomapResult, KernelTimings, LevelInfo};
-use crate::schedule::{optimize_multilevel_cancellable, sweep_pass, REFINE_LEVEL};
+use crate::schedule::{sweep_pass, REFINE_LEVEL};
 
 /// Knobs of the incremental path's quality guard.
 #[derive(Debug, Clone)]
@@ -118,14 +133,29 @@ impl IncrementalOutcome {
     }
 }
 
-/// Live state of one dynamic graph: the delta overlay, the current
-/// partition, and the quality-guard anchor. See the module docs.
+/// Live state of one dynamic graph: the delta overlay, the merged CSR,
+/// its flow network, the current partition with its module statistics,
+/// and the quality-guard anchor. See the module docs.
 #[derive(Debug)]
 pub struct IncrementalState {
     graph: DeltaGraph,
     /// Materialized merged CSR of the current version (what the flow
     /// network and any fallback run are built from).
     merged: Arc<CsrGraph>,
+    /// Flow network of `merged`, patched batch by batch.
+    flow: FlowNetwork,
+    /// Module statistics of `partition` on `flow`.
+    state: MapState,
+    /// Undirected graphs: the flow per unit of arc weight `flow` was
+    /// built or patched with, `(1 − ISOLATED_FLOW · isolated) / 2W`.
+    flow_per_weight: f64,
+    /// Vertices of `merged` with no arc at all.
+    isolated: usize,
+    /// How much the rescales since `state` was last built can have grown
+    /// a rounding error patched into it: the largest product of the
+    /// factors that followed any batch, at least 1.
+    rounding_gain: f64,
+    /// Compact: labels `0..state.num_modules()`.
     partition: Partition,
     codelength: f64,
     /// Codelength of the last *full* run — the drift reference.
@@ -144,10 +174,18 @@ impl IncrementalState {
         obs: &Obs,
         cancel: &CancelToken,
     ) -> (Self, InfomapResult) {
-        let result = crate::detect_communities_cancellable(&base, &cfg, obs, cancel);
+        let mut engine = HostEngine::with_obs(obs);
+        let (flow, result) = run_keeping_flow(&base, &cfg, &mut engine, obs, cancel);
+        let graph = DeltaGraph::new(Arc::clone(&base));
+        let isolated = base.nodes().filter(|&u| base.out_degree(u) == 0).count();
         let state = IncrementalState {
-            graph: DeltaGraph::new(Arc::clone(&base)),
+            flow_per_weight: flow_per_weight(isolated, &base),
+            isolated,
+            rounding_gain: 1.0,
+            state: module_state(&flow, &result.partition, &cfg),
+            graph,
             merged: base,
+            flow,
             partition: result.partition.clone(),
             codelength: result.codelength,
             anchor_codelength: result.codelength,
@@ -165,6 +203,14 @@ impl IncrementalState {
     /// The materialized merged graph of the current version.
     pub fn merged(&self) -> &Arc<CsrGraph> {
         &self.merged
+    }
+
+    /// The flow network the next batch's sweeps start from: the network
+    /// of [`IncrementalState::merged`], patched rather than rebuilt, so it
+    /// matches [`FlowNetwork::from_graph`] on that graph to a few
+    /// roundings per batch, not bit for bit.
+    pub fn flow(&self) -> &FlowNetwork {
+        &self.flow
     }
 
     /// Current vertex→module assignment.
@@ -203,11 +249,12 @@ impl IncrementalState {
         self.graph.fingerprint_after(delta)
     }
 
-    /// Folds the overlay into a fresh base CSR. Chain identity — and
-    /// therefore every cache entry keyed on it — is preserved.
+    /// Rebases the overlay onto the merged CSR the state already holds, so
+    /// compaction runs no merge. Chain identity — and therefore every
+    /// cache entry keyed on it — is preserved.
     pub fn compact(&mut self) {
         let head = self.graph.chain_fingerprint();
-        self.merged = self.graph.compact();
+        self.graph.rebase(Arc::clone(&self.merged));
         debug_assert_eq!(self.graph.chain_fingerprint(), head);
     }
 
@@ -232,25 +279,21 @@ impl IncrementalState {
         }
         let chain = self.graph.apply(delta);
         let t = Instant::now();
-        let flow = {
-            let _sp = obs.span("incr.flow");
-            self.merged = Arc::new(self.graph.materialize());
-            FlowNetwork::from_graph(&self.merged, &self.cfg)
-        };
+        {
+            let _sp = obs.span("incr.patch");
+            self.patch(delta);
+        }
         let mut timings = KernelTimings {
             pagerank: t.elapsed(),
             ..KernelTimings::default()
         };
 
-        let n = flow.num_nodes();
-        let node_plogp0: f64 = flow.node_flows().iter().copied().map(plogp).sum();
-        let mode = self.cfg.teleport_mode();
-        self.partition.compact();
-        let mut state = MapState::with_options(&flow, &self.partition, node_plogp0, mode);
-
         // Touched frontier: endpoints of changed arcs plus the boundary
         // vertices of their modules.
-        let active = initial_frontier(&flow, &self.partition, &delta.endpoints());
+        let active = {
+            let _sp = obs.span("incr.frontier");
+            initial_frontier(&self.flow, &self.partition, &delta.endpoints())
+        };
         let frontier_size = active.len();
         obs.gauge("infomap.incr.frontier_size")
             .set(frontier_size as u64);
@@ -259,14 +302,15 @@ impl IncrementalState {
         // Frontier-restricted sweeps over the previous partition: the
         // schedule's sweep body, minus coarsening, counting every vertex
         // the rippling frontier touches.
+        let n = self.flow.num_nodes();
         let mut engine = HostEngine::with_obs(obs);
         let mut touched = vec![false; n];
         let mut touched_total = 0usize;
         let (info, interrupted) = sweep_pass(
             &mut engine,
-            &flow,
+            &self.flow,
             &mut self.partition,
-            &mut state,
+            &mut self.state,
             active,
             (0, REFINE_LEVEL),
             &self.cfg,
@@ -305,7 +349,7 @@ impl IncrementalState {
 
         let result = match fallback {
             None => {
-                self.partition.compact();
+                self.compact_labels();
                 self.codelength = incremental_codelength;
                 self.snapshot_result(incremental_codelength, vec![info], timings)
             }
@@ -313,10 +357,14 @@ impl IncrementalState {
                 obs.counter("infomap.incr.fallback").incr();
                 obs.trace_instant("infomap.incr.fallback", "infomap");
                 let _sp = obs.span("incr.fallback");
-                let mut full =
-                    optimize_multilevel_cancellable(&flow, &self.cfg, &mut engine, cancel);
-                full.timings.pagerank = timings.pagerank;
+                // A fresh flow network, as `detect_communities` builds it,
+                // replaces the patched one: the fallback is that run, bit
+                // for bit, and the kept state restarts from it.
+                let (flow, mut full) =
+                    run_keeping_flow(&self.merged, &self.cfg, &mut engine, obs, cancel);
+                full.timings.pagerank += timings.pagerank;
                 self.partition = full.partition.clone();
+                self.reseed(flow);
                 self.codelength = full.codelength;
                 // Re-anchor: the full run is the new drift reference.
                 self.anchor_codelength = full.codelength;
@@ -334,6 +382,80 @@ impl IncrementalState {
             ripple_rounds,
             chain_fingerprint: chain,
         }
+    }
+
+    /// Brings the merged CSR, the flow network and the module statistics
+    /// to the version `delta` (already folded into the overlay) produced.
+    fn patch(&mut self, delta: &EdgeDelta) {
+        let merged = Arc::new(self.graph.splice(&self.merged, delta));
+        let prev = std::mem::replace(&mut self.merged, merged);
+        let touched = delta.endpoints();
+        for &u in &touched {
+            let was = usize::from(prev.out_degree(u) == 0);
+            let is = usize::from(self.merged.out_degree(u) == 0);
+            self.isolated = self.isolated + is - was;
+        }
+        let was_empty = prev.num_arcs() == 0;
+        // Free the old CSR (unless the overlay's base still holds it)
+        // before the flow network is copied.
+        drop(prev);
+        // Directed flow is PageRank: an edit moves every visit rate by its
+        // own amount, so there is no one factor to rescale by. An empty
+        // graph's flow is uniform, not proportional to weight.
+        if self.graph.is_directed() || was_empty || self.merged.num_arcs() == 0 {
+            self.reseed(FlowNetwork::from_graph(&self.merged, &self.cfg));
+            return;
+        }
+        let flow_per_weight = flow_per_weight(self.isolated, &self.merged);
+        let factor = flow_per_weight / self.flow_per_weight;
+        let changed = delta.arcs(true);
+        let flow = (self.flow).patched_undirected(
+            &self.merged,
+            &changed,
+            &touched,
+            flow_per_weight,
+            factor,
+        );
+        // A link exit is patched by adding and taking away flows, so it
+        // carries the rounding of the largest flow it ever held, and each
+        // rescale scales that rounding with it: an exit patched while a
+        // huge weight dwarfed it comes back ~1e18 times too coarse once
+        // the weight leaves. Past `MAX_ROUNDING_GAIN` the statistics are
+        // summed afresh from the patched flows, which are only ever
+        // multiplied and so keep their relative precision.
+        self.rounding_gain = (self.rounding_gain * factor).max(1.0);
+        if self.rounding_gain > MAX_ROUNDING_GAIN {
+            self.state = module_state(&flow, &self.partition, &self.cfg);
+            self.rounding_gain = 1.0;
+        } else {
+            let node_plogp = flow.node_flows().iter().copied().map(plogp).sum();
+            (self.state).patch(
+                &self.flow,
+                &flow,
+                &self.partition,
+                &changed,
+                factor,
+                node_plogp,
+            );
+        }
+        self.flow = flow;
+        self.flow_per_weight = flow_per_weight;
+    }
+
+    /// Replaces the kept flow network by `flow`, a network built from
+    /// scratch, and the module statistics by ones built on it.
+    fn reseed(&mut self, flow: FlowNetwork) {
+        self.state = module_state(&flow, &self.partition, &self.cfg);
+        self.flow = flow;
+        self.flow_per_weight = flow_per_weight(self.isolated, &self.merged);
+        self.rounding_gain = 1.0;
+    }
+
+    /// Renumbers the partition densely after a pass emptied modules, and
+    /// the module statistics with it.
+    fn compact_labels(&mut self) {
+        let map = self.partition.compact_with_map();
+        (self.state).relabel(&map, self.partition.num_communities());
     }
 
     /// An [`InfomapResult`] describing the current partition with the
@@ -355,6 +477,29 @@ impl IncrementalState {
             interrupted: false,
         }
     }
+}
+
+/// The most a batch's rescale may grow the rounding already in the
+/// patched module statistics (see [`IncrementalState::patch`]) before
+/// they are rebuilt. Factors above 1 come from batches that shrink the
+/// total weight; a stream whose edits balance keeps the gain near 1.
+const MAX_ROUNDING_GAIN: f64 = 2.0;
+
+/// Module statistics of `partition` on `flow`, with the node term of
+/// `flow` itself.
+fn module_state(flow: &FlowNetwork, partition: &Partition, cfg: &InfomapConfig) -> MapState {
+    let node_plogp = flow.node_flows().iter().copied().map(plogp).sum();
+    MapState::with_options(flow, partition, node_plogp, cfg.teleport_mode())
+}
+
+/// Flow per unit of arc weight of the undirected `graph` with `isolated`
+/// isolated vertices, as [`crate::pagerank::undirected_stationary`]
+/// distributes it: over the arc-order sum of the weights, the exact total
+/// a rebuilt network divides by. (The overlay's running total is no
+/// substitute: a weight that outweighs the rest and then leaves again
+/// takes the small ones with it.)
+fn flow_per_weight(isolated: usize, graph: &CsrGraph) -> f64 {
+    (1.0 - ISOLATED_FLOW * isolated as f64) / graph.total_arc_weight()
 }
 
 /// The touched frontier: `endpoints` plus every boundary vertex (one

@@ -171,6 +171,64 @@ impl MapState {
         state
     }
 
+    /// Moves the state from `prev` to `flow`, the network
+    /// [`FlowNetwork::patched_undirected`] made from it with `factor` and
+    /// the arcs `changed`, for the same `partition`. Every link exit is
+    /// `prev`'s times `factor`, less the changed arcs' scaled old
+    /// contribution plus their new one: O(modules + changed · log d).
+    /// Module flows are summed again from the node flows and `node_plogp`
+    /// replaces the node term: O(n), no arc is read.
+    pub(crate) fn patch(
+        &mut self,
+        prev: &FlowNetwork,
+        flow: &FlowNetwork,
+        partition: &Partition,
+        changed: &[(NodeId, NodeId)],
+        factor: f64,
+        node_plogp: f64,
+    ) {
+        for exit in &mut self.mod_link_exit {
+            *exit *= factor;
+        }
+        for &(u, v) in changed {
+            let m = partition.community_of(u);
+            if m != partition.community_of(v) {
+                self.mod_link_exit[m as usize] +=
+                    flow.arc_flow(u, v) - prev.arc_flow(u, v) * factor;
+            }
+        }
+        self.mod_flow.fill(0.0);
+        for (u, &p) in flow.node_flows().iter().enumerate() {
+            self.mod_flow[partition.community_of(u as NodeId) as usize] += p;
+        }
+        self.node_plogp = node_plogp;
+        self.total_exit = self.sum_exits();
+    }
+
+    /// Renumbers the modules: module `m` becomes `map[m]`, and a module
+    /// `map` sends to `u32::MAX` or does not reach (an empty one) is
+    /// dropped. This follows a [`Partition::compact_with_map`] of the
+    /// partition the state describes.
+    pub(crate) fn relabel(&mut self, map: &[u32], modules: usize) {
+        let mut link_exit = vec![0.0; modules];
+        let mut flow = vec![0.0; modules];
+        let mut nodes = vec![0; modules];
+        for (m, &to) in map.iter().enumerate().filter(|&(_, &to)| to != u32::MAX) {
+            link_exit[to as usize] = self.mod_link_exit[m];
+            flow[to as usize] = self.mod_flow[m];
+            nodes[to as usize] = self.mod_nodes[m];
+        }
+        self.mod_link_exit = link_exit;
+        self.mod_flow = flow;
+        self.mod_nodes = nodes;
+        self.total_exit = self.sum_exits();
+    }
+
+    /// Σ of every module's effective exit, in module order.
+    fn sum_exits(&self) -> f64 {
+        (0..self.num_modules() as u32).map(|m| self.exit(m)).sum()
+    }
+
     /// Effective exit probability of a module with link exit `link`, visit
     /// rate `p`, and `n_i` member vertices.
     #[inline]

@@ -126,6 +126,11 @@ pub fn pagerank(graph: &CsrGraph, tau: f64, tol: f64, max_iters: usize) -> PageR
     }
 }
 
+/// The visit rate [`undirected_stationary`] gives each isolated vertex.
+/// The other vertices share `1 − ISOLATED_FLOW · isolated` in proportion
+/// to their strength.
+pub const ISOLATED_FLOW: f64 = 1e-12;
+
 /// Analytic stationary distribution for undirected graphs: visit rates are
 /// proportional to vertex strength, no iteration needed. Isolated vertices
 /// receive the residual teleport-uniform mass.
@@ -141,7 +146,7 @@ pub fn undirected_stationary(graph: &CsrGraph) -> Vec<f64> {
     } else {
         // Give isolated vertices a tiny uniform share so node flows stay a
         // probability distribution.
-        let eps = 1e-12;
+        let eps = ISOLATED_FLOW;
         let iso_mass = eps * isolated as f64;
         (0..n as u32)
             .map(|u| {
