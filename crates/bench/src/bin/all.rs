@@ -71,7 +71,6 @@ fn main() {
         "ablation",
         "distributed",
         "spgemm",
-        "hierarchy",
         "simthroughput",
         "serve",
     ];

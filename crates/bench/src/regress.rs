@@ -3,9 +3,9 @@
 //! Each benchmark binary (`hostperf`, `simthroughput`, `serve`, `stream`)
 //! writes a JSON document whose committed copy at the repository root is
 //! the performance baseline. This module extracts the *key* metrics from
-//! those documents — SPA sweep time and speedup, simulator
-//! ingest/charge/replay ns-per-event, serving p50/p95 latency, cache hit
-//! rate, shed rate, and the streaming-update speedup/drift/fallback
+//! those documents — SPA sweep time and speedup, the simulator's host
+//! nanoseconds per simulated instruction, serving p50/p95 latency, cache
+//! hit rate, shed rate, and the streaming-update speedup/drift/fallback
 //! triple — and compares a fresh run against the baseline under
 //! per-metric noise tolerances.
 //!
@@ -153,20 +153,13 @@ pub fn extract_hostperf(doc: &Value) -> Vec<MetricSpec> {
     out
 }
 
-/// Extracts the gated metrics from a `BENCH_simthroughput.json` document:
-/// the kernel-level ingest/charge/replay costs in ns per event.
+/// Extracts the gated metric from a `BENCH_simthroughput.json` document:
+/// the inline simulator's host cost per simulated instruction.
 pub fn extract_simthroughput(doc: &Value) -> Vec<MetricSpec> {
-    let mut out = Vec::new();
-    for key in [
-        "ingest_ns_per_event",
-        "charge_ns_per_event",
-        "replay_ns_per_event",
-    ] {
-        if let Some(v) = get_f64(doc, &["kernel", key]) {
-            out.push(MetricSpec::time(format!("simthroughput.{key}"), v));
-        }
-    }
-    out
+    get_f64(doc, &["ns_per_instruction"])
+        .map(|v| MetricSpec::time("simthroughput.ns_per_instruction".to_string(), v))
+        .into_iter()
+        .collect()
 }
 
 /// Extracts the gated metrics from a `BENCH_serve.json` document: per
@@ -555,16 +548,13 @@ mod tests {
             &serde_json::from_str(
                 r#"{
                     "bench": "simthroughput",
-                    "kernel": {
-                        "ingest_ns_per_event": 4.5,
-                        "charge_ns_per_event": 11.7,
-                        "replay_ns_per_event": 12.0
-                    }
+                    "ns_per_instruction": 11.7
                 }"#,
             )
             .expect("fixture parses"),
         );
-        assert_eq!(sim.len(), 3);
+        let names: Vec<&str> = sim.iter().map(|m| m.name.as_str()).collect();
+        assert_eq!(names, vec!["simthroughput.ns_per_instruction"]);
     }
 
     fn sharded_serve_doc(hit4: f64, shed4: f64, tput4: f64) -> Value {
@@ -780,7 +770,7 @@ mod tests {
         serde_json::from_str(&format!(
             r#"{{
                 "bench": "simthroughput",
-                "kernel": {{"ingest_ns_per_event": 4.5}},
+                "ns_per_instruction": 4.5,
                 "meta": {{"peak_rss_bytes": {peak_rss}}}
             }}"#
         ))
@@ -814,10 +804,8 @@ mod tests {
 
         // Pre-resource-accounting documents (no meta) simply go ungated.
         let legacy = extract_metrics(
-            &serde_json::from_str(
-                r#"{"bench": "simthroughput", "kernel": {"ingest_ns_per_event": 4.5}}"#,
-            )
-            .unwrap(),
+            &serde_json::from_str(r#"{"bench": "simthroughput", "ns_per_instruction": 4.5}"#)
+                .unwrap(),
         );
         assert!(legacy.iter().all(|m| !m.name.contains("peak_rss")));
     }

@@ -142,19 +142,19 @@ fn simthroughput_json_schema() {
     let doc = load("BENCH_simthroughput.json");
     assert_eq!(doc["bench"], "simthroughput");
     assert!(doc["scale_div"].as_u64().is_some());
-    assert!(doc["events"].as_u64().is_some_and(|e| e > 0));
-    assert_eq!(doc["identical_modes"].as_bool(), Some(true));
     assert_meta(&doc, "BENCH_simthroughput.json");
-    let modes = doc["modes"].as_array().expect("modes array");
-    let names: Vec<&str> = modes.iter().filter_map(|m| m["mode"].as_str()).collect();
-    assert_eq!(names, ["inline", "batched", "pipelined"]);
-    for m in modes {
-        assert!(m["sim_seconds"].as_f64().is_some_and(|s| s > 0.0));
-        assert!(m["events_per_sec"].as_f64().is_some());
-    }
-    let kernel = &doc["kernel"];
-    assert!(kernel["captured_events"].as_u64().is_some_and(|e| e > 0));
-    assert_eq!(kernel["replay_identical"].as_bool(), Some(true));
+    let sim_seconds = doc["sim_seconds"].as_f64().expect("sim_seconds");
+    let wall_seconds = doc["wall_seconds"].as_f64().expect("wall_seconds");
+    assert!(sim_seconds > 0.0 && sim_seconds <= wall_seconds);
+    let instructions = doc["instructions"].as_u64().expect("instructions");
+    assert!(instructions > 0);
+    let rate = doc["instructions_per_sec"].as_f64().expect("rate");
+    let ns = doc["ns_per_instruction"]
+        .as_f64()
+        .expect("ns per instruction");
+    // Both derive from the same two numbers.
+    assert!((rate - instructions as f64 / sim_seconds).abs() <= 1e-9 * rate);
+    assert!((ns - sim_seconds * 1e9 / instructions as f64).abs() <= 1e-9 * ns);
 }
 
 #[test]

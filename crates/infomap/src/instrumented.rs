@@ -21,9 +21,7 @@ use asa_obs::{Obs, Value};
 use asa_simarch::accum::FlowAccumulator;
 use asa_simarch::events::{phase, EventSink, NullSink};
 use asa_simarch::machine::block_partition_into;
-use asa_simarch::pipeline::SimPipeline;
-use asa_simarch::trace::{BatchedCore, TraceBuf, TraceCapture};
-use asa_simarch::{CoreModel, KernelReport, MachineConfig, SimPipelineConfig};
+use asa_simarch::{CoreModel, KernelReport, MachineConfig};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -70,41 +68,6 @@ impl Device {
     }
 }
 
-/// How micro-events reach the simulated cores.
-///
-/// All three modes produce bit-identical [`SimulatedRun`] counters,
-/// partitions, and codelengths (the trace records the exact event stream
-/// and replay performs the same arithmetic in the same order); they differ
-/// only in *when* the core models run relative to the workload kernel.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub enum SimMode {
-    /// Per-event charging: every [`EventSink`] call walks the core model
-    /// inline on the workload thread. The reference path.
-    #[default]
-    Inline,
-    /// Record into per-core SoA trace buffers, replay in blocks through
-    /// [`CoreModel::consume_batch`] on the same thread.
-    Batched {
-        /// Events per replay block.
-        buffer_events: usize,
-    },
-    /// Record into per-core trace buffers shipped to dedicated simulation
-    /// threads ([`SimPipeline`]), overlapping workload compute with
-    /// simulation.
-    Pipelined(SimPipelineConfig),
-}
-
-impl SimMode {
-    /// Display name ("inline", "batched", "pipelined").
-    pub fn name(&self) -> &'static str {
-        match self {
-            SimMode::Inline => "inline",
-            SimMode::Batched { .. } => "batched",
-            SimMode::Pipelined(_) => "pipelined",
-        }
-    }
-}
-
 /// Counters of one simulated sweep (one "iteration").
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SweepSim {
@@ -142,17 +105,10 @@ pub struct SimulatedRun {
     pub partition: Partition,
     /// Final codelength.
     pub codelength: f64,
-    /// Simulation mode name ("inline", "batched", "pipelined").
-    pub sim_mode: String,
-    /// Micro-events that flowed through trace buffers (0 in inline mode,
-    /// which never materializes events; the stream is identical across
-    /// modes, so a batched run's count serves for all three).
-    pub events: u64,
     /// Host seconds spent inside the simulation engine: the parallel
-    /// decide (record + replay) plus the per-sweep report barrier. This is
-    /// the denominator of the events/sec throughput metric — it excludes
-    /// the schedule work (move application, coarsening) that is identical
-    /// across modes.
+    /// decide, with every micro-event charged to its core model inline,
+    /// plus the per-sweep report barrier. It excludes the schedule work
+    /// (move application, coarsening) that the simulator does not charge.
     pub sim_seconds: f64,
 }
 
@@ -254,41 +210,26 @@ impl SimulatedRun {
 }
 
 /// Simulates the full Infomap run on `graph` with the given machine and
-/// device in the default [`SimMode::Inline`] mode, returning per-sweep and
-/// total counters for the `FindBestCommunity` kernel.
+/// device, returning per-sweep and total counters for the
+/// `FindBestCommunity` kernel.
 pub fn simulate_infomap(
     graph: &CsrGraph,
     icfg: &InfomapConfig,
     mcfg: &MachineConfig,
     device: Device,
 ) -> SimulatedRun {
-    simulate_infomap_mode(graph, icfg, mcfg, device, &SimMode::Inline)
+    simulate_infomap_obs(graph, icfg, mcfg, device, &Obs::disabled())
 }
 
-/// [`simulate_infomap`] with an explicit [`SimMode`]. All modes return
-/// bit-identical counters; batched/pipelined additionally report event
-/// throughput ([`SimulatedRun::events`], [`SimulatedRun::sim_seconds`]).
-pub fn simulate_infomap_mode(
-    graph: &CsrGraph,
-    icfg: &InfomapConfig,
-    mcfg: &MachineConfig,
-    device: Device,
-    mode: &SimMode,
-) -> SimulatedRun {
-    simulate_infomap_obs(graph, icfg, mcfg, device, mode, &Obs::disabled())
-}
-
-/// [`simulate_infomap_mode`] with a telemetry handle: per-device
-/// distributions (CAM occupancy, chain/probe lengths), pipeline
-/// backpressure counters, and per-sweep convergence records flow into
-/// `obs`. A disabled handle makes this identical to
-/// [`simulate_infomap_mode`].
+/// [`simulate_infomap`] with a telemetry handle: per-device
+/// distributions (CAM occupancy, chain/probe lengths) and per-sweep
+/// convergence records flow into `obs`. A disabled handle makes this
+/// identical to [`simulate_infomap`].
 pub fn simulate_infomap_obs(
     graph: &CsrGraph,
     icfg: &InfomapConfig,
     mcfg: &MachineConfig,
     device: Device,
-    mode: &SimMode,
     obs: &Obs,
 ) -> SimulatedRun {
     let _sp = obs.span("simulate");
@@ -301,22 +242,20 @@ pub fn simulate_infomap_obs(
             let mut accs: Vec<ChainedAccumulator> =
                 (0..mcfg.cores).map(|_| ChainedAccumulator::new()).collect();
             accs.iter_mut().for_each(|a| a.attach_obs(obs));
-            let (run, _) = run_device(flow, icfg, mcfg, device, mode, accs, obs);
-            run
+            run_device(flow, icfg, mcfg, device, accs, obs).0
         }
         Device::LinearProbe => {
             let mut accs: Vec<LinearProbeAccumulator> = (0..mcfg.cores)
                 .map(|_| LinearProbeAccumulator::new())
                 .collect();
             accs.iter_mut().for_each(|a| a.attach_obs(obs));
-            let (run, _) = run_device(flow, icfg, mcfg, device, mode, accs, obs);
-            run
+            run_device(flow, icfg, mcfg, device, accs, obs).0
         }
         Device::Asa(cfg) => {
             let mut accs: Vec<AsaAccumulator> =
                 (0..mcfg.cores).map(|_| AsaAccumulator::new(cfg)).collect();
             accs.iter_mut().for_each(|a| a.attach_obs(obs));
-            let (mut run, accs) = run_device(flow, icfg, mcfg, device, mode, accs, obs);
+            let (mut run, accs) = run_device(flow, icfg, mcfg, device, accs, obs);
             let mut total = AsaStats::default();
             for a in &accs {
                 let s = a.stats();
@@ -359,7 +298,7 @@ pub fn native_infomap(
     device: Device,
 ) -> NativeRun {
     let flow = FlowNetwork::from_graph(graph, icfg);
-    let (result, _) = run_cores(&flow, icfg, device, vec![NullSink; cores]);
+    let result = run_native(&flow, icfg, device, cores);
     // The schedule records each sweep's decide+apply wall time and active
     // count per level, in execution order.
     let sweeps = || result.levels.iter();
@@ -377,9 +316,8 @@ pub fn native_infomap(
 
 /// Runs the per-core decide loop in parallel: rank `i` evaluates
 /// `active[ranges[i]]` against its private accumulator and event sink.
-/// Shared by the host-cores engine (null or recording sinks) and every
-/// [`SimMode`] arm of the simulated engine (core models, batched cores,
-/// pipeline pipes).
+/// Shared by the native engine (null sinks) and the simulated engine
+/// (core models).
 fn decide_parallel<A: FlowAccumulator + Send, S: EventSink + Send>(
     ctx: &SweepCtx<'_>,
     ranges: &[Range<usize>],
@@ -406,19 +344,18 @@ fn decide_parallel<A: FlowAccumulator + Send, S: EventSink + Send>(
         });
 }
 
-/// Host-cores engine: one host thread per emulated core, each deciding its
-/// block of the active set against a private device and event sink —
-/// null sinks for native runs, recording sinks for trace capture.
-struct CoresEngine<A, S> {
+/// Native engine: one host thread per emulated core, each deciding its
+/// block of the active set against a private device and a null sink.
+struct NativeEngine<A> {
     pool: rayon::ThreadPool,
     accs: Vec<A>,
-    sinks: Vec<S>,
+    sinks: Vec<NullSink>,
     scratches: Vec<FindBestScratch>,
     outs: Vec<Vec<MoveDecision>>,
     ranges: Vec<Range<usize>>,
 }
 
-impl<A: FlowAccumulator + Send, S: EventSink + Send> DecideEngine for CoresEngine<A, S> {
+impl<A: FlowAccumulator + Send> DecideEngine for NativeEngine<A> {
     fn decide(&mut self, ctx: &SweepCtx<'_>) -> Vec<MoveDecision> {
         block_partition_into(ctx.active.len(), self.accs.len(), &mut self.ranges);
         let (ranges, sinks) = (&self.ranges, &mut self.sinks);
@@ -429,152 +366,58 @@ impl<A: FlowAccumulator + Send, S: EventSink + Send> DecideEngine for CoresEngin
     }
 }
 
-/// Runs the full schedule on a [`CoresEngine`] with one pool thread and
-/// one `device` accumulator per sink, returning the result and the sinks.
-fn run_cores<S: EventSink + Send>(
+/// Runs the full schedule on a [`NativeEngine`] with `cores` pool threads
+/// and one `device` accumulator per core.
+fn run_native(
     flow: &FlowNetwork,
     icfg: &InfomapConfig,
     device: Device,
-    sinks: Vec<S>,
-) -> (InfomapResult, Vec<S>) {
-    fn run<A: FlowAccumulator + Send, S: EventSink + Send>(
+    cores: usize,
+) -> InfomapResult {
+    fn run<A: FlowAccumulator + Send>(
         flow: &FlowNetwork,
         icfg: &InfomapConfig,
-        sinks: Vec<S>,
         accs: Vec<A>,
-    ) -> (InfomapResult, Vec<S>) {
+    ) -> InfomapResult {
         let cores = accs.len();
-        let mut engine = CoresEngine {
+        let mut engine = NativeEngine {
             pool: rayon::ThreadPoolBuilder::new()
                 .num_threads(cores)
                 .build()
                 .expect("thread pool"),
             accs,
-            sinks,
+            sinks: vec![NullSink; cores],
             scratches: (0..cores).map(|_| FindBestScratch::default()).collect(),
             outs: vec![Vec::new(); cores],
             ranges: Vec::with_capacity(cores),
         };
-        let result = optimize_multilevel_cancellable(flow, icfg, &mut engine, &CancelToken::none());
-        (result, engine.sinks)
+        optimize_multilevel_cancellable(flow, icfg, &mut engine, &CancelToken::none())
     }
-    let cores = sinks.len();
     match device {
         Device::SoftwareHash => run(
             flow,
             icfg,
-            sinks,
             (0..cores).map(|_| ChainedAccumulator::new()).collect(),
         ),
         Device::LinearProbe => run(
             flow,
             icfg,
-            sinks,
             (0..cores).map(|_| LinearProbeAccumulator::new()).collect(),
         ),
         Device::Asa(cfg) => run(
             flow,
             icfg,
-            sinks,
             (0..cores).map(|_| AsaAccumulator::new(cfg)).collect(),
         ),
     }
 }
 
-/// Captures a prefix of each emulated core's micro-event stream from the
-/// identical kernel schedule: up to `limit_events` events per core, in
-/// [`TraceBuf`] chunks of `chunk_events`. Benches replay the captured
-/// buffers through both simulation paths to time the replay kernels on
-/// the real workload stream, outside the engine.
-pub fn capture_trace(
-    graph: &CsrGraph,
-    icfg: &InfomapConfig,
-    cores: usize,
-    device: Device,
-    chunk_events: usize,
-    limit_events: usize,
-) -> Vec<Vec<TraceBuf>> {
-    let flow = FlowNetwork::from_graph(graph, icfg);
-    let sinks = (0..cores)
-        .map(|_| TraceCapture::new(chunk_events, limit_events))
-        .collect();
-    let (_, sinks) = run_cores(&flow, icfg, device, sinks);
-    sinks.into_iter().map(TraceCapture::into_bufs).collect()
-}
-
-/// The per-core simulation state behind a [`SimMode`]: who owns the core
-/// models and how events reach them. Allocated once per run and reused
-/// across every sweep and hierarchy level (no per-kernel reallocation).
-enum CoreBackend {
-    /// Core models charged inline on the workload threads.
-    Inline(Vec<CoreModel>),
-    /// Core models behind same-thread trace buffers.
-    Batched(Vec<BatchedCore>),
-    /// Core models owned by dedicated simulation threads.
-    Pipelined(SimPipeline),
-}
-
-impl CoreBackend {
-    fn new(mcfg: &MachineConfig, mode: &SimMode, obs: &Obs) -> Self {
-        match mode {
-            SimMode::Inline => {
-                CoreBackend::Inline((0..mcfg.cores).map(|_| CoreModel::new(mcfg)).collect())
-            }
-            SimMode::Batched { buffer_events } => CoreBackend::Batched(
-                (0..mcfg.cores)
-                    .map(|_| {
-                        let mut core = BatchedCore::new(CoreModel::new(mcfg), *buffer_events);
-                        core.attach_obs(obs);
-                        core
-                    })
-                    .collect(),
-            ),
-            SimMode::Pipelined(pcfg) => {
-                CoreBackend::Pipelined(SimPipeline::with_obs(mcfg, pcfg, obs))
-            }
-        }
-    }
-
-    fn num_cores(&self) -> usize {
-        match self {
-            CoreBackend::Inline(cores) => cores.len(),
-            CoreBackend::Batched(cores) => cores.len(),
-            CoreBackend::Pipelined(pipeline) => pipeline.num_cores(),
-        }
-    }
-
-    /// Events that flowed through trace buffers (0 for inline).
-    fn events(&self) -> u64 {
-        match self {
-            CoreBackend::Inline(_) => 0,
-            CoreBackend::Batched(cores) => cores.iter().map(BatchedCore::events).sum(),
-            CoreBackend::Pipelined(pipeline) => pipeline.events(),
-        }
-    }
-
-    /// Sweep barrier: drains any buffered events and returns each core's
-    /// per-phase reports (resetting them), in core order.
-    fn barrier_phase_reports(&mut self) -> Vec<[KernelReport; phase::COUNT]> {
-        match self {
-            CoreBackend::Inline(cores) => cores
-                .iter_mut()
-                .map(CoreModel::take_phase_reports)
-                .collect(),
-            CoreBackend::Batched(cores) => cores
-                .iter_mut()
-                .map(BatchedCore::take_phase_reports)
-                .collect(),
-            CoreBackend::Pipelined(pipeline) => pipeline.barrier_phase_reports(),
-        }
-    }
-}
-
 /// Simulated engine: each emulated core decides its share of the active
-/// set against its private accumulation device, with micro-events reaching
-/// the core models through the mode's [`CoreBackend`]; per-sweep counters
-/// are collected at the schedule's barrier callback.
+/// set against its private accumulation device, charging every micro-event
+/// to its core model inline; per-sweep counters are collected at the
+/// schedule's barrier callback.
 struct SimEngine<A> {
-    backend: CoreBackend,
+    cores: Vec<CoreModel>,
     accs: Vec<A>,
     scratches: Vec<FindBestScratch>,
     outs: Vec<Vec<MoveDecision>>,
@@ -583,26 +426,15 @@ struct SimEngine<A> {
     sim_seconds: f64,
     obs: Obs,
     device_name: &'static str,
-    mode_name: &'static str,
 }
 
 impl<A: FlowAccumulator + Send> DecideEngine for SimEngine<A> {
     fn decide(&mut self, ctx: &SweepCtx<'_>) -> Vec<MoveDecision> {
-        block_partition_into(ctx.active.len(), self.backend.num_cores(), &mut self.ranges);
+        block_partition_into(ctx.active.len(), self.cores.len(), &mut self.ranges);
         let start = Instant::now();
-        let (ranges, accs) = (&self.ranges, &mut self.accs);
+        let (ranges, cores, accs) = (&self.ranges, &mut self.cores, &mut self.accs);
         let (scratches, outs) = (&mut self.scratches, &mut self.outs);
-        match &mut self.backend {
-            CoreBackend::Inline(cores) => {
-                decide_parallel(ctx, ranges, cores, accs, scratches, outs)
-            }
-            CoreBackend::Batched(cores) => {
-                decide_parallel(ctx, ranges, cores, accs, scratches, outs)
-            }
-            CoreBackend::Pipelined(pipeline) => {
-                decide_parallel(ctx, ranges, pipeline.pipes_mut(), accs, scratches, outs)
-            }
-        }
+        decide_parallel(ctx, ranges, cores, accs, scratches, outs);
         self.sim_seconds += start.elapsed().as_secs_f64();
         concat_decisions(outs)
     }
@@ -614,13 +446,11 @@ impl<A: FlowAccumulator + Send> DecideEngine for SimEngine<A> {
         _elapsed: std::time::Duration,
     ) {
         // Barrier: collect and reset every core's counters for this sweep.
-        // Called *after* the host applies the sweep's moves, so pipelined
-        // simulation threads drain their tails while the host works.
         let start = Instant::now();
-        let reports = self.backend.barrier_phase_reports();
-        let mut per_core = Vec::with_capacity(reports.len());
+        let mut per_core = Vec::with_capacity(self.cores.len());
         let mut phases: [KernelReport; phase::COUNT] = Default::default();
-        for p in &reports {
+        for core in &mut self.cores {
+            let p = core.take_phase_reports();
             per_core.push(KernelReport::sum(p.iter()));
             for (agg, part) in phases.iter_mut().zip(p.iter()) {
                 agg.merge(part);
@@ -644,7 +474,6 @@ impl<A: FlowAccumulator + Send> DecideEngine for SimEngine<A> {
 
     fn sweep_fields(&self, fields: &mut Vec<(&'static str, Value)>) {
         fields.push(("device", Value::from(self.device_name)));
-        fields.push(("sim_mode", Value::from(self.mode_name)));
         // `after_sweep` ran just before the schedule emits the record, so
         // the last entry is this sweep's barrier-combined report.
         if let Some(s) = self.sweeps.last() {
@@ -654,18 +483,16 @@ impl<A: FlowAccumulator + Send> DecideEngine for SimEngine<A> {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_device<A: FlowAccumulator + Send>(
     flow: FlowNetwork,
     icfg: &InfomapConfig,
     mcfg: &MachineConfig,
     device: Device,
-    mode: &SimMode,
     accs: Vec<A>,
     obs: &Obs,
 ) -> (SimulatedRun, Vec<A>) {
     let mut engine = SimEngine {
-        backend: CoreBackend::new(mcfg, mode, obs),
+        cores: (0..mcfg.cores).map(|_| CoreModel::new(mcfg)).collect(),
         scratches: (0..mcfg.cores)
             .map(|_| FindBestScratch::default())
             .collect(),
@@ -676,7 +503,6 @@ fn run_device<A: FlowAccumulator + Send>(
         sim_seconds: 0.0,
         obs: obs.clone(),
         device_name: device.name(),
-        mode_name: mode.name(),
     };
     let outcome = {
         let _sp = obs.span("optimize");
@@ -702,8 +528,6 @@ fn run_device<A: FlowAccumulator + Send>(
             asa_stats: None,
             partition: outcome.partition,
             codelength: outcome.codelength,
-            sim_mode: mode.name().to_string(),
-            events: engine.backend.events(),
             sim_seconds: engine.sim_seconds,
         },
         engine.accs,
@@ -726,96 +550,6 @@ mod tests {
             13,
         )
         .0
-    }
-
-    fn assert_report_bitwise(a: &KernelReport, b: &KernelReport, what: &str) {
-        assert_eq!(a.instructions, b.instructions, "{what}: instructions");
-        assert_eq!(a.branches, b.branches, "{what}: branches");
-        assert_eq!(a.mispredictions, b.mispredictions, "{what}: mispredictions");
-        assert_eq!(a.loads, b.loads, "{what}: loads");
-        assert_eq!(a.stores, b.stores, "{what}: stores");
-        assert_eq!(a.l1_misses, b.l1_misses, "{what}: l1_misses");
-        assert_eq!(a.l2_misses, b.l2_misses, "{what}: l2_misses");
-        assert_eq!(a.l3_misses, b.l3_misses, "{what}: l3_misses");
-        assert_eq!(a.cycles.to_bits(), b.cycles.to_bits(), "{what}: cycles");
-    }
-
-    /// Every counter the run reports — totals, per-phase totals, and every
-    /// sweep's per-core reports — plus the answer itself must be
-    /// bit-identical between two modes.
-    fn assert_runs_bitwise(a: &SimulatedRun, b: &SimulatedRun) {
-        let what = format!("{} vs {}", a.sim_mode, b.sim_mode);
-        assert_eq!(a.partition.labels(), b.partition.labels(), "{what}");
-        assert_eq!(
-            a.codelength.to_bits(),
-            b.codelength.to_bits(),
-            "{what}: codelength"
-        );
-        assert_report_bitwise(&a.total, &b.total, &format!("{what}: total"));
-        for (p, (ra, rb)) in a.phase_totals.iter().zip(b.phase_totals.iter()).enumerate() {
-            assert_report_bitwise(ra, rb, &format!("{what}: phase {p}"));
-        }
-        assert_eq!(a.sweeps.len(), b.sweeps.len(), "{what}: sweep count");
-        for (sa, sb) in a.sweeps.iter().zip(b.sweeps.iter()) {
-            assert_eq!(
-                (sa.level, sa.sweep, sa.active),
-                (sb.level, sb.sweep, sb.active)
-            );
-            for (c, (ra, rb)) in sa.per_core.iter().zip(sb.per_core.iter()).enumerate() {
-                assert_report_bitwise(
-                    ra,
-                    rb,
-                    &format!("{what}: level {} sweep {} core {c}", sa.level, sa.sweep),
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn batched_and_pipelined_match_inline_bitwise() {
-        let g = asa_graph::generators::lfr_benchmark(
-            &asa_graph::generators::LfrConfig {
-                n: 250,
-                ..Default::default()
-            },
-            29,
-        )
-        .graph;
-        let icfg = InfomapConfig::default();
-        let mcfg = MachineConfig::baseline(3);
-        // Tiny buffers and a 2-thread pipeline with minimal double
-        // buffering: many batch splits, multi-seat workers, and real
-        // backpressure stalls — the result must not change at all.
-        let modes = [
-            SimMode::Inline,
-            SimMode::Batched { buffer_events: 256 },
-            SimMode::Pipelined(SimPipelineConfig {
-                buffer_events: 256,
-                buffers_per_core: 2,
-                sim_threads: 2,
-            }),
-        ];
-        for device in [
-            Device::SoftwareHash,
-            // 4-entry CAM: overflow phases and dependent-load toggles get
-            // exercised as in-stream markers.
-            Device::Asa(AsaConfig {
-                cam_bytes: 64,
-                entry_bytes: 16,
-                ..AsaConfig::paper_default()
-            }),
-        ] {
-            let runs: Vec<SimulatedRun> = modes
-                .iter()
-                .map(|m| simulate_infomap_mode(&g, &icfg, &mcfg, device, m))
-                .collect();
-            assert_runs_bitwise(&runs[0], &runs[1]);
-            assert_runs_bitwise(&runs[0], &runs[2]);
-            // Batched and pipelined recorded the same event stream.
-            assert_eq!(runs[0].events, 0, "inline records no trace events");
-            assert!(runs[1].events > 0);
-            assert_eq!(runs[1].events, runs[2].events);
-        }
     }
 
     #[test]

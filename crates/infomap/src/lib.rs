@@ -40,7 +40,6 @@ pub mod driver;
 pub mod exhaustive;
 pub mod find_best;
 pub mod flow;
-pub mod hierarchy;
 pub mod incremental;
 pub mod instrumented;
 pub mod kernel;

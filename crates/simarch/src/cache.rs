@@ -57,23 +57,13 @@ impl SetAssocCache {
 
     /// Accesses `addr`; returns `true` on hit. Misses allocate the line,
     /// evicting the set's LRU way.
-    pub fn access(&mut self, addr: u64) -> bool {
-        self.access_slot(addr).0
-    }
-
-    /// Accesses `addr`; returns `(hit, slot)` where `slot` is the global
-    /// `tags` index that now holds the line — the matching way on a hit,
-    /// the refilled victim way on a miss.
     ///
     /// Tag match and LRU-victim selection are fused into a single pass
-    /// over the set (the old two-pass `position` + `min_by_key` shape
-    /// rescanned the stamps on every miss), with an MRU way-0 fast path:
-    /// a hit in way 0 returns after one tag compare without reading any
-    /// stamps. Ties on the victim stamp keep the old first-minimum
-    /// (lowest-way) resolution, so hit/miss/eviction sequences are
-    /// unchanged.
+    /// over the set, with an MRU way-0 fast path: a hit in way 0 returns
+    /// after one tag compare without reading any stamps. Ties on the
+    /// victim stamp resolve to the lowest way.
     #[inline]
-    pub(crate) fn access_slot(&mut self, addr: u64) -> (bool, usize) {
+    pub fn access(&mut self, addr: u64) -> bool {
         self.clock += 1;
         self.accesses += 1;
         let line = addr >> self.line_shift;
@@ -82,14 +72,12 @@ impl SetAssocCache {
         // MRU way-0 fast path: skip the victim scan entirely.
         if self.tags[base] == line {
             self.stamps[base] = self.clock;
-            return (true, base);
+            return true;
         }
         // Branch-free scan of the remaining ways: the tag match and the
         // LRU victim fold into conditional-move chains with a fixed trip
         // count, replacing a data-dependent early exit that mispredicts
-        // once per non-MRU hit. Ties on the victim stamp keep the old
-        // first-minimum (lowest-way) resolution, so hit/miss/eviction
-        // sequences are unchanged.
+        // once per non-MRU hit.
         let mut hit_slot = usize::MAX;
         let mut victim = base;
         let mut victim_stamp = self.stamps[base];
@@ -105,29 +93,18 @@ impl SetAssocCache {
         }
         if hit_slot != usize::MAX {
             self.stamps[hit_slot] = self.clock;
-            return (true, hit_slot);
+            return true;
         }
         self.misses += 1;
         // Evict LRU (or fill an invalid way, which has stamp 0).
         self.tags[victim] = line;
         self.stamps[victim] = self.clock;
-        (false, victim)
-    }
-
-    /// Re-touches the resident line at `slot` (a demand re-access of the
-    /// line `access_slot` just returned): advances the clock, bumps the
-    /// demand counter, and refreshes the LRU stamp — bit-identical to a
-    /// full `access` of the same line, minus the tag scan.
-    #[inline]
-    pub(crate) fn touch(&mut self, slot: usize) {
-        self.clock += 1;
-        self.accesses += 1;
-        self.stamps[slot] = self.clock;
+        false
     }
 
     /// Installs `addr`'s line without touching demand statistics
     /// (prefetch fill). Evicts the set's LRU way when absent. Uses the
-    /// same fused single-pass scan as [`Self::access_slot`].
+    /// same fused single-pass scan as [`Self::access`].
     pub fn fill(&mut self, addr: u64) {
         self.clock += 1;
         let line = addr >> self.line_shift;
@@ -223,11 +200,6 @@ pub struct CacheHierarchy {
     l3: SetAssocCache,
     prefetch_next_line: bool,
     prefetches_issued: u64,
-    /// L1 line number of the most recent demand access (`u64::MAX` when
-    /// unknown), kept for [`Self::access_mru`]'s same-line fast path.
-    last_line: u64,
-    /// Global L1 slot holding `last_line`; `usize::MAX` when invalid.
-    last_slot: usize,
 }
 
 impl CacheHierarchy {
@@ -245,8 +217,6 @@ impl CacheHierarchy {
             l3: SetAssocCache::new(l3.0, l3.1, line_bytes),
             prefetch_next_line: false,
             prefetches_issued: 0,
-            last_line: u64::MAX,
-            last_slot: usize::MAX,
         }
     }
 
@@ -271,43 +241,12 @@ impl CacheHierarchy {
             let next = addr.wrapping_add(line_bytes);
             self.l1.fill(next);
             self.l2.fill(next);
-            if self.l1.ways == 1 {
-                // A single-way fill can evict the line the MRU memo points
-                // at (with >= 2 ways the just-stamped line is never the
-                // LRU victim, so the memo stays valid).
-                self.last_slot = usize::MAX;
-            }
         }
         level
     }
 
-    /// Demand access with a same-line fast path: when `addr` falls on the
-    /// L1 line touched by the previous demand access, that line is still
-    /// resident in the remembered way (nothing accessed the set since, and
-    /// fills never evict the most-recently-stamped way of a multi-way
-    /// set), so the full tag walk is skipped and only the clock, demand
-    /// counter, and LRU stamp advance — bit-identical state and result to
-    /// [`Self::access`].
-    ///
-    /// This is the batch replay kernel's entry point: read-modify-write
-    /// pairs and sequential sub-line scans, which dominate the hash-device
-    /// event streams, resolve in one compare.
-    #[inline]
-    pub fn access_mru(&mut self, addr: u64) -> HitLevel {
-        if addr >> self.l1.line_shift == self.last_line && self.last_slot != usize::MAX {
-            self.l1.touch(self.last_slot);
-            return HitLevel::L1;
-        }
-        self.access(addr)
-    }
-
     fn demand_access(&mut self, addr: u64) -> HitLevel {
-        let (l1_hit, slot) = self.l1.access_slot(addr);
-        // Either way the line is now resident at `slot` with the newest
-        // stamp; remember it for `access_mru`.
-        self.last_line = addr >> self.l1.line_shift;
-        self.last_slot = slot;
-        if l1_hit {
+        if self.l1.access(addr) {
             HitLevel::L1
         } else if self.l2.access(addr) {
             HitLevel::L2
@@ -443,80 +382,6 @@ mod tests {
         assert_eq!(c.accesses(), 0);
         assert_eq!(c.misses(), 0);
         assert!(c.access(0x40), "filled line must hit");
-    }
-
-    #[test]
-    fn access_slot_reports_resident_way() {
-        let mut c = SetAssocCache::new(1024, 2, 64);
-        let (hit, slot) = c.access_slot(0x1000);
-        assert!(!hit);
-        // A second access to the same line must hit the very slot the
-        // miss filled.
-        assert_eq!(c.access_slot(0x1000), (true, slot));
-    }
-
-    #[test]
-    fn touch_matches_full_access_on_resident_line() {
-        let mut a = SetAssocCache::new(1024, 2, 64);
-        let mut b = SetAssocCache::new(1024, 2, 64);
-        let (_, slot) = a.access_slot(0x40);
-        b.access(0x40);
-        a.touch(slot);
-        b.access(0x40);
-        assert_eq!(a.accesses(), b.accesses());
-        assert_eq!(a.misses(), b.misses());
-        assert_eq!(a.tags, b.tags);
-        assert_eq!(a.stamps, b.stamps);
-        assert_eq!(a.clock, b.clock);
-    }
-
-    #[test]
-    fn access_mru_matches_access_bitwise() {
-        for prefetch in [false, true] {
-            let mut plain = CacheHierarchy::new((1024, 2), (4096, 4), (16384, 8), 64);
-            let mut mru = plain.clone();
-            plain.set_prefetch(prefetch);
-            mru.set_prefetch(prefetch);
-            // Pseudo-random stream with frequent same-line repeats (the
-            // read-modify-write pattern the fast path exists for).
-            let mut x = 0x1234_5678_9abc_def0u64;
-            let mut addr = 0u64;
-            for i in 0..20_000 {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                if i % 3 != 0 {
-                    addr = x % (1 << 18);
-                }
-                assert_eq!(plain.access(addr), mru.access_mru(addr), "event {i}");
-            }
-            assert_eq!(plain.stats(), mru.stats());
-            assert_eq!(plain.prefetches_issued(), mru.prefetches_issued());
-            assert_eq!(plain.l1.tags, mru.l1.tags);
-            assert_eq!(plain.l1.stamps, mru.l1.stamps);
-            assert_eq!(plain.l2.tags, mru.l2.tags);
-            assert_eq!(plain.l3.tags, mru.l3.tags);
-        }
-    }
-
-    #[test]
-    fn access_mru_safe_with_single_way_prefetch() {
-        // 1-way L1 with prefetch on: fills may evict the memoized line, so
-        // the memo must be dropped rather than trusted.
-        let mut plain = CacheHierarchy::new((256, 1), (4096, 4), (16384, 8), 64);
-        let mut mru = plain.clone();
-        plain.set_prefetch(true);
-        mru.set_prefetch(true);
-        let mut x = 0x0dd_ba11u64;
-        let mut addr = 0u64;
-        for i in 0..5_000 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            if i % 2 == 0 {
-                addr = x % (1 << 14);
-            }
-            assert_eq!(plain.access(addr), mru.access_mru(addr), "event {i}");
-        }
-        assert_eq!(plain.stats(), mru.stats());
     }
 
     #[test]

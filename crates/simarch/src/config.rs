@@ -118,53 +118,6 @@ impl MachineConfig {
     pub fn cycles_to_seconds(&self, cycles: f64) -> f64 {
         cycles / (self.freq_ghz * 1e9)
     }
-
-    /// Per-class issue costs indexed by [`InstrClass::index`] — the flat
-    /// table the batch replay kernel dispatches through. Must stay in
-    /// sync with the per-event match in `CoreModel::instr` (the trace
-    /// equivalence tests pin the two together).
-    ///
-    /// [`InstrClass::index`]: crate::events::InstrClass::index
-    pub fn class_cycles(&self) -> [f64; 7] {
-        [
-            self.alu_cycles,
-            self.float_cycles,
-            self.mem_issue_cycles,
-            self.mem_issue_cycles,
-            self.branch_cycles,
-            self.asa_accumulate_cycles,
-            self.asa_gather_cycles,
-        ]
-    }
-}
-
-/// Tuning knobs for the batched/overlapped simulation pipeline
-/// (see `asa_simarch::pipeline`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SimPipelineConfig {
-    /// Events per trace buffer — the block size handed to
-    /// `CoreModel::consume_batch` and the granularity of compute/simulate
-    /// overlap.
-    pub buffer_events: usize,
-    /// Trace buffers circulating per emulated core (clamped to >= 2:
-    /// double buffering). Buffers recycle through a free list, so this
-    /// bounds memory *and* provides backpressure: a workload thread that
-    /// gets `buffers_per_core` buffers ahead of its simulation thread
-    /// blocks until one is drained.
-    pub buffers_per_core: usize,
-    /// Dedicated simulation threads draining the trace channels;
-    /// 0 means one per emulated core.
-    pub sim_threads: usize,
-}
-
-impl Default for SimPipelineConfig {
-    fn default() -> Self {
-        Self {
-            buffer_events: 32 * 1024,
-            buffers_per_core: 3,
-            sim_threads: 0,
-        }
-    }
 }
 
 #[cfg(test)]

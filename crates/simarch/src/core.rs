@@ -5,7 +5,6 @@ use crate::cache::{CacheHierarchy, HitLevel};
 use crate::config::MachineConfig;
 use crate::events::{phase, EventSink, InstrClass};
 use crate::report::KernelReport;
-use crate::trace::{opcode, TraceBuf};
 
 /// One simulated core: a branch predictor, a private cache hierarchy
 /// (L1 + L2 + an L3 slice), and a latency accounting model.
@@ -123,137 +122,6 @@ impl CoreModel {
             HitLevel::L1 => {}
         }
         r.cycles += issue + stall;
-    }
-
-    /// Replays a recorded [`TraceBuf`] in one pass — the batched
-    /// equivalent of feeding every event through the per-event
-    /// [`EventSink`] methods in recording order.
-    ///
-    /// The reports this produces are **bit-identical** to the per-event
-    /// path (same integer counters, same f64 cycle bits): every event
-    /// performs the same arithmetic in the same order against the same
-    /// predictor and cache state; phase and dependent-load markers are
-    /// part of the stream, so attribution follows recording order even
-    /// across buffer boundaries. What changes is the cost of getting
-    /// there:
-    ///
-    /// - the integer counters are *not* read-modify-written per event;
-    ///   the loop bumps flat per-(phase, opcode) tally tables with one
-    ///   unconditional indexed add each, and the `KernelReport` fields
-    ///   (instructions, loads, per-level misses, …) are derived from the
-    ///   tallies once per buffer — sums of the same per-event `+= 1` /
-    ///   `+= count` contributions, so the totals are exact;
-    /// - per-event cycle charges come from hoisted cost tables built with
-    ///   the per-event path's exact operand bits
-    ///   ([`MachineConfig::class_cycles`], `issue + raw * mlp_keep`, …),
-    ///   and stream markers charge `0.0 * arg` — an identity add on the
-    ///   non-negative accumulator — so markers, loads, stores, and
-    ///   predictor outcomes all take the *same* add sequence without
-    ///   data-dependent branches;
-    /// - memory events go through [`CacheHierarchy::access_mru`], whose
-    ///   same-line fast path resolves the read-modify-write pairs and
-    ///   sub-line scans that dominate hash-device streams in one compare.
-    pub fn consume_batch(&mut self, buf: &TraceBuf) {
-        let costs = self.cfg.class_cycles();
-        let issue = self.cfg.mem_issue_cycles;
-        let mlp_keep = 1.0 - self.cfg.mlp_overlap;
-        let branch_cycles = self.cfg.branch_cycles;
-        let penalty = self.cfg.mispredict_penalty;
-        let lat = self.cfg.latencies;
-        let lats = [lat.l1, lat.l2, lat.l3, lat.mem];
-        // Memory-event cost per (dependent, is-store, hit level). Each
-        // entry is built with the exact operations the per-event path
-        // performs per access (`raw * mlp_keep`, then `issue + stall`;
-        // stores add `issue + 0.0`, which is bitwise `issue`), so charging
-        // table entries keeps cycle totals bit-identical while the replay
-        // loop stays branch-free.
-        let mut mem_cost = [[[0.0f64; 4]; 2]; 2];
-        for (lv, &raw) in lats.iter().enumerate() {
-            mem_cost[0][0][lv] = issue + raw * mlp_keep;
-            mem_cost[1][0][lv] = issue + raw;
-            mem_cost[0][1][lv] = issue;
-            mem_cost[1][1][lv] = issue;
-        }
-        // Mispredict surcharge by predictor outcome: `x + 0.0` is bitwise
-        // `x`, so the unconditional add matches the per-event path's
-        // conditional one.
-        let mp_cost = [0.0f64, penalty];
-        // Cycle charge for the instruction/marker bucket, indexed by
-        // opcode: class issue costs for `0..=6`, `0.0` for the markers
-        // (whose `0.0 * arg` charge is an identity add).
-        let mut other_cost = [0.0f64; 16];
-        other_cost[..costs.len()].copy_from_slice(&costs);
-
-        // Branch-free tallies: `tally[p][op]` accumulates the instruction
-        // count for class opcodes and the event count for branch/load/
-        // store opcodes (markers land in dead slots); `misslv[p][lv]`
-        // counts memory events served per level. One indexed add per
-        // event replaces the per-event path's read-modify-writes of up to
-        // six `KernelReport` fields.
-        let mut tally = [[0u64; 16]; phase::COUNT];
-        let mut misslv = [[0u64; 4]; phase::COUNT];
-        let mut mp = [0u64; phase::COUNT];
-        let mut cyc = [0.0f64; phase::COUNT];
-        for (p, r) in self.phases.iter().enumerate() {
-            cyc[p] = r.cycles;
-        }
-        let mut cur = self.current_phase.min(phase::COUNT - 1);
-        let mut dep = usize::from(self.dependent_loads);
-        // The running phase's cycle accumulator lives in a register and
-        // spills only on a phase switch, so the serial f64 add chain —
-        // the replay loop's latency floor — avoids a store-forwarding
-        // round-trip per event.
-        let mut cyc_cur = cyc[cur];
-
-        let ops = buf.ops();
-        let args = &buf.args()[..ops.len()];
-        for (&op, &arg) in ops.iter().zip(args) {
-            let op = (op & 15) as usize;
-            if op >> 1 == 4 {
-                // READ (8) or WRITE (9); bit 0 selects the store costs.
-                tally[cur][op] += 1;
-                let lv = self.caches.access_mru(arg) as usize;
-                misslv[cur][lv] += 1;
-                cyc_cur += mem_cost[dep][op & 1][lv];
-            } else if op == usize::from(opcode::BRANCH) {
-                tally[cur][op] += 1;
-                let m = self.predictor.resolve((arg >> 1) as u32, arg & 1 == 1);
-                mp[cur] += u64::from(m);
-                cyc_cur += branch_cycles;
-                cyc_cur += mp_cost[usize::from(m)];
-            } else {
-                // Instruction classes and stream markers share this
-                // bucket: the dependent-flag update is a branch-free
-                // select, and the charge is `cost * count` for classes,
-                // `0.0 * arg` — an identity add — for markers.
-                tally[cur][op] = tally[cur][op].wrapping_add(arg);
-                let is_dep = usize::from(op == usize::from(opcode::SET_DEPENDENT));
-                dep = [dep, usize::from(arg != 0)][is_dep];
-                if op == usize::from(opcode::SET_PHASE) {
-                    cyc[cur] = cyc_cur;
-                    cur = (arg as usize).min(phase::COUNT - 1);
-                    cyc_cur = cyc[cur];
-                }
-                cyc_cur += other_cost[op] * arg as f64;
-            }
-        }
-        cyc[cur] = cyc_cur;
-
-        self.current_phase = cur;
-        self.dependent_loads = dep != 0;
-        for (p, r) in self.phases.iter_mut().enumerate() {
-            let t = &tally[p];
-            let class_instr: u64 = t[..=usize::from(opcode::INSTR_MAX)].iter().sum();
-            r.instructions += class_instr + t[7] + t[8] + t[9];
-            r.branches += t[7];
-            r.mispredictions += mp[p];
-            r.loads += t[8];
-            r.stores += t[9];
-            r.l1_misses += misslv[p][1] + misslv[p][2] + misslv[p][3];
-            r.l2_misses += misslv[p][2] + misslv[p][3];
-            r.l3_misses += misslv[p][3];
-            r.cycles = cyc[p];
-        }
     }
 }
 

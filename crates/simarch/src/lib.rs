@@ -26,17 +26,13 @@ pub mod config;
 pub mod core;
 pub mod events;
 pub mod machine;
-pub mod pipeline;
 pub mod report;
-pub mod trace;
 
 pub use accum::FlowAccumulator;
 pub use branch::{BranchPredictor, PredictorKind};
 pub use cache::{CacheHierarchy, SetAssocCache};
-pub use config::{MachineConfig, SimPipelineConfig};
+pub use config::MachineConfig;
 pub use core::CoreModel;
 pub use events::{EventSink, InstrClass, NullSink};
 pub use machine::MachineModel;
-pub use pipeline::{CorePipe, SimPipeline};
 pub use report::KernelReport;
-pub use trace::{BatchedCore, TraceBuf, TraceCapture, TraceSink};
