@@ -30,17 +30,17 @@
 //! records of the host-engine legs (sweep index, moves, codelength, ΔL,
 //! accumulator path, scratch-pool hit rate), `trace.json` a Chrome trace
 //! for Perfetto, `metrics.prom` the final Prometheus exposition, and
-//! `prof.folded` / `prof.svg` the span-stack sampling profile
-//! (`ASA_PROF_INTERVAL_MS` tunes the sample interval). The hierarchical
+//! `prof.folded` / `prof.svg` the span profile (exact self µs per span
+//! path, folded from the phase tree, and its flamegraph). The hierarchical
 //! phase-time summary prints at exit; `--progress` (`ASA_PROGRESS=1`)
 //! adds per-sweep heartbeat lines on stderr, and `ASA_METRICS_ADDR`
 //! serves the exposition live over HTTP.
 //!
 //! `--obs-overhead` runs a dedicated overhead check instead of the bench:
 //! the SPA sweep phase with obs fully disabled, versus an enabled handle
-//! with no sinks, versus the flight recorder attached, versus the
-//! sampling profiler attached at its default 10 ms interval — failing if any instrumented run is more than `ASA_OBS_TOL`
-//! percent slower (default 5). CI runs this as the overhead smoke gate.
+//! with no sinks, versus the flight recorder attached — failing if either
+//! instrumented run is more than `ASA_OBS_TOL` percent slower (default
+//! 5). CI runs this as the overhead smoke gate.
 
 use std::time::Instant;
 
@@ -122,11 +122,10 @@ fn run_hash(graph: &CsrGraph, reps: usize, obs: &Obs) -> PathTiming {
     })
 }
 
-/// `--obs-overhead`: the disabled path vs three instrumented legs — an
-/// enabled handle with no sinks, the same with the flight recorder
-/// attached, and with the sampling profiler — on the SPA sweep
-/// phase. Exits non-zero when any instrumented sweep is more than
-/// the tolerance slower.
+/// `--obs-overhead`: the disabled path vs two instrumented legs — an
+/// enabled handle with no sinks, and the same with the flight recorder
+/// attached — on the SPA sweep phase. Exits non-zero when either
+/// instrumented sweep is more than the tolerance slower.
 fn obs_overhead_check(reps: usize) {
     let tol_pct: f64 = std::env::var("ASA_OBS_TOL")
         .ok()
@@ -142,16 +141,8 @@ fn obs_overhead_check(reps: usize) {
     let traced = Obs::new_enabled();
     traced.attach_recorder(asa_bench::trace_capacity());
     let rec = run_spa(&graph, reps, &traced);
-    let profiled = Obs::new_enabled();
-    profiled.attach_profiler(asa_bench::prof_interval());
-    let prof = run_spa(&graph, reps, &profiled);
-    profiled.stop_background();
 
-    let legs = [
-        ("enabled handle", &on),
-        ("recorder attached", &rec),
-        ("profiler attached", &prof),
-    ];
+    let legs = [("enabled handle", &on), ("recorder attached", &rec)];
     for (leg, timing) in legs {
         assert_eq!(
             off.result.partition.labels(),

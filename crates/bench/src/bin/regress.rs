@@ -20,8 +20,8 @@
 //! `--tol-scale` (env `ASA_REGRESS_TOL_SCALE`) multiplies every noise
 //! tolerance; see `asa_bench::regress` for the per-metric defaults.
 //!
-//! Runs that had the sampling profiler attached (`--obs-dir`) embed a
-//! `meta.profile` summary; when the hottest sampled stack shifts between
+//! Runs with telemetry on (`--obs-dir`) embed a `meta.profile` summary,
+//! the top span paths by self µs; when the hottest path shifts between
 //! baseline and fresh, an informational note is printed alongside the
 //! delta table. The note never gates.
 

@@ -29,8 +29,10 @@
 //! per-class latency histograms, counters) into `<dir>/obs.jsonl`, prints
 //! a tail-latency attribution for the slowest `ASA_TAIL_PCT`% of requests
 //! (default 5%), and writes `trace.json` (load it at
-//! <https://ui.perfetto.dev>), `metrics.prom`, `prof.folded`, `prof.svg`
-//! and each engine's shutdown black-box bundle `blackbox.json` there.
+//! <https://ui.perfetto.dev>), `metrics.prom`, `prof.folded` and
+//! `prof.svg` (the span profile: exact self µs per span path, and its
+//! flamegraph) and each engine's shutdown black-box bundle
+//! `blackbox.json` there.
 //! `--progress` (`ASA_PROGRESS=1`) prints per-record heartbeat lines.
 
 use std::sync::Arc;

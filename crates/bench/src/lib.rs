@@ -123,21 +123,20 @@ pub fn run_metadata(dataset: &str, icfg: &InfomapConfig) -> serde_json::Value {
 #[derive(Debug, Clone, Default)]
 pub struct ObsArgs {
     /// Artifact directory (`--obs-dir` / `ASA_OBS_DIR`), created if
-    /// missing. Attaches the JSONL and summary sinks, the flight recorder
-    /// and the sampling profiler;
-    /// [`ObsArgs::finish`] writes `obs.jsonl`, `trace.json` (Chrome trace
-    /// for Perfetto or `chrome://tracing`), `metrics.prom` (Prometheus
-    /// exposition), `prof.folded` and `prof.svg` (folded profile and its
-    /// flamegraph) there, and the serve bench adds `blackbox.json`.
+    /// missing. Attaches the JSONL and summary sinks and the flight
+    /// recorder; [`ObsArgs::finish`] writes `obs.jsonl`, `trace.json`
+    /// (Chrome trace for Perfetto or `chrome://tracing`), `metrics.prom`
+    /// (Prometheus exposition), `prof.folded` and `prof.svg` (the span
+    /// profile, exact self µs per span path, and its flamegraph) there,
+    /// and the serve bench adds `blackbox.json`.
     pub obs_dir: Option<PathBuf>,
     /// Per-record heartbeat lines on stderr (`--progress` /
     /// `ASA_PROGRESS=1`).
     pub progress: bool,
     /// Live scrape endpoint bind address (`--metrics-addr` /
-    /// `ASA_METRICS_ADDR`, e.g. `127.0.0.1:9184`). Also attaches the
-    /// profiler; the endpoint serves for the life of the
-    /// process, so a `curl` mid-run sees current values — including
-    /// `/flame.svg` and `/profile?seconds=N`.
+    /// `ASA_METRICS_ADDR`, e.g. `127.0.0.1:9184`). The endpoint serves
+    /// for the life of the process, so a `curl` mid-run sees current
+    /// values — including `/flame.svg` and `/profile?seconds=N`.
     pub metrics_addr: Option<String>,
 }
 
@@ -151,36 +150,25 @@ pub fn trace_capacity() -> usize {
         .unwrap_or(1 << 16)
 }
 
-/// Sampling-profiler interval used by `--obs-dir` and the diagnostics
-/// endpoint (`ASA_PROF_INTERVAL_MS` overrides; default 10 ms).
-pub fn prof_interval() -> std::time::Duration {
-    let ms = std::env::var("ASA_PROF_INTERVAL_MS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&ms| ms > 0)
-        .unwrap_or(10);
-    std::time::Duration::from_millis(ms)
-}
-
 /// Profile summary embedded in `BENCH_*.json` run metadata when the
-/// sampling profiler is attached: total sample count plus the top-5
-/// folded stacks by self time. `None` without a profiler.
+/// handle is enabled: the span profile's total self µs plus its top-5
+/// span paths by self µs. `None` when disabled.
 pub fn profile_summary(obs: &Obs) -> Option<serde_json::Value> {
-    let snap = obs.prof_snapshot()?;
-    let top: Vec<serde_json::Value> = snap
-        .top_stacks(5)
+    let profile = obs.profile()?;
+    let top: Vec<serde_json::Value> = profile
+        .top(5)
         .into_iter()
-        .map(|(stack, count)| serde_json::json!({ "stack": stack, "count": count }))
+        .map(|(stack, us)| serde_json::json!({ "stack": stack, "self_us": us }))
         .collect();
     Some(serde_json::json!({
-        "samples": snap.samples,
+        "total_us": profile.total_us(),
         "top": top,
     }))
 }
 
 /// Appends the [`profile_summary`] under a `"profile"` key of a
-/// `run_metadata` object; the metadata passes through unchanged when no
-/// profiler is attached (committed bench files stay profile-free).
+/// `run_metadata` object; the metadata passes through unchanged when the
+/// handle is disabled (committed bench files stay profile-free).
 pub fn with_profile_summary(mut meta: serde_json::Value, obs: &Obs) -> serde_json::Value {
     if let Some(profile) = profile_summary(obs) {
         if let serde_json::Value::Object(entries) = &mut meta {
@@ -240,11 +228,6 @@ impl ObsArgs {
         if self.obs_dir.is_some() || self.progress {
             obs.add_sink(Box::new(SummarySink::new(self.progress)));
         }
-        // The sampler rides along whenever an exposition consumer exists;
-        // the endpoint's `/flame.svg` and `/profile` routes need it.
-        if self.obs_dir.is_some() || self.metrics_addr.is_some() {
-            obs.attach_profiler(prof_interval());
-        }
         if let Some(addr) = &self.metrics_addr {
             match asa_obs::expose::serve(addr, obs.clone()) {
                 Ok(server) => {
@@ -263,13 +246,12 @@ impl ObsArgs {
         obs
     }
 
-    /// Ends the run's telemetry: stops the background thread, writes
-    /// `trace.json`, `metrics.prom`, `prof.folded` and `prof.svg` under
-    /// `--obs-dir` (when set), then flushes the handle, which completes
-    /// `obs.jsonl` and prints the summary. Call once, at the end.
+    /// Ends the run's telemetry: writes `trace.json`, `metrics.prom`,
+    /// `prof.folded` and `prof.svg` under `--obs-dir` (when set), then
+    /// flushes the handle, which completes `obs.jsonl` and prints the
+    /// summary. Call once, at the end.
     pub fn finish(&self, obs: &Obs) {
         if let Some(dir) = &self.obs_dir {
-            obs.stop_background();
             if let Some(snap) = obs.trace_snapshot() {
                 let path = dir.join("trace.json");
                 let what = format!(
@@ -291,16 +273,16 @@ impl ObsArgs {
                 "Prometheus metrics",
                 asa_obs::expose::write_to_file(obs, &path),
             );
-            if let Some(snap) = obs.prof_snapshot() {
+            if let Some(profile) = obs.profile() {
                 let path = dir.join("prof.folded");
                 let what = format!(
-                    "folded profile ({} samples, {} stacks)",
-                    snap.samples,
-                    snap.stacks.len()
+                    "span profile ({} us self time, {} span paths)",
+                    profile.total_us(),
+                    profile.stacks.len()
                 );
-                report_write(&path, &what, std::fs::write(&path, snap.render_folded()));
+                report_write(&path, &what, std::fs::write(&path, profile.render()));
                 let path = dir.join("prof.svg");
-                let svg = asa_obs::render_flamegraph(&snap, "profile");
+                let svg = asa_obs::render_flamegraph(&profile, "span profile");
                 report_write(&path, "flamegraph", std::fs::write(&path, svg));
             }
         }

@@ -461,7 +461,7 @@ fn top_profiled_stack(doc: &Value) -> Option<&str> {
 
 /// Reports — never gates — a shift in the hottest profiled stack between
 /// two bench documents. Profiles ride along in `meta.profile` only when a
-/// run had the sampling profiler attached (`--obs-dir` or a live metrics
+/// run had telemetry on (`--obs-dir`, `--progress` or a live metrics
 /// endpoint), so committed baselines usually carry none; the note fires
 /// when both sides have a profile and disagree on the top frame, or when
 /// a fresh profile appears against an unprofiled baseline. The return
@@ -833,9 +833,9 @@ mod tests {
 
     fn doc_with_profile(stack: &str) -> Value {
         serde_json::from_str(&format!(
-            r#"{{"bench":"hostperf","meta":{{"profile":{{"samples":12,
-                "top":[{{"stack":"{stack}","count":9}},
-                       {{"stack":"main;idle","count":3}}]}}}}}}"#
+            r#"{{"bench":"hostperf","meta":{{"profile":{{"total_us":12,
+                "top":[{{"stack":"{stack}","self_us":9}},
+                       {{"stack":"infomap;pagerank","self_us":3}}]}}}}}}"#
         ))
         .unwrap()
     }

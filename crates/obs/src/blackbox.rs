@@ -5,7 +5,8 @@
 //! look like at the end?". This module renders everything the attached
 //! observability stack knows into a single self-describing JSON document:
 //! the flight recorder's last events per thread, the metric registry, a
-//! resource snapshot, the cumulative folded profile, plus any *extra
+//! resource snapshot, the span profile (exact self time per span path,
+//! [`crate::flame`]), plus any *extra
 //! sections* the embedding layer registered (the serve engine contributes
 //! per-shard queue depths and partition-store occupancy).
 //!
@@ -34,7 +35,8 @@ use crate::{Obs, ObsInner};
 /// the in-memory ring may hold far more than a post-mortem needs).
 const MAX_EVENTS_PER_THREAD: usize = 256;
 
-/// Folded stacks retained in a bundle's profile section.
+/// Span paths retained in a bundle's profile section (the most self
+/// time first).
 const MAX_PROFILE_STACKS: usize = 128;
 
 // ---------------------------------------------------------------------------
@@ -216,31 +218,30 @@ fn render_flight_recorder(out: &mut String, obs: &Obs) {
 }
 
 fn render_profile(out: &mut String, obs: &Obs) {
-    let Some(snap) = obs.prof_snapshot() else {
+    let Some(profile) = obs.profile() else {
         out.push_str("null");
         return;
     };
     let _ = write!(
         out,
-        "{{\"interval_us\":{},\"samples\":{},\"truncated\":{},\"folded\":[",
-        snap.interval.as_micros(),
-        snap.samples,
-        snap.stacks.len().saturating_sub(MAX_PROFILE_STACKS)
+        "{{\"total_us\":{},\"truncated\":{},\"folded\":[",
+        profile.total_us(),
+        profile.stacks.len().saturating_sub(MAX_PROFILE_STACKS)
     );
-    for (i, s) in snap.stacks.iter().take(MAX_PROFILE_STACKS).enumerate() {
+    for (i, (stack, us)) in profile.top(MAX_PROFILE_STACKS).iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        write_json_string(&format!("{} {}", s.folded_key(), s.count), out);
+        write_json_string(&format!("{stack} {us}"), out);
     }
     out.push_str("]}");
 }
 
 /// Renders the full diagnostic bundle as one JSON object. Callable at any
 /// time (the "black box" is just a view of live state); missing layers —
-/// no recorder, no profiler — render as `null` rather than
-/// being omitted, so consumers can distinguish "not attached" from
-/// "attached but empty".
+/// no recorder, or a disabled handle's metrics and profile — render as
+/// `null` rather than being omitted, so consumers can distinguish "not
+/// attached" from "attached but empty".
 pub fn render_bundle(obs: &Obs, reason: &str) -> String {
     let mut out = String::with_capacity(16 * 1024);
     out.push_str("{\"bundle\":\"asa-blackbox\",\"version\":1,\"reason\":");
@@ -335,7 +336,6 @@ pub fn clear_panic_hook() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     #[test]
     fn bundle_renders_all_core_sections() {
@@ -344,10 +344,9 @@ mod tests {
         obs.gauge("bb.depth").set(2);
         obs.hist("bb.lat").record(40);
         obs.attach_recorder(64);
-        obs.attach_profiler(Duration::from_secs(3600));
         {
-            let _s = obs.span("bb.work");
-            obs.tick_profiler();
+            let _s = obs.span("bb.outer");
+            let _inner = obs.span("bb.work");
         }
         let json = render_bundle(&obs, "test");
         for key in [
@@ -363,19 +362,17 @@ mod tests {
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
-        // The profile section must carry the sampled span.
-        assert!(
-            json.contains("bb.work 1") || json.contains(";bb.work"),
-            "{json}"
-        );
-        obs.stop_background();
+        // The profile section carries the closed span by its path.
+        assert!(json.contains("\"bb.outer;bb.work "), "{json}");
     }
 
     #[test]
     fn missing_layers_render_as_null() {
-        let obs = Obs::new_enabled();
-        let json = render_bundle(&obs, "bare");
+        let json = render_bundle(&Obs::new_enabled(), "bare");
         assert!(json.contains("\"flight_recorder\":null"));
+        assert!(json.contains("\"profile\":{\"total_us\":0,\"truncated\":0,\"folded\":[]}"));
+        let json = render_bundle(&Obs::disabled(), "off");
+        assert!(json.contains("\"metrics\":null"));
         assert!(json.contains("\"profile\":null"));
     }
 

@@ -606,13 +606,11 @@ impl Drop for MetricsServer {
 
 const PROM_CONTENT_TYPE: &str = "text/plain; version=0.0.4; charset=utf-8";
 const TEXT_CONTENT_TYPE: &str = "text/plain; charset=utf-8";
-const NO_PROFILER: &str =
-    "no profiler attached (run with --obs-dir or --metrics-addr, or call Obs::attach_profiler)\n";
 
 /// How long the endpoint waits for a client's request head.
 const REQUEST_TIMEOUT: Duration = Duration::from_secs(2);
 
-/// The `/profile` capture length: `seconds=N` clamped to [0.01, 60] s; an
+/// The `/profile` window length: `seconds=N` clamped to [0.01, 60] s; an
 /// absent, unparsable or non-finite value means the 1 s default.
 fn profile_seconds(query: &str) -> f64 {
     query
@@ -630,28 +628,16 @@ fn respond(obs: &Obs, path: &str) -> (&'static str, &'static str, String) {
     match route {
         "/" | "/metrics" => ("200 OK", PROM_CONTENT_TYPE, render(obs)),
         "/profile" => {
-            let seconds = Duration::from_secs_f64(profile_seconds(query));
-            match obs.capture_profile(seconds, Duration::from_millis(10)) {
-                Some(snap) => ("200 OK", TEXT_CONTENT_TYPE, snap.render_folded()),
-                None => (
-                    "503 Service Unavailable",
-                    TEXT_CONTENT_TYPE,
-                    NO_PROFILER.to_string(),
-                ),
-            }
+            let before = obs.profile().unwrap_or_default();
+            std::thread::sleep(Duration::from_secs_f64(profile_seconds(query)));
+            let window = obs.profile().unwrap_or_default().since(&before);
+            ("200 OK", TEXT_CONTENT_TYPE, window.render())
         }
-        "/flame.svg" => match obs.prof_snapshot() {
-            Some(snap) => (
-                "200 OK",
-                "image/svg+xml",
-                crate::prof::render_flamegraph(&snap, "asa cumulative profile"),
-            ),
-            None => (
-                "503 Service Unavailable",
-                TEXT_CONTENT_TYPE,
-                NO_PROFILER.to_string(),
-            ),
-        },
+        "/flame.svg" => (
+            "200 OK",
+            "image/svg+xml",
+            crate::flame::render_flamegraph(&obs.profile().unwrap_or_default(), "asa span profile"),
+        ),
         "/debug" => ("200 OK", TEXT_CONTENT_TYPE, debug_page(obs)),
         _ => (
             "404 Not Found",
@@ -662,7 +648,7 @@ fn respond(obs: &Obs, path: &str) -> (&'static str, &'static str, String) {
 }
 
 /// The `/debug` text status page: uptime, resources, metric registry
-/// shape, profiler state, top-k slow request stages
+/// shape, the span profile's top paths, top-k slow request stages
 /// (when a flight recorder is attached), and registered black-box
 /// sections.
 fn debug_page(obs: &Obs) -> String {
@@ -689,18 +675,15 @@ fn debug_page(obs: &Obs) -> String {
             ));
         }
     }
-    match obs.prof_snapshot() {
-        Some(snap) => {
-            out.push_str(&format!(
-                "\nprofiler: attached, {} passes, {} distinct stacks (top 5):\n",
-                snap.samples,
-                snap.stacks.len()
-            ));
-            for (stack, count) in snap.top_stacks(5) {
-                out.push_str(&format!("  {count:>8} {stack}\n"));
-            }
+    if let Some(profile) = obs.profile() {
+        out.push_str(&format!(
+            "\nspan profile: {} us self time over {} span paths (top 5):\n",
+            profile.total_us(),
+            profile.stacks.len()
+        ));
+        for (stack, us) in profile.top(5) {
+            out.push_str(&format!("  {us:>10} us {stack}\n"));
         }
-        None => out.push_str("\nprofiler: not attached\n"),
     }
     if let Some(snap) = obs.trace_snapshot() {
         let tail = crate::tail::TailReport::from_snapshot(&snap, "request", 5.0);
@@ -744,8 +727,9 @@ fn read_request_path(conn: &mut TcpStream) -> Option<String> {
 /// serves the handle's diagnostics to every connection: the
 /// `ASA_METRICS_ADDR` live endpoint. Routes: `/metrics` (Prometheus
 /// exposition, re-rendered per request so a `curl` mid-bench sees
-/// current values), `/profile?seconds=N` (on-demand folded capture),
-/// `/flame.svg` (cumulative-profile flamegraph), `/debug` (text status).
+/// current values), `/profile?seconds=N` (the self time each span path
+/// gained over an N-second window, folded), `/flame.svg` (the span
+/// profile's flamegraph), `/debug` (text status).
 pub fn serve(addr: &str, obs: Obs) -> std::io::Result<MetricsServer> {
     let listener = TcpListener::bind(addr)?;
     listener.set_nonblocking(true)?;
@@ -802,15 +786,17 @@ mod tests {
 
     #[test]
     fn respond_survives_nan_inf_and_negative_seconds() {
-        let obs = Obs::new_enabled();
-        for q in ["nan", "inf", "-1"] {
-            let (status, _, body) = respond(&obs, &format!("/profile?seconds={q}"));
-            assert!(status.starts_with("503"), "{q}: {status}");
-            assert_eq!(body, NO_PROFILER);
+        // NaN and ∞ fall back to the 1 s default window, -1 clamps to 10 ms.
+        let enabled = Obs::new_enabled();
+        for (obs, q) in [
+            (&enabled, "nan"),
+            (&enabled, "inf"),
+            (&enabled, "-1"),
+            (&Obs::disabled(), "-1"),
+        ] {
+            let (status, _, body) = respond(obs, &format!("/profile?seconds={q}"));
+            assert_eq!(status, "200 OK", "{q}");
+            assert!(body.is_empty(), "{q}: nothing ran in the window");
         }
-        obs.attach_profiler(Duration::from_secs(3600));
-        let (status, _, _) = respond(&obs, "/profile?seconds=-1");
-        assert_eq!(status, "200 OK");
-        obs.stop_background();
     }
 }

@@ -10,8 +10,10 @@
 //! - **Subscriber side** — pluggable [`Sink`]s: [`JsonlSink`] for machine
 //!   consumption, [`SummarySink`] for humans; tests add their own capture
 //!   sinks.
-//! - **Background** — one `asa-obs` thread per handle, started by
-//!   [`Obs::attach_profiler`], ticks the sampling profiler.
+//! - **Profile** — [`Obs::profile`] folds the phase tree into exact self
+//!   time per span path ([`flame`]), on demand. An enabled handle starts
+//!   no thread of its own; only the metrics endpoint ([`expose::serve`])
+//!   runs one.
 //!
 //! The disabled handle (`Obs::disabled()`, one `Option<Arc<_>>` that is
 //! `None`) is the default everywhere; every operation on it is a single
@@ -37,28 +39,27 @@
 pub mod blackbox;
 pub mod chrome;
 pub mod expose;
+pub mod flame;
 pub mod json;
 pub mod metrics;
-pub mod prof;
 pub mod resource;
 pub mod sink;
 pub mod span;
 pub mod tail;
 pub mod trace;
 
+pub use flame::{render_flamegraph, FoldedProfile};
 pub use json::{Record, Value};
 pub use metrics::{Counter, CounterSnapshot, Gauge, GaugeSnapshot, Hist, HistSnapshot};
-pub use prof::{render_flamegraph, FoldedStack, ProfSnapshot};
 pub use resource::ResourceSample;
 pub use sink::{FlushReport, JsonlSink, Sink, SummarySink};
 pub use span::{Span, SpanSnapshot};
 pub use tail::{RequestAttribution, TailReport};
 pub use trace::{FlightRecorder, TraceEvent, TraceId, TraceKind, TraceScope, TraceSnapshot};
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use metrics::{CounterCore, GaugeCore, HistCore};
 use span::SpanTree;
@@ -105,68 +106,6 @@ pub(crate) struct ObsInner {
     /// the hot path, so span instrumentation without a recorder stays a
     /// no-op branch.
     pub(crate) trace: OnceLock<Arc<FlightRecorder>>,
-    /// Sampling profiler, set at most once by [`Obs::attach_profiler`].
-    /// Span enter/exit only mirrors frames once this is populated, so an
-    /// unprofiled process pays one `OnceLock::get` per span.
-    pub(crate) prof: OnceLock<Arc<prof::ProfCore>>,
-    /// The `asa-obs` background thread, started by the profiler attach.
-    ticker: OnceLock<Ticker>,
-}
-
-/// Longest single sleep of the background thread, so a stop (or the last
-/// handle drop) is noticed promptly.
-const TICKER_SLICE: Duration = Duration::from_millis(10);
-
-/// Lifecycle of the `asa-obs` thread. The thread owns only the profiler
-/// core, never [`ObsInner`], so the last handle drop always happens on
-/// another thread; dropping the ticker (with `ObsInner`) stops and joins
-/// the thread.
-struct Ticker {
-    stop: Arc<AtomicBool>,
-    thread: Mutex<Option<JoinHandle<()>>>,
-}
-
-impl Ticker {
-    /// Starts a thread that runs one sampling pass of `core` per
-    /// interval. The next pass is due a full interval after the last one
-    /// ends, so a slow pass skips passes and never bursts.
-    fn start(core: Arc<prof::ProfCore>) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let thread = std::thread::Builder::new()
-            .name("asa-obs".into())
-            .spawn(move || {
-                let mut next = Instant::now() + core.interval;
-                while !stop2.load(Ordering::Relaxed) {
-                    if Instant::now() >= next {
-                        core.tick();
-                        next = Instant::now() + core.interval;
-                    }
-                    let wait = next.saturating_duration_since(Instant::now());
-                    std::thread::sleep(wait.min(TICKER_SLICE));
-                }
-            })
-            .expect("spawn obs background thread");
-        Ticker {
-            stop,
-            thread: Mutex::new(Some(thread)),
-        }
-    }
-
-    /// Signals the thread and joins it; idempotent. Bounded wait: the
-    /// thread sleeps at most [`TICKER_SLICE`] between stop-flag checks.
-    fn shutdown(&self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.thread.lock().unwrap().take() {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for Ticker {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
 }
 
 /// Snapshots the full metric registry (shared by [`Obs::flush`] and
@@ -219,8 +158,6 @@ impl Obs {
             registry: Mutex::new(Registry::default()),
             sinks: Mutex::new(Vec::new()),
             trace: OnceLock::new(),
-            prof: OnceLock::new(),
-            ticker: OnceLock::new(),
         })))
     }
 
@@ -336,72 +273,13 @@ impl Obs {
         self.0.as_ref().and_then(|inner| inner.trace.get().cloned())
     }
 
-    /// Attaches the sampling profiler: the background thread snapshots
-    /// every registered thread's live span stack every `interval` and
-    /// folds the observations into a collapsed-stack profile. Idempotent
-    /// (a second call keeps the first profiler and its interval) and a
-    /// no-op on a disabled handle.
-    ///
-    /// The profiler runs on one `asa-obs` background thread per handle.
-    /// The thread holds only the profiler's own state, never the handle's:
-    /// dropping the last `Obs` clone stops and joins it.
-    pub fn attach_profiler(&self, interval: Duration) {
-        let Some(inner) = &self.0 else { return };
-        let core = inner
-            .prof
-            .get_or_init(|| Arc::new(prof::ProfCore::new(interval)));
-        inner.ticker.get_or_init(|| Ticker::start(Arc::clone(core)));
-    }
-
-    /// Whether a profiler is attached (and spans mirror live stacks).
-    #[inline]
-    pub fn profiler_enabled(&self) -> bool {
-        self.0
-            .as_ref()
-            .is_some_and(|inner| inner.prof.get().is_some())
-    }
-
-    /// Performs one synchronous sampling pass on the calling thread.
-    /// Test hook: attach the profiler with an hours-long interval so the background thread stays idle,
-    /// then drive passes manually for deterministic profiles. `false`
-    /// when no profiler is attached.
-    pub fn tick_profiler(&self) -> bool {
-        let Some(inner) = &self.0 else { return false };
-        let Some(core) = inner.prof.get() else {
-            return false;
-        };
-        core.tick();
-        true
-    }
-
-    /// Stops and joins the background thread: the profiler no longer
-    /// ticks on its own, and the folded profile stays readable.
-    /// Idempotent; also happens when the last handle drops.
-    pub fn stop_background(&self) {
-        if let Some(ticker) = self.0.as_ref().and_then(|inner| inner.ticker.get()) {
-            ticker.shutdown();
-        }
-    }
-
-    /// Snapshot of the cumulative folded profile; `None` without an
-    /// attached profiler.
-    pub fn prof_snapshot(&self) -> Option<ProfSnapshot> {
-        self.0
-            .as_ref()
-            .and_then(|inner| inner.prof.get())
-            .map(|core| core.snapshot())
-    }
-
-    /// On-demand capture: blocks the calling thread for `duration`,
-    /// sampling every `interval` into a fresh aggregate (the cumulative
-    /// profile is untouched). `None` without an attached profiler — the
-    /// live-stack mirroring the capture reads only exists once
-    /// [`Obs::attach_profiler`] has run.
-    pub fn capture_profile(&self, duration: Duration, interval: Duration) -> Option<ProfSnapshot> {
-        self.0
-            .as_ref()
-            .and_then(|inner| inner.prof.get())
-            .map(|core| core.capture(duration, interval))
+    /// The span profile: the phase tree folded into exact self time per
+    /// span path ([`FoldedProfile`]); `None` when disabled. Spans still
+    /// open contribute only their closed children.
+    pub fn profile(&self) -> Option<FoldedProfile> {
+        let inner = self.0.as_ref()?;
+        let spans = inner.spans.lock().unwrap().snapshot();
+        Some(FoldedProfile::from_spans(&spans))
     }
 
     /// Snapshot of every registered counter/gauge/histogram; `None` when
@@ -534,37 +412,6 @@ macro_rules! record {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The profiler core of an enabled handle with a profiler attached at
-    /// an hours-long interval, so its thread idles in 10 ms sleeps.
-    fn idle_profiler(obs: &Obs) -> &Arc<prof::ProfCore> {
-        obs.attach_profiler(Duration::from_secs(3600));
-        obs.0.as_ref().unwrap().prof.get().unwrap()
-    }
-
-    // The thread holds the only other reference to the profiler core and
-    // releases it as it finishes, so the counts below hold at once only
-    // if the stop joined the thread; a thread that was merely signalled
-    // still sleeps with its reference.
-    #[test]
-    fn stop_background_joins_the_thread() {
-        let obs = Obs::new_enabled();
-        let core = idle_profiler(&obs);
-        assert_eq!(Arc::strong_count(core), 2);
-        obs.stop_background();
-        assert_eq!(Arc::strong_count(core), 1, "thread still holds the core");
-    }
-
-    #[test]
-    fn dropping_the_last_handle_joins_the_thread() {
-        let obs = Obs::new_enabled();
-        let core = Arc::downgrade(idle_profiler(&obs));
-        let clone = obs.clone();
-        drop(obs);
-        assert!(core.upgrade().is_some(), "a clone keeps the profiler");
-        drop(clone);
-        assert!(core.upgrade().is_none(), "thread still holds the core");
-    }
 
     #[test]
     fn disabled_handle_is_inert_and_cheap() {

@@ -274,6 +274,7 @@ mod tests {
             spans: vec![SpanSnapshot {
                 name: "run",
                 seconds: 1.25,
+                nanos: 1_250_000_000,
                 count: 1,
                 children: vec![],
             }],

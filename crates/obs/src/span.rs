@@ -92,6 +92,7 @@ impl SpanTree {
                 SpanSnapshot {
                     name: node.name,
                     seconds: node.nanos as f64 / 1e9,
+                    nanos: node.nanos,
                     count: node.count,
                     children: self.snapshot_children(c),
                 }
@@ -109,6 +110,9 @@ pub struct SpanSnapshot {
     pub name: &'static str,
     /// Total seconds across all entries of this span (sum over `count`).
     pub seconds: f64,
+    /// The same total in exact nanoseconds (what the folded profile
+    /// subtracts, so self times never pick up float rounding).
+    pub nanos: u64,
     /// How many times the span was entered.
     pub count: u64,
     /// Nested spans, sorted by name for interleaving-independent output.
@@ -189,10 +193,6 @@ struct SpanGuard {
     node: usize,
     name: &'static str,
     start: Instant,
-    /// Whether enter mirrored a frame onto this thread's profiler live
-    /// stack (only then does drop pop one — the profiler may attach
-    /// while a span is already open).
-    profiled: bool,
 }
 
 impl Span {
@@ -213,16 +213,12 @@ impl Span {
         if let Some(rec) = obs.trace.get() {
             rec.record_current(name, "span", TraceKind::Begin);
         }
-        // Likewise for the sampling profiler: mirror the name onto this
-        // thread's sampler-visible live stack.
-        let profiled = crate::prof::on_span_enter(&obs, name);
         Span {
             inner: Some(SpanGuard {
                 obs,
                 node,
                 name,
                 start: Instant::now(),
-                profiled,
             }),
             _not_send: PhantomData,
         }
@@ -235,9 +231,6 @@ impl Drop for Span {
             let nanos = guard.start.elapsed().as_nanos() as u64;
             if let Some(rec) = guard.obs.trace.get() {
                 rec.record_current(guard.name, "span", TraceKind::End);
-            }
-            if guard.profiled {
-                crate::prof::on_span_exit(guard.obs.id);
             }
             pop_span(guard.obs.id, guard.node);
             guard.obs.spans.lock().unwrap().exit(guard.node, nanos);

@@ -295,9 +295,6 @@ impl FlightRecorder {
 
     pub(crate) fn scope(&self, trace: TraceId) -> TraceScope {
         push_trace(self.obs_id, trace.0);
-        // Keep the profiler's sampler-visible trace id in sync so samples
-        // taken inside this scope attribute to the request being served.
-        crate::prof::on_trace_update(self.obs_id);
         TraceScope {
             obs_id: Some(self.obs_id),
             _not_send: PhantomData,
@@ -352,7 +349,6 @@ impl Drop for TraceScope {
     fn drop(&mut self) {
         if let Some(obs_id) = self.obs_id.take() {
             pop_trace(obs_id);
-            crate::prof::on_trace_update(obs_id);
         }
     }
 }

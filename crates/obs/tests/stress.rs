@@ -3,12 +3,14 @@
 //! The counters promise *exact* aggregation — no lost updates — at any
 //! rayon thread count, and the span tree promises an
 //! interleaving-independent shape (same names, same counts, name-sorted
-//! children) no matter how the worker threads race. CI runs this file at
+//! children) no matter how the worker threads race, and so does the span
+//! profile folded from it. CI runs this file at
 //! `RAYON_NUM_THREADS=1` and `=8`; the pool-per-case tests below
 //! additionally pin 1/4/8-thread pools so the matrix holds even in a
 //! single CI invocation.
 
 use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 
 use asa_obs::{FlushReport, Obs};
 use proptest::prelude::*;
@@ -129,6 +131,108 @@ fn span_tree_shape_is_interleaving_independent() {
         let shape = run_span_program(threads, reps);
         assert_eq!(shape, reference, "{threads} threads x {reps} reps");
     }
+}
+
+/// Spins for `us` microseconds, so a span holds measurable time.
+fn busy(us: u64) {
+    let start = Instant::now();
+    while start.elapsed() < Duration::from_micros(us) {
+        std::hint::spin_loop();
+    }
+}
+
+/// A span program with every shape the fold must handle: a root closed
+/// on the calling thread, then nested spans on rayon workers (each task
+/// a root, since the calling thread holds no span while they run), a
+/// span re-entered inside itself, and a name that needs sanitizing.
+fn fold_program() -> (FlushReport, String) {
+    let obs = Obs::new_enabled();
+    {
+        let _run = obs.span("run");
+        let _setup = obs.span("setup");
+        busy(50);
+    }
+    (0..64u64).into_par_iter().for_each(|i| {
+        let _task = obs.span("task");
+        {
+            let _alpha = obs.span("alpha");
+            let _deep = obs.span("deep");
+            busy(10 + i % 7);
+        }
+        let _outer = obs.span("recurse");
+        let _inner = obs.span("recurse");
+        let _odd = obs.span("odd name;x");
+        busy(5);
+    });
+    let folded = obs.profile().unwrap().render();
+    (obs.flush().unwrap(), folded)
+}
+
+#[test]
+fn span_profile_folds_the_exact_tree() {
+    let (report, folded) = fold_program();
+    let lines: Vec<(&str, i64)> = folded
+        .lines()
+        .map(|line| {
+            let (key, us) = line.rsplit_once(' ').expect("`path value` line");
+            (key, us.parse::<i64>().expect("integer self time"))
+        })
+        .collect();
+    assert!(lines.iter().all(|&(_, us)| us >= 0), "{folded}");
+
+    // One line per phase-tree node, keyed by its walk path with the
+    // frames sanitized: `;` only between frames, no blanks anywhere.
+    let mut paths = Vec::new();
+    for root in &report.spans {
+        root.walk("", &mut |path, _| {
+            let frames: Vec<String> = path
+                .split('/')
+                .map(|f| f.replace(';', ":").replace(' ', "_"))
+                .collect();
+            paths.push(frames.join(";"));
+        });
+    }
+    let keys: Vec<&str> = lines.iter().map(|&(key, _)| key).collect();
+    assert_eq!(keys, paths);
+    assert!(
+        keys.contains(&"task;recurse;recurse;odd_name:x"),
+        "{keys:?}"
+    );
+    assert!(keys.iter().all(|k| !k.contains(' ')), "{keys:?}");
+
+    // Self times add back up to each root's exact total, within the 1 µs
+    // each line's truncation may drop.
+    for root in &report.spans {
+        let subtree: Vec<i64> = lines
+            .iter()
+            .filter(|(key, _)| *key == root.name || key.starts_with(&format!("{};", root.name)))
+            .map(|&(_, us)| us)
+            .collect();
+        let sum = subtree.iter().sum::<i64>() as f64;
+        let total_us = root.nanos as f64 / 1e3;
+        assert!(
+            (sum - total_us).abs() <= subtree.len() as f64,
+            "{}: self times sum to {sum} µs of {total_us} µs",
+            root.name
+        );
+        assert!(sum > 0.0, "{}", root.name);
+    }
+}
+
+#[test]
+fn span_profile_keys_are_interleaving_independent() {
+    // The ambient pool (`RAYON_NUM_THREADS`), then 8 threads: the self
+    // times differ run to run, the folded paths and their order do not.
+    let keys = |folded: &str| -> Vec<String> {
+        folded
+            .lines()
+            .map(|line| line.rsplit_once(' ').unwrap().0.to_string())
+            .collect()
+    };
+    let ambient = keys(&fold_program().1);
+    let eight = keys(&pool(8).install(|| fold_program().1));
+    assert_eq!(ambient, eight);
+    assert_eq!(ambient.len(), 8, "{ambient:?}");
 }
 
 #[test]

@@ -145,8 +145,9 @@ pub struct ServeConfig {
     /// [`Obs`] is enabled, the engine installs a panic hook at `start` and
     /// writes one JSON diagnostic bundle there on any panic and again on
     /// graceful [`shutdown`] (reason `"shutdown"`). The bundle carries the
-    /// flight-recorder drain, metric/resource snapshots, the folded
-    /// profile, and the engine's own `serve.shards` section.
+    /// flight-recorder drain, metric/resource snapshots, the span profile
+    /// (exact self µs per span path, with the spans closed by then), and
+    /// the engine's own `serve.shards` section.
     ///
     /// [`shutdown`]: ServeEngine::shutdown
     pub blackbox_out: Option<PathBuf>,

@@ -1,7 +1,7 @@
 //! Black-box flight-data acceptance: a deliberately panicked worker
 //! triggers the panic hook, which dumps one JSON diagnostic bundle with
 //! every layer present (flight recorder, metrics, resource snapshot,
-//! folded profile, engine sections); a later graceful
+//! span profile, engine sections); a later graceful
 //! shutdown overwrites it with a `"shutdown"`-reason bundle.
 //!
 //! The panic hook and the section table are process-global, so this file
@@ -29,11 +29,9 @@ fn forced_panic_then_shutdown_write_complete_bundles() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("blackbox.json");
 
-    // Every observability layer attached, the profiler on manual ticks
-    // (an hours-long interval) so the bundle contents are deterministic.
+    // Every observability layer attached.
     let obs = Obs::new_enabled();
     obs.attach_recorder(1 << 12);
-    obs.attach_profiler(Duration::from_secs(3600));
 
     let engine = ServeEngine::start(ServeConfig {
         shards: 1,
@@ -45,16 +43,17 @@ fn forced_panic_then_shutdown_write_complete_bundles() {
     });
 
     // Populate every layer: one real request (flight-recorder events,
-    // latency histograms) and a profiler tick with a span open (folded
-    // stacks).
+    // latency histograms), a span closed before the bundle is written
+    // (span profile) and its parent, still open when it is.
     let graph = two_triangles();
     let response = engine
         .submit(Request::interactive(Arc::clone(&graph)))
         .wait();
     assert!(response.outcome.result().is_some());
+    let open = obs.span("blackbox.test.open");
     {
         let _s = obs.span("blackbox.test.work");
-        assert!(obs.tick_profiler());
+        std::thread::sleep(Duration::from_millis(2));
     }
 
     // Arm the drill and submit: the worker that dequeues this job panics
@@ -80,24 +79,40 @@ fn forced_panic_then_shutdown_write_complete_bundles() {
     assert!(reason.starts_with("panic:"), "{reason}");
     assert!(reason.contains("blackbox drill"), "{reason}");
 
-    // Flight recorder: the completed request left begin/end event pairs.
+    // Flight recorder: the completed request left begin/end event pairs,
+    // and the still-open span a begin with no end.
     let threads = bundle["flight_recorder"]["threads"].as_array().unwrap();
-    let events: usize = threads
+    let events: Vec<&serde_json::Value> = threads
         .iter()
-        .map(|t| t["events"].as_array().unwrap().len())
-        .sum();
-    assert!(events > 0, "flight recorder drained empty");
-
-    // Folded profile: the ticked span is in there.
-    let prof = &bundle["profile"];
-    assert!(prof["samples"].as_u64().unwrap() >= 1, "{prof:?}");
-    let folded = prof["folded"].as_array().unwrap();
-    assert!(
-        folded
+        .flat_map(|t| t["events"].as_array().unwrap())
+        .collect();
+    assert!(!events.is_empty(), "flight recorder drained empty");
+    let kinds = |name: &str| -> Vec<&str> {
+        events
             .iter()
-            .any(|l| l.as_str().unwrap().contains("blackbox.test.work")),
-        "{folded:?}"
-    );
+            .filter(|e| e["name"] == name)
+            .map(|e| e["kind"].as_str().unwrap())
+            .collect()
+    };
+    assert_eq!(kinds("blackbox.test.open"), ["begin"]);
+    assert_eq!(kinds("blackbox.test.work"), ["begin", "end"]);
+
+    // Span profile: the closed span under its open parent, whose own
+    // time is not charged until it closes.
+    let prof = &bundle["profile"];
+    let folded: Vec<&str> = prof["folded"]
+        .as_array()
+        .unwrap()
+        .iter()
+        .map(|l| l.as_str().unwrap())
+        .collect();
+    let work = folded
+        .iter()
+        .find_map(|l| l.strip_prefix("blackbox.test.open;blackbox.test.work "))
+        .unwrap_or_else(|| panic!("closed span missing: {folded:?}"));
+    assert!(work.parse::<u64>().unwrap() >= 1_000, "{folded:?}");
+    assert!(folded.contains(&"blackbox.test.open 0"), "{folded:?}");
+    assert!(prof["total_us"].as_u64().unwrap() >= 1_000, "{prof:?}");
 
     // Resource + metrics snapshots render (metrics carry serve counters).
     assert!(bundle["metrics"]["counters"].as_array().is_some());
@@ -116,6 +131,8 @@ fn forced_panic_then_shutdown_write_complete_bundles() {
     let names: Vec<&str> = sections.iter().map(|(k, _)| k.as_str()).collect();
     assert_eq!(names, ["serve.shards"]);
     assert!(bundle.get("timeseries").is_none(), "no time-series store");
+
+    drop(open);
 
     // Graceful shutdown: remaining workers drain, the bundle is
     // overwritten with reason "shutdown", and the hook is disarmed.
