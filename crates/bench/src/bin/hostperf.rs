@@ -31,7 +31,10 @@
 //! accumulator path, scratch-pool hit rate), `trace.json` a Chrome trace
 //! for Perfetto, `metrics.prom` the final Prometheus exposition, and
 //! `prof.folded` / `prof.svg` the span profile (exact self µs per span
-//! path, folded from the phase tree, and its flamegraph). The hierarchical
+//! path, folded from the phase tree, and its flamegraph). The host-engine
+//! legs fold into `infomap` → `optimize` → `level` → `sweep` →
+//! `decide`/`apply` stacks; each hash reference leg is one `hash` stack,
+//! since that engine opens no spans of its own. The hierarchical
 //! phase-time summary prints at exit; `--progress` (`ASA_PROGRESS=1`)
 //! adds per-sweep heartbeat lines on stderr, and `ASA_METRICS_ADDR`
 //! serves the exposition live over HTTP.
@@ -52,7 +55,8 @@ use asa_graph::CsrGraph;
 use asa_infomap::driver::{run_with_engine, HashEngine};
 use asa_infomap::find_best::MoveDecision;
 use asa_infomap::kernel;
-use asa_infomap::local_move::{parallel_decide, ChunkScratch, ScratchPool, WorkerScratch};
+use asa_infomap::kernel::DualSpa;
+use asa_infomap::local_move::{parallel_decide, ChunkScratch, ScratchPool};
 use asa_infomap::schedule::{DecideEngine, SweepCtx};
 use asa_infomap::{detect_communities_cancellable, CancelToken, InfomapResult};
 use asa_obs::{record, Obs};
@@ -109,14 +113,17 @@ fn run_spa(graph: &CsrGraph, reps: usize, obs: &Obs) -> PathTiming {
     })
 }
 
-/// The hash reference engine, best of `reps`.
+/// The hash reference engine, best of `reps`, under one `hash` span of
+/// `obs`. The engine opens no sweep spans of its own, so the run inside
+/// gets a disabled handle and the span's self time is the whole leg.
 fn run_hash(graph: &CsrGraph, reps: usize, obs: &Obs) -> PathTiming {
+    let _sp = obs.span("hash");
     best_of(reps, "hash", || {
         run_with_engine(
             graph,
             &infomap_config(),
             &mut HashEngine::default(),
-            obs,
+            &Obs::disabled(),
             &CancelToken::none(),
         )
     })
@@ -175,7 +182,7 @@ fn obs_overhead_check(reps: usize) {
 /// those vertices scanned.
 #[derive(Default)]
 struct TimedScratch {
-    ws: WorkerScratch,
+    dual: DualSpa,
     ns: [u64; 3],
     vertices: u64,
     candidates: u64,
@@ -183,7 +190,7 @@ struct TimedScratch {
 
 impl ChunkScratch for TimedScratch {
     fn begin(&mut self, modules: usize) {
-        self.ws.begin(modules);
+        self.dual.begin(modules);
     }
 }
 
@@ -200,14 +207,14 @@ impl DecideEngine for PhaseTimedEngine {
         let symmetric = ctx.flow.is_symmetric();
         parallel_decide(ctx, &self.pool, |t, u| {
             let t0 = Instant::now();
-            t.ws.dual.accumulate(ctx.flow, ctx.labels, u);
+            t.dual.accumulate(ctx.flow, ctx.labels, u);
             let t1 = Instant::now();
-            t.ws.dual.gather(symmetric);
+            t.dual.gather(symmetric);
             let t2 = Instant::now();
             let my_module = ctx.labels[u as usize];
-            let lanes = t.ws.dual.lanes();
+            let lanes = t.dual.lanes();
             let candidates = lanes.keys.len() as u64;
-            let d = kernel::scan(ctx.flow, ctx.state, &mut t.ws.cache, u, my_module, lanes);
+            let d = kernel::scan(ctx.flow, ctx.state, u, my_module, lanes);
             let t3 = Instant::now();
             t.ns[0] += (t1 - t0).as_nanos() as u64;
             t.ns[1] += (t2 - t1).as_nanos() as u64;

@@ -33,8 +33,8 @@ use crate::config::InfomapConfig;
 use crate::driver::run_with_engine;
 use crate::find_best::MoveDecision;
 use crate::flow::FlowNetwork;
-use crate::kernel::find_best_community_vec;
-use crate::local_move::{decide_chunk, AppliedMoves, WorkerScratch};
+use crate::kernel::{find_best_community_vec, DualSpa};
+use crate::local_move::{decide_chunk, AppliedMoves};
 use crate::result::InfomapResult;
 use crate::schedule::{DecideEngine, SweepCtx};
 
@@ -72,7 +72,7 @@ impl CommStats {
 /// Each sweep block-partitions the level's vertices across `ranks`
 /// emulated processes (real threads); every rank runs the host kernel
 /// ([`find_best_community_vec`]) over its owned slice of the active set
-/// with its own [`WorkerScratch`], kept across sweeps. Because decisions
+/// with its own [`DualSpa`], kept across sweeps. Because decisions
 /// are per-vertex functions of frozen state and the schedule applies them
 /// in vertex order, the decision stream — and so the partition and
 /// codelength — is **bit-identical** to [`crate::driver::HostEngine`]'s.
@@ -93,7 +93,7 @@ pub struct DistEngine {
     layout_nodes: usize,
     ranges: Vec<std::ops::Range<usize>>,
     /// Per-rank kernel scratch and decision buffer, reused every sweep.
-    workers: Vec<(WorkerScratch, Vec<MoveDecision>)>,
+    workers: Vec<(DualSpa, Vec<MoveDecision>)>,
     /// `(messages, update_bytes)` at the previous sweep record, so
     /// convergence records carry per-sweep deltas.
     seen: Cell<(u64, u64)>,
@@ -196,14 +196,7 @@ impl DecideEngine for DistEngine {
                     let hi = ctx.active.partition_point(|&v| (v as usize) < range.end);
                     out.clear();
                     decide_chunk(ctx, &ctx.active[lo..hi], ws, out, |ws, u| {
-                        find_best_community_vec(
-                            ctx.flow,
-                            ctx.labels,
-                            ctx.state,
-                            u,
-                            &mut ws.dual,
-                            &mut ws.cache,
-                        )
+                        find_best_community_vec(ctx.flow, ctx.labels, ctx.state, u, ws)
                     });
                 });
             }

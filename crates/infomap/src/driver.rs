@@ -55,15 +55,8 @@ impl HostEngine {
 
 impl DecideEngine for HostEngine {
     fn decide(&mut self, ctx: &SweepCtx<'_>) -> Vec<MoveDecision> {
-        parallel_decide(ctx, &self.scratch, |ws, u| {
-            find_best_community_vec(
-                ctx.flow,
-                ctx.labels,
-                ctx.state,
-                u,
-                &mut ws.dual,
-                &mut ws.cache,
-            )
+        parallel_decide(ctx, &self.scratch, |dual, u| {
+            find_best_community_vec(ctx.flow, ctx.labels, ctx.state, u, dual)
         })
     }
 
@@ -86,7 +79,7 @@ impl DecideEngine for HostEngine {
             ));
         }
         // Kernel counter deltas: SPA touched-list clears (the O(touched)
-        // reset discipline) and scan-term cache effectiveness this sweep.
+        // reset discipline) this sweep.
         let k = self.scratch.kernel_stats();
         let seen = self.kernel_seen.get();
         self.kernel_seen.set(k);
@@ -98,12 +91,6 @@ impl DecideEngine for HostEngine {
             "spa_reset_entries",
             Value::from(k.spa_reset_entries - seen.spa_reset_entries),
         ));
-        let (df, dht) = (
-            k.term_cache_fills - seen.term_cache_fills,
-            k.term_cache_hits - seen.term_cache_hits,
-        );
-        fields.push(("term_cache_fills", Value::from(df)));
-        fields.push(("term_cache_hits", Value::from(dht)));
     }
 }
 

@@ -1,9 +1,9 @@
 //! The dual-SPA sweep kernel.
 //!
 //! This is the production `FindBestCommunity` fast path: a fused
-//! sparse-accumulator for both flow directions, SoA candidate lanes, a
-//! per-module scan-term cache and software prefetch. It is the one host
-//! sweep path; [`KERNEL_PATH`] names it.
+//! sparse-accumulator for both flow directions, SoA candidate lanes, and
+//! software prefetch. It is the one host sweep path; [`KERNEL_PATH`]
+//! names it.
 //!
 //! # Sweep kernel anatomy
 //!
@@ -18,8 +18,10 @@
 //!    compact `out_lane`/`in_lane` candidate lanes, and clear exactly the
 //!    touched stamps — O(touched), never O(communities).
 //! 3. **Scan** — evaluate the map-equation delta of each candidate with
-//!    [`MoveEval`] + [`ModTermCache`]: three `plogp` calls per candidate
-//!    instead of ten, bit-identical to [`MapState::delta_move`].
+//!    [`MoveEval`], which reads the candidate's statistics and its stored
+//!    `e`, `plogp(e)` and `plogp(e + p)` from one 64-byte [`MapState`]
+//!    record: three `plogp` calls per candidate instead of ten,
+//!    bit-identical to [`MapState::delta_move`].
 //!
 //! Every phase preserves the exact FP operation order of the generic
 //! event-emitting kernel ([`crate::find_best::find_best_community`], the
@@ -35,7 +37,7 @@ use asa_graph::NodeId;
 
 use crate::find_best::MoveDecision;
 use crate::flow::FlowNetwork;
-use crate::mapeq::{MapState, ModTermCache, ModuleFlows, MoveEval};
+use crate::mapeq::{MapState, ModuleFlows, MoveEval};
 
 /// The name of the one sweep kernel path, as bench output reports it.
 pub const KERNEL_PATH: &str = "spa-scalar";
@@ -333,7 +335,6 @@ pub struct Lanes<'a> {
 pub fn scan(
     flow: &FlowNetwork,
     state: &MapState,
-    cache: &mut ModTermCache,
     u: NodeId,
     my_module: u32,
     lanes: Lanes<'_>,
@@ -349,7 +350,7 @@ pub fn scan(
         Err(_) => ModuleFlows::default(),
     };
     let node = flow.node_summary(u);
-    let eval = MoveEval::new_cached(state, cache, my_module, &node, flows_old);
+    let eval = MoveEval::new(state, my_module, &node, flows_old);
 
     let mut best = MoveDecision {
         vertex: u,
@@ -357,12 +358,11 @@ pub fn scan(
         delta: 0.0,
     };
     for (i, &m) in keys.iter().enumerate() {
-        // Pull the per-module lines of an upcoming candidate early: each
-        // evaluation reads three MapState arrays plus the term-cache entry
-        // at a near-random module id, which misses at vertex level.
+        // Pull the record of an upcoming candidate early: each evaluation
+        // reads one MapState record at a near-random module id, which
+        // misses at vertex level.
         if let Some(&ahead) = keys.get(i + 2) {
             state.prefetch_module(ahead);
-            cache.prefetch(ahead);
         }
         if m == my_module {
             continue;
@@ -371,7 +371,7 @@ pub fn scan(
             out_flow: out[i],
             in_flow: in_[i],
         };
-        let delta = eval.delta(state, cache, m, mf);
+        let delta = eval.delta(state, m, mf);
         // Tie-break deterministically on module id so parallel and
         // sequential schedules agree (mirrors the generic kernel exactly).
         let improves =
@@ -397,11 +397,10 @@ pub fn find_best_community_vec(
     state: &MapState,
     u: NodeId,
     spa: &mut DualSpa,
-    cache: &mut ModTermCache,
 ) -> MoveDecision {
     spa.accumulate(flow, labels, u);
     spa.gather(flow.is_symmetric());
-    scan(flow, state, cache, u, labels[u as usize], spa.lanes())
+    scan(flow, state, u, labels[u as usize], spa.lanes())
 }
 
 #[cfg(test)]
@@ -438,8 +437,6 @@ mod tests {
         let mut scratch = FindBestScratch::default();
         let mut dual = DualSpa::default();
         dual.ensure_capacity(modules);
-        let mut cache = ModTermCache::default();
-        cache.begin(modules);
         for u in 0..flow.num_nodes() as u32 {
             let a = find_best_community(
                 flow,
@@ -450,7 +447,7 @@ mod tests {
                 &mut NullSink,
                 &mut scratch,
             );
-            let b = find_best_community_vec(flow, labels, &state, u, &mut dual, &mut cache);
+            let b = find_best_community_vec(flow, labels, &state, u, &mut dual);
             assert_eq!(a.vertex, b.vertex);
             assert_eq!(a.best_module, b.best_module, "u={u}");
             assert_eq!(
@@ -506,14 +503,12 @@ mod tests {
         let state = MapState::new(&flow, &Partition::singletons(200));
         let mut dual = DualSpa::default();
         dual.ensure_capacity(200);
-        let mut cache = ModTermCache::default();
-        cache.begin(200);
         let mut degree_sum = 0u64;
         for u in 0..200u32 {
             let (to, _) = flow.out_arc_slices(u);
             let (ti, _) = flow.in_arc_slices(u);
             degree_sum += (to.len() + ti.len()) as u64;
-            let _ = find_best_community_vec(&flow, &labels, &state, u, &mut dual, &mut cache);
+            let _ = find_best_community_vec(&flow, &labels, &state, u, &mut dual);
         }
         let (calls, entries) = dual.reset_stats();
         assert_eq!(calls, 200);

@@ -21,7 +21,7 @@ use rustc_hash::FxHashMap;
 use crate::find_best::{FindBestScratch, MoveDecision};
 use crate::flow::FlowNetwork;
 use crate::kernel::{self, DualSpa};
-use crate::mapeq::{module_flows_pair, MapState, ModTermCache};
+use crate::mapeq::{module_flows_pair, MapState};
 use crate::schedule::SweepCtx;
 
 /// Host-speed accumulator for uninstrumented runs: an `FxHashMap` with no
@@ -62,21 +62,12 @@ pub trait ChunkScratch: Default + Send {
 }
 
 /// Per-worker reusable state of the host kernel: the fused
-/// dual-direction [`DualSpa`] and the per-module scan-term cache.
-#[derive(Debug, Default)]
-pub struct WorkerScratch {
-    /// The kernel's dense accumulator (32 bytes × level nodes).
-    pub dual: DualSpa,
-    /// Scan-term cache, invalidated once per checkout.
-    pub cache: ModTermCache,
-}
-
-impl ChunkScratch for WorkerScratch {
+/// dual-direction accumulator (32 bytes × level nodes).
+impl ChunkScratch for DualSpa {
     fn begin(&mut self, modules: usize) {
-        // Module labels index the state arrays; the level's module count
+        // Module labels index the state records; the level's module count
         // bounds every key the kernel accumulates.
-        self.dual.ensure_capacity(modules);
-        self.cache.begin(modules);
+        self.ensure_capacity(modules);
     }
 }
 
@@ -89,7 +80,7 @@ impl ChunkScratch for (FastAccumulator, FindBestScratch) {}
 /// concurrently running chunk ever exists, and each is reused for the
 /// rest of the run.
 #[derive(Debug)]
-pub struct ScratchPool<W = WorkerScratch> {
+pub struct ScratchPool<W = DualSpa> {
     slots: Mutex<Vec<(W, Vec<MoveDecision>)>>,
     hits: std::sync::atomic::AtomicU64,
     misses: std::sync::atomic::AtomicU64,
@@ -148,20 +139,16 @@ impl<W: ChunkScratch> ScratchPool<W> {
     }
 }
 
-impl ScratchPool<WorkerScratch> {
+impl ScratchPool<DualSpa> {
     /// Aggregated kernel counters over every pooled scratch: the SPA
     /// touched-list clears (`reset_calls`/`reset_entries` — the O(touched)
-    /// discipline the obs layer asserts) and the scan-term cache's
-    /// `(fills, hits)`.
+    /// discipline the obs layer asserts).
     pub fn kernel_stats(&self) -> KernelCounters {
         let mut out = KernelCounters::default();
-        self.for_each(|ws| {
-            let (calls, entries) = ws.dual.reset_stats();
-            let (fills, hits) = ws.cache.stats();
+        self.for_each(|dual| {
+            let (calls, entries) = dual.reset_stats();
             out.spa_reset_calls += calls;
             out.spa_reset_entries += entries;
-            out.term_cache_fills += fills;
-            out.term_cache_hits += hits;
         });
         out
     }
@@ -176,10 +163,6 @@ pub struct KernelCounters {
     /// Stamp entries cleared — Σ touched-set sizes, proving resets are
     /// O(touched) rather than O(communities).
     pub spa_reset_entries: u64,
-    /// Scan-term cache misses (terms computed).
-    pub term_cache_fills: u64,
-    /// Scan-term cache hits (terms replayed).
-    pub term_cache_hits: u64,
 }
 
 /// Decides `vertices` (a sorted slice of `ctx.active`) with `decide`,

@@ -82,20 +82,42 @@ pub struct NodeSummary {
     pub in_total: f64,
 }
 
+/// One module's statistics and the scan terms derived from them, on one
+/// cache line: a candidate evaluation reads exactly this record.
+#[derive(Debug, Clone, Copy, Default)]
+#[repr(C, align(64))]
+struct ModuleRecord {
+    /// Link exit flow (teleport-free part).
+    link_exit: f64,
+    /// Total visit rate `p_i`.
+    flow: f64,
+    /// Original-vertex count.
+    nodes: u64,
+    /// Effective exit `e_i` of the three fields above.
+    e: f64,
+    /// `plogp(e_i)`.
+    plogp_e: f64,
+    /// `plogp(e_i + p_i)`.
+    plogp_ep: f64,
+}
+
 /// Module-level map-equation state for one level of the hierarchy.
+///
+/// Each module's record carries its effective exit and the two `plogp`
+/// terms the scan needs, and the state carries `plogp(q)`. Only this
+/// type's methods change a record's fields or `q`, and each rewrites the
+/// derived terms from them, so every stored term is the value a fresh
+/// evaluation gives, to the bit.
 #[derive(Debug, Clone)]
 pub struct MapState {
     mode: TeleportMode,
-    /// Link exit flow per module (teleport-free part).
-    mod_link_exit: Vec<f64>,
-    /// Total visit rate `p_i` per module.
-    mod_flow: Vec<f64>,
-    /// Original-vertex count per module.
-    mod_nodes: Vec<u64>,
+    records: Vec<ModuleRecord>,
     /// Total original-vertex count `n`.
     total_nodes: u64,
     /// `q = Σ_i q_i` over *effective* exits.
     total_exit: f64,
+    /// `plogp(q)`.
+    plogp_total_exit: f64,
     /// Partition-constant `Σ_α plogp(p_α)`.
     node_plogp: f64,
 }
@@ -135,39 +157,27 @@ impl MapState {
         if let TeleportMode::Recorded { tau } = mode {
             assert!((0.0..1.0).contains(&tau), "tau must be in [0,1)");
         }
-        let m = partition.num_communities();
-        let mut mod_link_exit = vec![0.0f64; m];
-        let mut mod_flow = vec![0.0f64; m];
-        let mut mod_nodes = vec![0u64; m];
+        let mut records = vec![ModuleRecord::default(); partition.num_communities()];
         for u in 0..flow.num_nodes() as u32 {
             let cu = partition.community_of(u) as usize;
-            mod_flow[cu] += flow.node_flow(u);
-            mod_nodes[cu] += flow.node_weight(u);
+            let r = &mut records[cu];
+            r.flow += flow.node_flow(u);
+            r.nodes += flow.node_weight(u);
             for (v, f) in flow.out_arcs(u) {
                 if partition.community_of(v) as usize != cu {
-                    mod_link_exit[cu] += f;
+                    r.link_exit += f;
                 }
             }
         }
-        let total_nodes: u64 = mod_nodes.iter().sum();
         let mut state = Self {
             mode,
-            mod_link_exit,
-            mod_flow,
-            mod_nodes,
-            total_nodes,
+            total_nodes: records.iter().map(|r| r.nodes).sum(),
+            records,
             total_exit: 0.0,
+            plogp_total_exit: 0.0,
             node_plogp,
         };
-        state.total_exit = (0..m)
-            .map(|i| {
-                state.effective_exit(
-                    state.mod_link_exit[i],
-                    state.mod_flow[i],
-                    state.mod_nodes[i],
-                )
-            })
-            .sum();
+        state.refresh_all();
         state
     }
 
@@ -187,46 +197,61 @@ impl MapState {
         factor: f64,
         node_plogp: f64,
     ) {
-        for exit in &mut self.mod_link_exit {
-            *exit *= factor;
+        for r in &mut self.records {
+            r.link_exit *= factor;
+            r.flow = 0.0;
         }
         for &(u, v) in changed {
             let m = partition.community_of(u);
             if m != partition.community_of(v) {
-                self.mod_link_exit[m as usize] +=
+                self.records[m as usize].link_exit +=
                     flow.arc_flow(u, v) - prev.arc_flow(u, v) * factor;
             }
         }
-        self.mod_flow.fill(0.0);
         for (u, &p) in flow.node_flows().iter().enumerate() {
-            self.mod_flow[partition.community_of(u as NodeId) as usize] += p;
+            self.records[partition.community_of(u as NodeId) as usize].flow += p;
         }
         self.node_plogp = node_plogp;
-        self.total_exit = self.sum_exits();
+        self.refresh_all();
     }
 
     /// Renumbers the modules: module `m` becomes `map[m]`, and a module
     /// `map` sends to `u32::MAX` or does not reach (an empty one) is
     /// dropped. This follows a [`Partition::compact_with_map`] of the
-    /// partition the state describes.
+    /// partition the state describes. Records move whole, terms and all.
     pub(crate) fn relabel(&mut self, map: &[u32], modules: usize) {
-        let mut link_exit = vec![0.0; modules];
-        let mut flow = vec![0.0; modules];
-        let mut nodes = vec![0; modules];
+        let mut records = vec![ModuleRecord::default(); modules];
         for (m, &to) in map.iter().enumerate().filter(|&(_, &to)| to != u32::MAX) {
-            link_exit[to as usize] = self.mod_link_exit[m];
-            flow[to as usize] = self.mod_flow[m];
-            nodes[to as usize] = self.mod_nodes[m];
+            records[to as usize] = self.records[m];
         }
-        self.mod_link_exit = link_exit;
-        self.mod_flow = flow;
-        self.mod_nodes = nodes;
-        self.total_exit = self.sum_exits();
+        self.records = records;
+        self.set_total_exit(self.records.iter().map(|r| r.e).sum());
     }
 
-    /// Σ of every module's effective exit, in module order.
-    fn sum_exits(&self) -> f64 {
-        (0..self.num_modules() as u32).map(|m| self.exit(m)).sum()
+    /// Rewrites module `m`'s derived terms from its own fields.
+    fn refresh(&mut self, m: usize) {
+        let r = self.records[m];
+        let e = self.effective_exit(r.link_exit, r.flow, r.nodes);
+        self.records[m] = ModuleRecord {
+            e,
+            plogp_e: plogp(e),
+            plogp_ep: plogp(e + r.flow),
+            ..r
+        };
+    }
+
+    /// Refreshes every record, then sets `q` to the Σ of the effective
+    /// exits in module order.
+    fn refresh_all(&mut self) {
+        for m in 0..self.records.len() {
+            self.refresh(m);
+        }
+        self.set_total_exit(self.records.iter().map(|r| r.e).sum());
+    }
+
+    fn set_total_exit(&mut self, q: f64) {
+        self.total_exit = q;
+        self.plogp_total_exit = plogp(q);
     }
 
     /// Effective exit probability of a module with link exit `link`, visit
@@ -242,9 +267,30 @@ impl MapState {
         }
     }
 
+    /// Panics unless every record's terms and the stored `plogp(q)` are,
+    /// to the bit, a fresh evaluation of the record's own fields and `q`.
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn assert_terms_fresh(&self) {
+        for (m, r) in self.records.iter().enumerate() {
+            let e = self.effective_exit(r.link_exit, r.flow, r.nodes);
+            let fresh = [e, plogp(e), plogp(e + r.flow)];
+            let stored = [r.e, r.plogp_e, r.plogp_ep];
+            assert_eq!(
+                stored.map(f64::to_bits),
+                fresh.map(f64::to_bits),
+                "module {m}: stored terms {stored:?}, fresh {fresh:?}"
+            );
+        }
+        assert_eq!(
+            self.plogp_total_exit.to_bits(),
+            plogp(self.total_exit).to_bits(),
+            "stored plogp(q) is stale"
+        );
+    }
+
     /// Number of module slots (some may be empty after moves).
     pub fn num_modules(&self) -> usize {
-        self.mod_link_exit.len()
+        self.records.len()
     }
 
     /// The teleport convention in use.
@@ -252,40 +298,39 @@ impl MapState {
         self.mode
     }
 
+    /// The partition-constant node term `Σ_α plogp(p_α)`.
+    #[cfg(debug_assertions)]
+    pub(crate) fn node_plogp(&self) -> f64 {
+        self.node_plogp
+    }
+
     /// Effective exit probability of module `m`.
     pub fn exit(&self, m: u32) -> f64 {
-        self.effective_exit(
-            self.mod_link_exit[m as usize],
-            self.mod_flow[m as usize],
-            self.mod_nodes[m as usize],
-        )
+        self.records[m as usize].e
     }
 
     /// Link-only exit flow of module `m` (excludes any teleport term).
     pub fn link_exit(&self, m: u32) -> f64 {
-        self.mod_link_exit[m as usize]
+        self.records[m as usize].link_exit
     }
 
-    /// Hints the cache hierarchy to pull module `m`'s entries in the three
-    /// per-module arrays the candidate evaluation reads.
+    /// Hints the cache hierarchy to pull module `m`'s record, the one line
+    /// a candidate evaluation reads.
     #[inline]
     pub fn prefetch_module(&self, m: u32) {
-        let i = m as usize;
-        if i < self.mod_link_exit.len() {
-            crate::kernel::prefetch_read(&self.mod_link_exit[i]);
-            crate::kernel::prefetch_read(&self.mod_flow[i]);
-            crate::kernel::prefetch_read(&self.mod_nodes[i]);
+        if let Some(r) = self.records.get(m as usize) {
+            crate::kernel::prefetch_read(r);
         }
     }
 
     /// Total visit rate of module `m`.
     pub fn flow(&self, m: u32) -> f64 {
-        self.mod_flow[m as usize]
+        self.records[m as usize].flow
     }
 
     /// Original-vertex count of module `m`.
     pub fn nodes(&self, m: u32) -> u64 {
-        self.mod_nodes[m as usize]
+        self.records[m as usize].nodes
     }
 
     /// Total effective exit flow `q`.
@@ -297,12 +342,11 @@ impl MapState {
     pub fn codelength(&self) -> f64 {
         let mut exit_sum = 0.0;
         let mut combined = 0.0;
-        for i in 0..self.mod_link_exit.len() {
-            let q = self.effective_exit(self.mod_link_exit[i], self.mod_flow[i], self.mod_nodes[i]);
-            exit_sum += plogp(q);
-            combined += plogp(q + self.mod_flow[i]);
+        for r in &self.records {
+            exit_sum += r.plogp_e;
+            combined += r.plogp_ep;
         }
-        plogp(self.total_exit) - 2.0 * exit_sum + combined - self.node_plogp
+        self.plogp_total_exit - 2.0 * exit_sum + combined - self.node_plogp
     }
 
     /// The `(link_exit', p', n')` of both touched modules after moving a
@@ -316,27 +360,17 @@ impl MapState {
         flows_old: ModuleFlows,
         flows_new: ModuleFlows,
     ) -> ((f64, f64, u64), (f64, f64, u64)) {
-        let (old, new) = (old as usize, new as usize);
+        let (o, n) = (&self.records[old as usize], &self.records[new as usize]);
         // Leaving `old`: the node's arcs to outside-old stop exiting from
         // old, while old's arcs into the node start exiting.
-        let link_o =
-            self.mod_link_exit[old] - (node.out_total - flows_old.out_flow) + flows_old.in_flow;
+        let link_o = o.link_exit - (node.out_total - flows_old.out_flow) + flows_old.in_flow;
         // Joining `new`: the node's arcs to outside-new now exit from new,
         // minus its arcs into new members; new's arcs into the node stop
         // exiting.
-        let link_n =
-            self.mod_link_exit[new] + (node.out_total - flows_new.out_flow) - flows_new.in_flow;
+        let link_n = n.link_exit + (node.out_total - flows_new.out_flow) - flows_new.in_flow;
         (
-            (
-                link_o,
-                self.mod_flow[old] - node.flow,
-                self.mod_nodes[old] - node.weight,
-            ),
-            (
-                link_n,
-                self.mod_flow[new] + node.flow,
-                self.mod_nodes[new] + node.weight,
-            ),
+            (link_o, o.flow - node.flow, o.nodes - node.weight),
+            (link_n, n.flow + node.flow, n.nodes + node.weight),
         )
     }
 
@@ -344,6 +378,10 @@ impl MapState {
     /// module `new`, where `flows_old` / `flows_new` are its accumulated
     /// flow exchanges with those modules (the node's own self-arcs are
     /// excluded by construction). Negative = improvement.
+    ///
+    /// Every term is computed here from the modules' link exit, flow and
+    /// node count, none read from the stored ones: this is the reference
+    /// [`MoveEval::delta`] and the stored terms are checked against.
     pub fn delta_move(
         &self,
         old: u32,
@@ -355,21 +393,13 @@ impl MapState {
         if old == new {
             return 0.0;
         }
-        let (q_o, p_o, n_o) = (
-            self.mod_link_exit[old as usize],
-            self.mod_flow[old as usize],
-            self.mod_nodes[old as usize],
-        );
-        let (q_n, p_n, n_n) = (
-            self.mod_link_exit[new as usize],
-            self.mod_flow[new as usize],
-            self.mod_nodes[new as usize],
-        );
+        let (o, n) = (&self.records[old as usize], &self.records[new as usize]);
+        let (p_o, p_n) = (o.flow, n.flow);
         let ((lo2, po2, no2), (ln2, pn2, nn2)) =
             self.moved_stats(old, new, node, flows_old, flows_new);
 
-        let e_o = self.effective_exit(q_o, p_o, n_o);
-        let e_n = self.effective_exit(q_n, p_n, n_n);
+        let e_o = self.effective_exit(o.link_exit, p_o, o.nodes);
+        let e_n = self.effective_exit(n.link_exit, p_n, n.nodes);
         let e_o2 = self.effective_exit(lo2, po2, no2);
         let e_n2 = self.effective_exit(ln2, pn2, nn2);
         let q_new = self.total_exit + (e_o2 - e_o) + (e_n2 - e_n);
@@ -385,7 +415,7 @@ impl MapState {
     }
 
     /// Applies the move that [`MapState::delta_move`] evaluated, updating
-    /// module statistics in O(1).
+    /// module statistics and their terms in O(1).
     pub fn apply_move(
         &mut self,
         old: u32,
@@ -397,17 +427,15 @@ impl MapState {
         if old == new {
             return;
         }
-        let e_o = self.exit(old);
-        let e_n = self.exit(new);
-        let ((lo2, po2, no2), (ln2, pn2, nn2)) =
-            self.moved_stats(old, new, node, flows_old, flows_new);
-        self.mod_link_exit[old as usize] = lo2;
-        self.mod_flow[old as usize] = po2;
-        self.mod_nodes[old as usize] = no2;
-        self.mod_link_exit[new as usize] = ln2;
-        self.mod_flow[new as usize] = pn2;
-        self.mod_nodes[new as usize] = nn2;
-        self.total_exit += (self.exit(old) - e_o) + (self.exit(new) - e_n);
+        let (e_o, e_n) = (self.exit(old), self.exit(new));
+        let (after_o, after_n) = self.moved_stats(old, new, node, flows_old, flows_new);
+        for (m, (link_exit, flow, nodes)) in [(old, after_o), (new, after_n)] {
+            let r = &mut self.records[m as usize];
+            (r.link_exit, r.flow, r.nodes) = (link_exit, flow, nodes);
+            self.refresh(m as usize);
+        }
+        let q = self.total_exit + (self.exit(old) - e_o) + (self.exit(new) - e_n);
+        self.set_total_exit(q);
     }
 }
 
@@ -417,107 +445,12 @@ pub fn codelength(flow: &FlowNetwork, partition: &Partition) -> f64 {
     MapState::new(flow, partition).codelength()
 }
 
-/// One module's cached scan terms: epoch stamp plus the three values the
-/// candidate evaluation needs. 32 bytes, so a lookup touches exactly one
-/// cache line (the SoA layout this replaced paid up to four misses per
-/// cold candidate).
-#[derive(Debug, Clone, Copy, Default)]
-#[repr(C)]
-struct TermEntry {
-    stamp: u64,
-    /// Effective exit `e_n`.
-    e: f64,
-    /// `plogp(e_n)`.
-    plogp_e: f64,
-    /// `plogp(e_n + p_n)`.
-    plogp_ep: f64,
-}
-
-/// Epoch-stamped cache of the candidate-module terms the scan re-derives
-/// for every evaluation: a module's effective exit `e_n`, `plogp(e_n)`,
-/// and `plogp(e_n + p_n)`. Within one sweep the [`MapState`] is frozen, so
-/// these depend only on the module id — the dominant `plogp` (log₂) cost
-/// of the scan is paid once per touched module per sweep chunk instead of
-/// once per candidate evaluation.
-///
-/// Also memoizes `plogp(q)` of the frozen total exit (identical for every
-/// vertex of a chunk) via [`ModTermCache::plogp_total_exit`].
-#[derive(Debug, Default)]
-pub struct ModTermCache {
-    entries: Vec<TermEntry>,
-    epoch: u64,
-    /// `plogp(total_exit)` for this epoch (`f64::NAN` = unset).
-    plogp_q: f64,
-    /// Modules whose terms were computed this epoch (lifetime count).
-    fills: u64,
-    /// Cache-hit lookups (lifetime count).
-    hits: u64,
-}
-
-impl ModTermCache {
-    /// Invalidates every cached term and admits module ids `0..modules`.
-    /// Call once per checkout against a frozen [`MapState`]; O(1) except
-    /// for growth (the epoch is 64-bit, so it never wraps in practice).
-    pub fn begin(&mut self, modules: usize) {
-        if self.entries.len() < modules {
-            self.entries.resize(modules, TermEntry::default());
-        }
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.entries.fill(TermEntry::default());
-            self.epoch = 1;
-        }
-        self.plogp_q = f64::NAN;
-    }
-
-    /// `plogp(q)` of the frozen state, computed once per epoch.
-    #[inline]
-    pub fn plogp_total_exit(&mut self, state: &MapState) -> f64 {
-        if self.plogp_q.is_nan() {
-            self.plogp_q = plogp(state.total_exit);
-        }
-        self.plogp_q
-    }
-
-    /// `(e_n, plogp(e_n), plogp(e_n + p_n))` of module `m` under `state`,
-    /// computed on first touch and replayed bit-identically afterwards
-    /// (the fill calls the exact same pure functions the uncached scan
-    /// would).
-    #[inline]
-    pub fn terms(&mut self, state: &MapState, m: u32) -> (f64, f64, f64) {
-        let entry = &mut self.entries[m as usize];
-        if entry.stamp != self.epoch {
-            entry.stamp = self.epoch;
-            let e_n = state.exit(m);
-            entry.e = e_n;
-            entry.plogp_e = plogp(e_n);
-            entry.plogp_ep = plogp(e_n + state.mod_flow[m as usize]);
-            self.fills += 1;
-        } else {
-            self.hits += 1;
-        }
-        (entry.e, entry.plogp_e, entry.plogp_ep)
-    }
-
-    /// Hints the cache hierarchy to pull module `m`'s entry line.
-    #[inline]
-    pub fn prefetch(&self, m: u32) {
-        if let Some(e) = self.entries.get(m as usize) {
-            crate::kernel::prefetch_read(e);
-        }
-    }
-
-    /// Lifetime `(fills, hits)` of the term cache.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.fills, self.hits)
-    }
-}
-
 /// Hoisted per-vertex state for one candidate scan: everything in
 /// [`MapState::delta_move`] that depends only on the vertex's current
 /// module and its accumulated `flows_old` is computed once here, so each
 /// candidate evaluation pays exactly three `plogp` calls (for `q_new`,
-/// `e_n2`, and `e_n2 + p_n2`) plus cached lookups.
+/// `e_n2`, and `e_n2 + p_n2`) and reads the candidate's other terms from
+/// its [`MapState`] record.
 ///
 /// **Bit-exactness contract:** [`MoveEval::delta`] reproduces
 /// [`MapState::delta_move`]'s result to the last ULP. Every arithmetic
@@ -546,100 +479,27 @@ pub struct MoveEval {
     plogp_old_before: f64,
 }
 
-/// The old-module terms a [`MoveEval`] freezes before scanning candidates:
-/// pure functions of the frozen `MapState`, so they can be computed fresh
-/// or served from a [`ModTermCache`] with bit-identical results.
-#[derive(Clone, Copy, Debug)]
-struct FrozenTerms {
-    e_o: f64,
-    plogp_e_o: f64,
-    plogp_old_before: f64,
-    plogp_total_exit: f64,
-}
-
 impl MoveEval {
     /// Hoists the old-module terms for vertex `node` currently in module
     /// `old` with accumulated exchange `flows_old`.
     pub fn new(state: &MapState, old: u32, node: &NodeSummary, flows_old: ModuleFlows) -> Self {
-        let e_o = state.exit(old);
-        Self::with_frozen_terms(
-            state,
-            old,
-            node,
-            flows_old,
-            FrozenTerms {
-                e_o,
-                plogp_e_o: plogp(e_o),
-                plogp_old_before: plogp(e_o + state.mod_flow[old as usize]),
-                plogp_total_exit: plogp(state.total_exit),
-            },
-        )
-    }
-
-    /// [`MoveEval::new`] with the frozen old-module terms and
-    /// `plogp(total_exit)` served from the per-chunk [`ModTermCache`]
-    /// instead of recomputed. The cached values come from the exact same
-    /// pure functions over the same frozen state, so the hoisted terms —
-    /// and therefore every delta — are bit-identical.
-    pub fn new_cached(
-        state: &MapState,
-        cache: &mut ModTermCache,
-        old: u32,
-        node: &NodeSummary,
-        flows_old: ModuleFlows,
-    ) -> Self {
-        let (e_o, plogp_e_o, plogp_old_before) = cache.terms(state, old);
-        let plogp_total_exit = cache.plogp_total_exit(state);
-        Self::with_frozen_terms(
-            state,
-            old,
-            node,
-            flows_old,
-            FrozenTerms {
-                e_o,
-                plogp_e_o,
-                plogp_old_before,
-                plogp_total_exit,
-            },
-        )
-    }
-
-    fn with_frozen_terms(
-        state: &MapState,
-        old: u32,
-        node: &NodeSummary,
-        flows_old: ModuleFlows,
-        terms: FrozenTerms,
-    ) -> Self {
-        let FrozenTerms {
-            e_o,
-            plogp_e_o,
-            plogp_old_before,
-            plogp_total_exit,
-        } = terms;
-        let o = old as usize;
-        let (q_o, p_o, n_o) = (
-            state.mod_link_exit[o],
-            state.mod_flow[o],
-            state.mod_nodes[o],
-        );
-        debug_assert_eq!(e_o.to_bits(), state.effective_exit(q_o, p_o, n_o).to_bits());
-        let link_o = q_o - (node.out_total - flows_old.out_flow) + flows_old.in_flow;
-        let po2 = p_o - node.flow;
-        let no2 = n_o - node.weight;
+        let o = &state.records[old as usize];
+        let link_o = o.link_exit - (node.out_total - flows_old.out_flow) + flows_old.in_flow;
+        let po2 = o.flow - node.flow;
+        let no2 = o.nodes - node.weight;
         let e_o2 = state.effective_exit(link_o, po2, no2);
         MoveEval {
             old,
             node_out_total: node.out_total,
             node_flow: node.flow,
             node_weight: node.weight,
-            plogp_total_exit,
-            old_exit_pair: 2.0 * (plogp(e_o2) - plogp_e_o),
-            base_q: state.total_exit + (e_o2 - e_o),
-            e_o,
+            plogp_total_exit: state.plogp_total_exit,
+            old_exit_pair: 2.0 * (plogp(e_o2) - o.plogp_e),
+            base_q: state.total_exit + (e_o2 - o.e),
+            e_o: o.e,
             e_o2,
             plogp_old_after: plogp(e_o2 + po2),
-            plogp_old_before,
+            plogp_old_before: o.plogp_ep,
         }
     }
 
@@ -652,34 +512,26 @@ impl MoveEval {
     /// Codelength delta (bits) of moving into module `new` with exchange
     /// `flows_new`; bit-identical to [`MapState::delta_move`].
     #[inline]
-    pub fn delta(
-        &self,
-        state: &MapState,
-        cache: &mut ModTermCache,
-        new: u32,
-        flows_new: ModuleFlows,
-    ) -> f64 {
+    pub fn delta(&self, state: &MapState, new: u32, flows_new: ModuleFlows) -> f64 {
         debug_assert_ne!(new, self.old);
-        let n = new as usize;
-        let (e_n, plogp_e_n, plogp_e_n_p_n) = cache.terms(state, new);
-        let link_n =
-            state.mod_link_exit[n] + (self.node_out_total - flows_new.out_flow) - flows_new.in_flow;
-        let pn2 = state.mod_flow[n] + self.node_flow;
-        let nn2 = state.mod_nodes[n] + self.node_weight;
+        let n = &state.records[new as usize];
+        let link_n = n.link_exit + (self.node_out_total - flows_new.out_flow) - flows_new.in_flow;
+        let pn2 = n.flow + self.node_flow;
+        let nn2 = n.nodes + self.node_weight;
         let e_n2 = state.effective_exit(link_n, pn2, nn2);
         // `q_new = q + (e_o2 − e_o) + (e_n2 − e_n)`: the first addition is
         // hoisted into `base_q`; the association order matches
         // `delta_move` exactly.
-        let q_new = self.base_q + (e_n2 - e_n);
+        let q_new = self.base_q + (e_n2 - n.e);
         debug_assert_eq!(
             q_new.to_bits(),
-            (state.total_exit + (self.e_o2 - self.e_o) + (e_n2 - e_n)).to_bits()
+            (state.total_exit + (self.e_o2 - self.e_o) + (e_n2 - n.e)).to_bits()
         );
-        plogp(q_new) - self.plogp_total_exit - self.old_exit_pair - 2.0 * (plogp(e_n2) - plogp_e_n)
+        plogp(q_new) - self.plogp_total_exit - self.old_exit_pair - 2.0 * (plogp(e_n2) - n.plogp_e)
             + self.plogp_old_after
             - self.plogp_old_before
             + plogp(e_n2 + pn2)
-            - plogp_e_n_p_n
+            - n.plogp_ep
     }
 }
 
@@ -922,8 +774,7 @@ mod tests {
     #[test]
     fn move_eval_bit_identical_to_delta_move() {
         // Undirected (symmetric flows) and directed pseudo-random graphs,
-        // both teleport modes, every (vertex, candidate) pair — and a
-        // second pass per vertex so cached term replay is exercised too.
+        // both teleport modes, every (vertex, candidate) pair, twice.
         let mut b = GraphBuilder::directed(12);
         let mut x = 17u64;
         for _ in 0..60 {
@@ -953,8 +804,6 @@ mod tests {
             ] {
                 let state = MapState::with_options(flow, partition, node_plogp, mode);
                 let m = partition.num_communities() as u32;
-                let mut cache = ModTermCache::default();
-                cache.begin(state.num_modules());
                 for u in 0..flow.num_nodes() as u32 {
                     let old = partition.community_of(u);
                     let node = flow.node_summary(u);
@@ -968,7 +817,7 @@ mod tests {
                             }
                             let mf = module_flows_of(flow, partition, u, new);
                             let a = state.delta_move(old, new, &node, flows_old, mf);
-                            let b = eval.delta(&state, &mut cache, new, mf);
+                            let b = eval.delta(&state, new, mf);
                             assert_eq!(
                                 a.to_bits(),
                                 b.to_bits(),
@@ -977,29 +826,81 @@ mod tests {
                         }
                     }
                 }
-                let (fills, hits) = cache.stats();
-                assert!(
-                    fills > 0 && hits > 0,
-                    "cache never replayed: {fills}/{hits}"
-                );
             }
         }
     }
 
     #[test]
-    fn mod_term_cache_invalidates_on_begin() {
-        let flow = two_triangles_flow();
-        let p1 = Partition::from_labels(vec![0, 0, 0, 1, 1, 1]);
-        let p2 = Partition::from_labels(vec![0, 1, 0, 1, 0, 1]);
-        let s1 = MapState::new(&flow, &p1);
-        let s2 = MapState::new(&flow, &p2);
-        let mut cache = ModTermCache::default();
-        cache.begin(s1.num_modules());
-        let t1 = cache.terms(&s1, 0);
-        cache.begin(s2.num_modules());
-        let t2 = cache.terms(&s2, 0);
-        assert_eq!(t2.0.to_bits(), s2.exit(0).to_bits());
-        assert_ne!(t1.0.to_bits(), t2.0.to_bits(), "stale term survived begin");
+    fn module_records_hold_fresh_terms_through_every_update() {
+        // Random moves, one patch and one relabel, both teleport modes:
+        // after each step every stored term is a fresh evaluation of its
+        // record's own fields, to the bit.
+        let (g, _) = planted_partition(
+            &PlantedConfig {
+                communities: 4,
+                community_size: 12,
+                k_in: 6.0,
+                k_out: 2.0,
+            },
+            5,
+        );
+        let cfg = InfomapConfig::default();
+        let flow = FlowNetwork::from_graph(&g, &cfg);
+        let n = flow.num_nodes() as u32;
+        for mode in [
+            TeleportMode::Unrecorded,
+            TeleportMode::Recorded { tau: 0.15 },
+        ] {
+            let mut partition = Partition::from_labels((0..n).map(|u| u % 7).collect());
+            let node_plogp: f64 = flow.node_flows().iter().copied().map(plogp).sum();
+            let mut state = MapState::with_options(&flow, &partition, node_plogp, mode);
+            state.assert_terms_fresh();
+            let mut x = 3u64;
+            let mut next = |bound: u32| {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                ((x >> 33) % bound as u64) as u32
+            };
+            // Moves into modules 0..3 only, enough to empty some of the
+            // other four.
+            for _ in 0..200 {
+                let (u, new) = (next(n), next(3));
+                let old = partition.community_of(u);
+                if old == new {
+                    continue;
+                }
+                let (fo, fn_) = module_flows_pair(&flow, &partition, u, old, new);
+                state.apply_move(old, new, &flow.node_summary(u), fo, fn_);
+                partition.assign(u, new);
+                state.assert_terms_fresh();
+            }
+
+            // Reweight one edge and patch, as a stream batch does: every
+            // module's link exit and flow is rescaled.
+            let e = g.out_neighbors(0).into_iter().next().unwrap();
+            let (v, w) = (e.target, e.weight);
+            let mut b = GraphBuilder::undirected(n as usize);
+            for (a, c, wa) in g.arcs().filter(|&(a, c, _)| a < c) {
+                b.add_edge(a, c, if (a, c) == (0, v) { wa + 5.0 } else { wa });
+            }
+            let g2 = b.build();
+            let factor = g.total_arc_weight() / g2.total_arc_weight();
+            let (changed, touched) = (vec![(0, v), (v, 0)], vec![0, v]);
+            let per_weight = 1.0 / g2.total_arc_weight();
+            assert!((flow.arc_flow(0, v) - w / g.total_arc_weight()).abs() < 1e-15);
+            let patched = flow.patched_undirected(&g2, &changed, &touched, per_weight, factor);
+            let patched_plogp = patched.node_flows().iter().copied().map(plogp).sum();
+            state.patch(&flow, &patched, &partition, &changed, factor, patched_plogp);
+            state.assert_terms_fresh();
+
+            let map = partition.compact_with_map();
+            assert!(partition.num_communities() < 7, "no module emptied");
+            state.relabel(&map, partition.num_communities());
+            state.assert_terms_fresh();
+            let fresh = MapState::with_options(&patched, &partition, patched_plogp, mode);
+            assert!((state.codelength() - fresh.codelength()).abs() < 1e-9);
+        }
     }
 
     #[test]

@@ -154,6 +154,8 @@ pub(crate) fn sweep_pass<E: DecideEngine>(
             apply_decisions(flow, partition, state, &decisions, cfg.min_improvement)
         };
         let dt = t.elapsed();
+        #[cfg(debug_assertions)]
+        audit_sweep(flow, partition, state, before, cfg.min_improvement);
         let ctx = SweepCtx {
             flow,
             labels: &labels,
@@ -203,6 +205,41 @@ pub(crate) fn sweep_pass<E: DecideEngine>(
     }
     info.codelength_after = state.codelength();
     (info, interrupted)
+}
+
+/// Relative tolerance of [`audit_sweep`]: a kept codelength may differ
+/// from a fresh evaluation by rounding only, including the rounding a
+/// stream's patched link exits carry.
+#[cfg(debug_assertions)]
+const AUDIT_EPS: f64 = 1e-9;
+
+/// The per-sweep audit of debug builds, run after each sweep's apply:
+/// every stored scan term is a fresh evaluation of its module's
+/// statistics, the kept codelength agrees with a fresh [`MapState`] on
+/// the same flow and partition, and (unless `min_improvement` lets moves
+/// cost bits) it is not above the pass's starting codelength `start`.
+/// Both comparisons allow [`AUDIT_EPS`] relative to the codelength.
+#[cfg(debug_assertions)]
+fn audit_sweep(
+    flow: &FlowNetwork,
+    partition: &Partition,
+    state: &MapState,
+    start: f64,
+    min_improvement: f64,
+) {
+    state.assert_terms_fresh();
+    let kept = state.codelength();
+    let fresh =
+        MapState::with_options(flow, partition, state.node_plogp(), state.mode()).codelength();
+    let tol = AUDIT_EPS * fresh.abs().max(1.0);
+    assert!(
+        (kept - fresh).abs() <= tol,
+        "sweep audit: kept codelength {kept} vs fresh {fresh}"
+    );
+    assert!(
+        min_improvement < 0.0 || kept <= start + tol,
+        "sweep audit: codelength rose from {start} to {kept}"
+    );
 }
 
 /// Runs the multilevel schedule over `flow0` with the given engine.

@@ -5,7 +5,7 @@
 //! this request?* The base policy is pure affinity — shard
 //! `fingerprint % shards` — so every request for a graph lands where that
 //! graph's working state (result-cache entries it recently produced,
-//! warm `ScratchPool` scratch, term caches, the CSR arrays themselves in
+//! warm `ScratchPool` scratch, the CSR arrays themselves in
 //! that worker's cache hierarchy) is already resident. Affinity is
 //! deterministic: at a fixed shard count the same fingerprint always has
 //! the same *home* shard.
