@@ -1,12 +1,13 @@
 //! Criterion benches of the individual Infomap kernels: PageRank, the map
-//! equation (full codelength + move delta), and the FindBestCommunity
-//! kernel on the host path.
+//! equation (full codelength + move delta), and the generic
+//! FindBestCommunity kernel over the Baseline hash table
+//! (`ChainedAccumulator`) with a null sink — the hash reference path.
 
 use asa_graph::generators::{synth_network, PaperNetwork};
 use asa_graph::Partition;
+use asa_hashsim::ChainedAccumulator;
 use asa_infomap::find_best::{find_best_community, FindBestScratch};
 use asa_infomap::flow::FlowNetwork;
-use asa_infomap::local_move::FastAccumulator;
 use asa_infomap::mapeq::{codelength, module_flows_of, MapState};
 use asa_infomap::pagerank::{pagerank, undirected_stationary};
 use asa_infomap::InfomapConfig;
@@ -54,7 +55,7 @@ fn bench_find_best(c: &mut Criterion) {
     let partition = Partition::singletons(flow.num_nodes());
     let state = MapState::new(&flow, &partition);
     let labels = partition.labels().to_vec();
-    let mut acc = FastAccumulator::default();
+    let mut acc = ChainedAccumulator::new();
     let mut scratch = FindBestScratch::default();
     let mut sink = NullSink;
 

@@ -3,7 +3,8 @@
 //! Times the three host kernels (PageRank, the `FindBestCommunity` sweeps,
 //! and `Convert2SuperNode`) on the dblp-like and pokec-like stand-ins, once
 //! through the production host engine and once through the hash reference
-//! engine (`HashEngine`: the generic kernel over `FastAccumulator`). Both
+//! engine (`HashEngine`: the generic kernel over `ChainedAccumulator`, the
+//! paper's Baseline hash table, with a null event sink). Both
 //! produce the identical decision stream, so partitions and codelengths
 //! must match bit-for-bit; the run asserts that before reporting the
 //! sweep-phase speedup.
@@ -33,8 +34,9 @@
 //! `prof.folded` / `prof.svg` the span profile (exact self µs per span
 //! path, folded from the phase tree, and its flamegraph). The host-engine
 //! legs fold into `infomap` → `optimize` → `level` → `sweep` →
-//! `decide`/`apply` stacks; each hash reference leg is one `hash` stack,
-//! since that engine opens no spans of its own. The hierarchical
+//! `decide`/`apply` stacks; each hash reference leg is one `hash` stack
+//! and each `--kernel-breakdown` leg one `breakdown` stack, since those
+//! engines open no spans of their own. The hierarchical
 //! phase-time summary prints at exit; `--progress` (`ASA_PROGRESS=1`)
 //! adds per-sweep heartbeat lines on stderr, and `ASA_METRICS_ADDR`
 //! serves the exposition live over HTTP.
@@ -338,7 +340,10 @@ fn main() {
         });
 
         if kernel_breakdown {
-            let leg = run_kernel_breakdown(&graph);
+            let leg = {
+                let _sp = obs.span("breakdown");
+                run_kernel_breakdown(&graph)
+            };
             // Phase timing is a pure observation: same bits as the hash path.
             assert_eq!(
                 hash.result.partition.labels(),

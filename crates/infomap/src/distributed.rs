@@ -7,10 +7,10 @@
 //! machine as a [`DecideEngine`], so the harness can report the
 //! communication volumes a cluster run would incur:
 //!
-//! * each level's vertices are block-partitioned across `ranks`; every
-//!   rank (a real thread) decides moves for its owned slice of the active
-//!   set on the host kernel, against the sweep's frozen labels — the ghost
-//!   state a cluster rank would hold after the previous exchange,
+//! * each level's vertices are block-partitioned across `ranks`; a rank
+//!   owns the moves of its slice of the active set, decided against the
+//!   sweep's frozen labels — the ghost state a cluster rank would hold
+//!   after the previous exchange,
 //! * a superstep is one sweep: the applied moves are announced as
 //!   `(vertex, new_label)` updates to every rank that borders the moved
 //!   vertex,
@@ -18,8 +18,10 @@
 //!   volume is counted.
 //!
 //! Decisions use frozen state (exactly like the shared-memory phase) and
-//! the schedule applies them in vertex order, so the partition matches the
-//! shared-memory optimizer's bit for bit.
+//! the schedule applies them in vertex order, so the ranks' decisions are
+//! the host engine's: the emulation runs the decide phase on
+//! [`HostEngine`], only the accounting follows the rank layout, and the
+//! partition matches the shared-memory optimizer's bit for bit.
 
 use std::cell::Cell;
 use std::time::Duration;
@@ -30,11 +32,10 @@ use serde::{Deserialize, Serialize};
 
 use crate::cancel::CancelToken;
 use crate::config::InfomapConfig;
-use crate::driver::run_with_engine;
+use crate::driver::{run_with_engine, HostEngine};
 use crate::find_best::MoveDecision;
 use crate::flow::FlowNetwork;
-use crate::kernel::{find_best_community_vec, DualSpa};
-use crate::local_move::{decide_chunk, AppliedMoves};
+use crate::local_move::AppliedMoves;
 use crate::result::InfomapResult;
 use crate::schedule::{DecideEngine, SweepCtx};
 
@@ -66,34 +67,32 @@ impl CommStats {
 }
 
 /// The distributed decision engine: a [`DecideEngine`] the multilevel
-/// schedule — and therefore a serving-engine shard — can run as its
-/// internal parallel phase.
+/// schedule runs as its per-level parallel phase, emulating `ranks`
+/// distributed processes.
 ///
-/// Each sweep block-partitions the level's vertices across `ranks`
-/// emulated processes (real threads); every rank runs the host kernel
-/// ([`find_best_community_vec`]) over its owned slice of the active set
-/// with its own [`DualSpa`], kept across sweeps. Because decisions
-/// are per-vertex functions of frozen state and the schedule applies them
-/// in vertex order, the decision stream — and so the partition and
-/// codelength — is **bit-identical** to [`crate::driver::HostEngine`]'s.
+/// Each sweep block-partitions the level's vertices across the ranks.
+/// Decisions are per-vertex functions of frozen state and the schedule
+/// applies them in vertex order, so the ranks' decisions are exactly the
+/// host engine's: the engine delegates the decide to an inner
+/// [`HostEngine`], and the decision stream — and so the partition and
+/// codelength — is **bit-identical** to a plain host run.
 ///
 /// What it adds is *accounting*: the communication a real cluster would
 /// incur — label-update messages to subscribing ranks, the per-superstep
 /// module-statistics all-reduce, and cut arcs per level layout —
 /// accumulates in a [`CommStats`] and streams through `obs` counters
-/// (`infomap.dist.*`), so a serving layer can export per-request
-/// communication cost next to its routing/steal counters.
+/// (`infomap.dist.*`).
 pub struct DistEngine {
     ranks: usize,
     obs: Obs,
     comm: CommStats,
+    /// The decide phase (its scratch pool is kept across sweeps).
+    host: HostEngine,
     /// Node count the cached rank layout was built for (`usize::MAX`
     /// before the first sweep). Levels re-partition lazily: refinement
     /// passes return to the vertex-level node count and reuse its layout.
     layout_nodes: usize,
     ranges: Vec<std::ops::Range<usize>>,
-    /// Per-rank kernel scratch and decision buffer, reused every sweep.
-    workers: Vec<(DualSpa, Vec<MoveDecision>)>,
     /// `(messages, update_bytes)` at the previous sweep record, so
     /// convergence records carry per-sweep deltas.
     seen: Cell<(u64, u64)>,
@@ -131,9 +130,9 @@ impl DistEngine {
             ranks,
             obs: obs.clone(),
             comm: CommStats::default(),
+            host: HostEngine::default(),
             layout_nodes: usize::MAX,
             ranges: Vec::new(),
-            workers: (0..ranks).map(|_| Default::default()).collect(),
             seen: Cell::new((0, 0)),
             c_messages: obs.counter("infomap.dist.messages"),
             c_update_bytes: obs.counter("infomap.dist.update_bytes"),
@@ -185,26 +184,7 @@ impl DecideEngine for DistEngine {
         self.c_allreduce_bytes.add(allreduce);
         self.g_allreduce_step.set(allreduce);
 
-        // Rank-parallel decision phase: each rank owns a contiguous slice
-        // of the (sorted) active set. Ranges ascend, so the concatenated
-        // per-rank outputs are already in vertex order — the ordering the
-        // schedule's apply step requires.
-        std::thread::scope(|scope| {
-            for (range, (ws, out)) in self.ranges.iter().zip(self.workers.iter_mut()) {
-                scope.spawn(move || {
-                    let lo = ctx.active.partition_point(|&v| (v as usize) < range.start);
-                    let hi = ctx.active.partition_point(|&v| (v as usize) < range.end);
-                    out.clear();
-                    decide_chunk(ctx, &ctx.active[lo..hi], ws, out, |ws, u| {
-                        find_best_community_vec(ctx.flow, ctx.labels, ctx.state, u, ws)
-                    });
-                });
-            }
-        });
-        self.workers
-            .iter()
-            .flat_map(|(_, out)| out.iter().copied())
-            .collect()
+        self.host.decide(ctx)
     }
 
     fn after_sweep(&mut self, ctx: &SweepCtx<'_>, applied: &AppliedMoves, _elapsed: Duration) {
@@ -250,11 +230,10 @@ impl DecideEngine for DistEngine {
 }
 
 /// Full multilevel community detection with the distributed engine as the
-/// per-level parallel phase: the entry point a serving-engine shard uses
-/// when configured for rank-partitioned execution. Returns the result —
-/// bit-identical in partition and codelength to
-/// [`crate::detect_communities_cancellable`] — plus the communication
-/// accounting a cluster run of the same schedule would incur.
+/// per-level parallel phase. Returns the result — bit-identical in
+/// partition and codelength to [`crate::detect_communities_cancellable`] —
+/// plus the communication accounting a cluster run of the same schedule
+/// would incur.
 pub fn detect_communities_distributed_cancellable(
     graph: &CsrGraph,
     cfg: &InfomapConfig,
@@ -320,6 +299,29 @@ mod tests {
                 assert_eq!(comm.update_bytes, 8 * comm.messages);
                 assert!(comm.cut_arcs > 0);
             }
+        }
+    }
+
+    #[test]
+    fn comm_stats_are_pinned() {
+        // The accounting is a pure function of the schedule and the rank
+        // layout: (supersteps, messages, update bytes, all-reduce bytes,
+        // cut arcs) on the planted graph, per rank count.
+        let g = planted_graph();
+        for (ranks, pin) in [
+            (1usize, (16usize, 0u64, 0u64, 61_824u64, 0u64)),
+            (3, (16, 190, 1_520, 185_472, 436)),
+            (4, (16, 313, 2_504, 247_296, 1_034)),
+        ] {
+            let (_, c) = run(&g, ranks, &CancelToken::none());
+            let got = (
+                c.supersteps,
+                c.messages,
+                c.update_bytes,
+                c.allreduce_bytes,
+                c.cut_arcs,
+            );
+            assert_eq!(got, pin, "ranks={ranks}");
         }
     }
 

@@ -7,6 +7,7 @@ use std::cell::Cell;
 use std::time::Instant;
 
 use asa_graph::CsrGraph;
+use asa_hashsim::ChainedAccumulator;
 use asa_obs::{Obs, Value};
 use asa_simarch::events::NullSink;
 
@@ -15,7 +16,7 @@ use crate::config::InfomapConfig;
 use crate::find_best::{find_best_community, FindBestScratch, MoveDecision};
 use crate::flow::FlowNetwork;
 use crate::kernel::find_best_community_vec;
-use crate::local_move::{parallel_decide, FastAccumulator, KernelCounters, ScratchPool};
+use crate::local_move::{parallel_decide, KernelCounters, ScratchPool};
 use crate::result::InfomapResult;
 use crate::schedule::{optimize_multilevel_cancellable, DecideEngine, SweepCtx};
 
@@ -95,14 +96,16 @@ impl DecideEngine for HostEngine {
 }
 
 /// The hash reference engine: the generic kernel
-/// ([`find_best_community`]) over the [`FastAccumulator`] hash table —
-/// the paper's Algorithm 1 on the host — through the same chunk driver as
-/// [`HostEngine`]. Never selected by configuration: callers construct it
-/// explicitly as the equivalence oracle and as the baseline the host
-/// kernel is benchmarked against.
+/// ([`find_best_community`]) over [`ChainedAccumulator`], the
+/// `std::unordered_map` model the simulated Baseline runs, with a null
+/// event sink — the paper's Algorithm 1 on the host — through the same
+/// chunk driver as [`HostEngine`]. Never selected by configuration:
+/// callers construct it explicitly as the equivalence oracle, as the
+/// baseline the host kernel is benchmarked against, and as the Native
+/// column of Tables III/IV ([`crate::instrumented::native_infomap`]).
 #[derive(Debug, Default)]
 pub struct HashEngine {
-    scratch: ScratchPool<(FastAccumulator, FindBestScratch)>,
+    scratch: ScratchPool<(ChainedAccumulator, FindBestScratch)>,
 }
 
 impl DecideEngine for HashEngine {
@@ -126,7 +129,8 @@ impl DecideEngine for HashEngine {
 /// assembles the [`InfomapResult`]. Spans `infomap` → `pagerank` /
 /// `optimize` go to `obs`; `cancel` is polled at every sweep boundary.
 /// Every host-side entry point ([`detect_communities_cancellable`], the
-/// distributed engine, the hash reference) goes through here.
+/// distributed engine, the hash reference and the Native column) goes
+/// through here.
 pub fn run_with_engine<E: DecideEngine>(
     graph: &CsrGraph,
     cfg: &InfomapConfig,

@@ -11,7 +11,10 @@
 //! plugging in [`asa_accel::AsaAccumulator`] yields Algorithm 2 (ASA).
 //! Everything outside the device — neighbour iteration, module-id loads,
 //! candidate evaluation — is charged to the sink identically for both, so
-//! simulated differences come only from the device.
+//! simulated differences come only from the device. Over
+//! `ChainedAccumulator` with a `NullSink` nothing is charged: that is the
+//! host's hash reference ([`crate::driver::HashEngine`]) and the Native
+//! column of Tables III/IV ([`crate::instrumented::native_infomap`]).
 
 use asa_graph::NodeId;
 use asa_simarch::accum::FlowAccumulator;

@@ -10,6 +10,10 @@
 //! are not charged — the paper's simulated numbers likewise cover the
 //! `FindBestCommunity` kernel ("Timing breakdown of the simulated kernel
 //! (FindBestCommunity)", Fig. 7).
+//!
+//! [`native_infomap`] is the paper's Native column beside it: the same
+//! Baseline hash table with a null sink, run on the host's chunk driver
+//! through the hash reference engine.
 
 use std::ops::Range;
 use std::time::Instant;
@@ -19,7 +23,7 @@ use asa_graph::{CsrGraph, Partition};
 use asa_hashsim::{ChainedAccumulator, LinearProbeAccumulator};
 use asa_obs::{Obs, Value};
 use asa_simarch::accum::FlowAccumulator;
-use asa_simarch::events::{phase, EventSink, NullSink};
+use asa_simarch::events::phase;
 use asa_simarch::machine::block_partition_into;
 use asa_simarch::{CoreModel, KernelReport, MachineConfig};
 use rayon::prelude::*;
@@ -27,23 +31,11 @@ use serde::{Deserialize, Serialize};
 
 use crate::cancel::CancelToken;
 use crate::config::InfomapConfig;
+use crate::driver::{run_with_engine, HashEngine};
 use crate::find_best::{find_best_community, FindBestScratch, MoveDecision};
 use crate::flow::FlowNetwork;
 use crate::result::InfomapResult;
 use crate::schedule::{optimize_multilevel_cancellable, DecideEngine, SweepCtx};
-
-/// Concatenates per-rank decision buffers in rank order. The ranks hold
-/// contiguous slices of the (sorted) active set, so concatenation keeps
-/// the stream ordered by vertex — identical to the flatten-collect it
-/// replaces, without freeing the buffers.
-fn concat_decisions(outs: &mut [Vec<MoveDecision>]) -> Vec<MoveDecision> {
-    let total = outs.iter().map(Vec::len).sum();
-    let mut all = Vec::with_capacity(total);
-    for out in outs {
-        all.append(out);
-    }
-    all
-}
 
 /// Which accumulation device the simulated cores use.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -273,143 +265,26 @@ pub fn simulate_infomap_obs(
     }
 }
 
-/// Wall-clock ("native") execution of the same kernel schedule.
-#[derive(Debug, Clone)]
-pub struct NativeRun {
-    /// Seconds per sweep (all levels, in execution order).
-    pub sweep_seconds: Vec<f64>,
-    /// Active vertices per sweep.
-    pub sweep_active: Vec<usize>,
-    /// Final partition.
-    pub partition: Partition,
-    /// Final codelength.
-    pub codelength: f64,
-}
-
-/// Runs the identical kernel schedule *natively*: the same per-core device
-/// data structures but a [`NullSink`], measured with
-/// wall-clock timers on `cores` host threads. This is the "Native" column
-/// of the paper's Tables III/IV — the same binary run without the
-/// simulator.
-pub fn native_infomap(
-    graph: &CsrGraph,
-    icfg: &InfomapConfig,
-    cores: usize,
-    device: Device,
-) -> NativeRun {
-    let flow = FlowNetwork::from_graph(graph, icfg);
-    let result = run_native(&flow, icfg, device, cores);
-    // The schedule records each sweep's decide+apply wall time and active
-    // count per level, in execution order.
-    let sweeps = || result.levels.iter();
-    NativeRun {
-        sweep_seconds: sweeps()
-            .flat_map(|l| l.sweep_seconds.iter().copied())
-            .collect(),
-        sweep_active: sweeps()
-            .flat_map(|l| l.sweep_active.iter().copied())
-            .collect(),
-        partition: result.partition,
-        codelength: result.codelength,
-    }
-}
-
-/// Runs the per-core decide loop in parallel: rank `i` evaluates
-/// `active[ranges[i]]` against its private accumulator and event sink.
-/// Shared by the native engine (null sinks) and the simulated engine
-/// (core models).
-fn decide_parallel<A: FlowAccumulator + Send, S: EventSink + Send>(
-    ctx: &SweepCtx<'_>,
-    ranges: &[Range<usize>],
-    sinks: &mut [S],
-    accs: &mut [A],
-    scratches: &mut [FindBestScratch],
-    outs: &mut [Vec<MoveDecision>],
-) {
-    let (flow, labels, state, active) = (ctx.flow, ctx.labels, ctx.state, ctx.active);
-    sinks
-        .par_iter_mut()
-        .zip(accs.par_iter_mut())
-        .zip(scratches.par_iter_mut())
-        .zip(outs.par_iter_mut())
-        .enumerate()
-        .for_each(|(i, (((sink, acc), scratch), out))| {
-            out.clear();
-            for &u in &active[ranges[i].clone()] {
-                let d = find_best_community(flow, labels, state, u, acc, sink, scratch);
-                if d.best_module != labels[u as usize] {
-                    out.push(d);
-                }
-            }
-        });
-}
-
-/// Native engine: one host thread per emulated core, each deciding its
-/// block of the active set against a private device and a null sink.
-struct NativeEngine<A> {
-    pool: rayon::ThreadPool,
-    accs: Vec<A>,
-    sinks: Vec<NullSink>,
-    scratches: Vec<FindBestScratch>,
-    outs: Vec<Vec<MoveDecision>>,
-    ranges: Vec<Range<usize>>,
-}
-
-impl<A: FlowAccumulator + Send> DecideEngine for NativeEngine<A> {
-    fn decide(&mut self, ctx: &SweepCtx<'_>) -> Vec<MoveDecision> {
-        block_partition_into(ctx.active.len(), self.accs.len(), &mut self.ranges);
-        let (ranges, sinks) = (&self.ranges, &mut self.sinks);
-        let (accs, scratches, outs) = (&mut self.accs, &mut self.scratches, &mut self.outs);
-        self.pool
-            .install(|| decide_parallel(ctx, ranges, sinks, accs, scratches, outs));
-        concat_decisions(outs)
-    }
-}
-
-/// Runs the full schedule on a [`NativeEngine`] with `cores` pool threads
-/// and one `device` accumulator per core.
-fn run_native(
-    flow: &FlowNetwork,
-    icfg: &InfomapConfig,
-    device: Device,
-    cores: usize,
-) -> InfomapResult {
-    fn run<A: FlowAccumulator + Send>(
-        flow: &FlowNetwork,
-        icfg: &InfomapConfig,
-        accs: Vec<A>,
-    ) -> InfomapResult {
-        let cores = accs.len();
-        let mut engine = NativeEngine {
-            pool: rayon::ThreadPoolBuilder::new()
-                .num_threads(cores)
-                .build()
-                .expect("thread pool"),
-            accs,
-            sinks: vec![NullSink; cores],
-            scratches: (0..cores).map(|_| FindBestScratch::default()).collect(),
-            outs: vec![Vec::new(); cores],
-            ranges: Vec::with_capacity(cores),
-        };
-        optimize_multilevel_cancellable(flow, icfg, &mut engine, &CancelToken::none())
-    }
-    match device {
-        Device::SoftwareHash => run(
-            flow,
-            icfg,
-            (0..cores).map(|_| ChainedAccumulator::new()).collect(),
-        ),
-        Device::LinearProbe => run(
-            flow,
-            icfg,
-            (0..cores).map(|_| LinearProbeAccumulator::new()).collect(),
-        ),
-        Device::Asa(cfg) => run(
-            flow,
-            icfg,
-            (0..cores).map(|_| AsaAccumulator::new(cfg)).collect(),
-        ),
-    }
+/// The "Native" column of the paper's Tables III/IV: the same kernel
+/// schedule run on the host without the simulator — the hash reference
+/// ([`HashEngine`]: the generic kernel over the [`ChainedAccumulator`] the
+/// simulated Baseline charges, with a null sink) on a `cores`-thread pool,
+/// timed by wall clock. Per-iteration times are the result's
+/// `levels[..].sweep_seconds`.
+pub fn native_infomap(graph: &CsrGraph, icfg: &InfomapConfig, cores: usize) -> InfomapResult {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(cores)
+        .build()
+        .expect("thread pool")
+        .install(|| {
+            run_with_engine(
+                graph,
+                icfg,
+                &mut HashEngine::default(),
+                &Obs::disabled(),
+                &CancelToken::none(),
+            )
+        })
 }
 
 /// Simulated engine: each emulated core decides its share of the active
@@ -432,11 +307,32 @@ impl<A: FlowAccumulator + Send> DecideEngine for SimEngine<A> {
     fn decide(&mut self, ctx: &SweepCtx<'_>) -> Vec<MoveDecision> {
         block_partition_into(ctx.active.len(), self.cores.len(), &mut self.ranges);
         let start = Instant::now();
-        let (ranges, cores, accs) = (&self.ranges, &mut self.cores, &mut self.accs);
-        let (scratches, outs) = (&mut self.scratches, &mut self.outs);
-        decide_parallel(ctx, ranges, cores, accs, scratches, outs);
+        let (flow, labels, state, active) = (ctx.flow, ctx.labels, ctx.state, ctx.active);
+        let ranges = &self.ranges;
+        self.cores
+            .par_iter_mut()
+            .zip(self.accs.par_iter_mut())
+            .zip(self.scratches.par_iter_mut())
+            .zip(self.outs.par_iter_mut())
+            .enumerate()
+            .for_each(|(i, (((core, acc), scratch), out))| {
+                out.clear();
+                for &u in &active[ranges[i].clone()] {
+                    let d = find_best_community(flow, labels, state, u, acc, core, scratch);
+                    if d.best_module != labels[u as usize] {
+                        out.push(d);
+                    }
+                }
+            });
         self.sim_seconds += start.elapsed().as_secs_f64();
-        concat_decisions(outs)
+        // Core `i` holds the `i`-th contiguous slice of the sorted active
+        // set, so the buffers concatenated in core order stay ordered by
+        // vertex.
+        let mut all = Vec::with_capacity(self.outs.iter().map(Vec::len).sum());
+        for out in &mut self.outs {
+            all.append(out);
+        }
+        all
     }
 
     fn after_sweep(

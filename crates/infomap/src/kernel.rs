@@ -408,9 +408,9 @@ mod tests {
     use super::*;
     use crate::config::InfomapConfig;
     use crate::find_best::{find_best_community, FindBestScratch};
-    use crate::local_move::FastAccumulator;
     use asa_graph::generators::{planted_partition, PlantedConfig};
     use asa_graph::{GraphBuilder, Partition};
+    use asa_hashsim::ChainedAccumulator;
     use asa_simarch::events::NullSink;
 
     fn directed_flow(n: u32, arcs: u32, seed: u64) -> FlowNetwork {
@@ -433,7 +433,7 @@ mod tests {
     /// kernel's over the hash accumulator, to the bit.
     fn check_vec_matches_generic(flow: &FlowNetwork, labels: &[u32], modules: usize) {
         let state = MapState::new(flow, &Partition::from_labels(labels.to_vec()));
-        let mut acc = FastAccumulator::default();
+        let mut acc = ChainedAccumulator::new();
         let mut scratch = FindBestScratch::default();
         let mut dual = DualSpa::default();
         dual.ensure_capacity(modules);

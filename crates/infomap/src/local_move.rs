@@ -13,43 +13,14 @@
 use std::sync::Mutex;
 
 use asa_graph::{NodeId, Partition};
-use asa_simarch::accum::FlowAccumulator;
-use asa_simarch::events::EventSink;
+use asa_hashsim::ChainedAccumulator;
 use rayon::prelude::*;
-use rustc_hash::FxHashMap;
 
 use crate::find_best::{FindBestScratch, MoveDecision};
 use crate::flow::FlowNetwork;
 use crate::kernel::{self, DualSpa};
 use crate::mapeq::{module_flows_pair, MapState};
 use crate::schedule::SweepCtx;
-
-/// Host-speed accumulator for uninstrumented runs: an `FxHashMap` with no
-/// event emission. This is what the *algorithm* uses when we only care
-/// about the answer (and about wall-clock kernel timings, Fig. 2a).
-#[derive(Debug, Default)]
-pub struct FastAccumulator {
-    map: FxHashMap<u32, f64>,
-}
-
-impl FlowAccumulator for FastAccumulator {
-    fn begin<S: EventSink>(&mut self, _sink: &mut S) {
-        self.map.clear();
-    }
-
-    fn accumulate<S: EventSink>(&mut self, key: u32, value: f64, _sink: &mut S) {
-        *self.map.entry(key).or_insert(0.0) += value;
-    }
-
-    fn gather<S: EventSink>(&mut self, out: &mut Vec<(u32, f64)>, _sink: &mut S) {
-        out.clear();
-        out.extend(self.map.drain());
-    }
-
-    fn name(&self) -> &'static str {
-        "fast-host"
-    }
-}
 
 /// Per-worker state the chunk driver ([`parallel_decide`]) checks out of
 /// a [`ScratchPool`] once per chunk.
@@ -71,9 +42,9 @@ impl ChunkScratch for DualSpa {
     }
 }
 
-/// Scratch of the generic kernel over the hash accumulator: the
+/// Scratch of the generic kernel over the paper's Baseline hash table: the
 /// reference path ([`crate::driver::HashEngine`]).
-impl ChunkScratch for (FastAccumulator, FindBestScratch) {}
+impl ChunkScratch for (ChainedAccumulator, FindBestScratch) {}
 
 /// A checkout pool of chunk scratches (each with its decision buffer)
 /// shared across sweeps and levels. Sized lazily: at most one scratch per
@@ -165,26 +136,6 @@ pub struct KernelCounters {
     pub spa_reset_entries: u64,
 }
 
-/// Decides `vertices` (a sorted slice of `ctx.active`) with `decide`,
-/// appending the moving decisions to `out` in vertex order. The body of
-/// one [`parallel_decide`] chunk and of one distributed rank.
-pub(crate) fn decide_chunk<W: ChunkScratch>(
-    ctx: &SweepCtx<'_>,
-    vertices: &[NodeId],
-    ws: &mut W,
-    out: &mut Vec<MoveDecision>,
-    decide: impl Fn(&mut W, NodeId) -> MoveDecision,
-) {
-    ws.begin(ctx.state.num_modules());
-    for (i, &u) in vertices.iter().enumerate() {
-        kernel::prefetch_ahead(ctx.flow, ctx.labels, vertices, i);
-        let d = decide(ws, u);
-        if d.best_module != ctx.labels[u as usize] {
-            out.push(d);
-        }
-    }
-}
-
 fn decide_chunk_size(active_len: usize) -> usize {
     (active_len / (rayon::current_num_threads() * 8)).max(512)
 }
@@ -208,7 +159,14 @@ where
     ctx.active.par_chunks(chunk).for_each(|vertices| {
         let (mut ws, mut out) = pool.checkout();
         out.clear();
-        decide_chunk(ctx, vertices, &mut ws, &mut out, &decide);
+        ws.begin(ctx.state.num_modules());
+        for (i, &u) in vertices.iter().enumerate() {
+            kernel::prefetch_ahead(ctx.flow, ctx.labels, vertices, i);
+            let d = decide(&mut ws, u);
+            if d.best_module != ctx.labels[u as usize] {
+                out.push(d);
+            }
+        }
         if !out.is_empty() {
             collected.lock().unwrap().extend_from_slice(&out);
         }
@@ -472,26 +430,5 @@ mod tests {
         assert!(mark.iter().all(|&m| !m), "bitmap must be reset");
         next_active_into(&flow, &[4], &mut mark, &mut out);
         assert_eq!(out, vec![3, 4, 5]);
-    }
-
-    #[test]
-    fn fast_accumulator_contract() {
-        use asa_simarch::accum::{FlowAccumulator, OracleAccumulator};
-        use asa_simarch::events::NullSink;
-        let mut fast = FastAccumulator::default();
-        let mut oracle = OracleAccumulator::default();
-        let mut sink = NullSink;
-        fast.begin(&mut sink);
-        oracle.begin(&mut sink);
-        for (k, v) in [(4u32, 1.0), (2, 0.5), (4, 2.0)] {
-            fast.accumulate(k, v, &mut sink);
-            oracle.accumulate(k, v, &mut sink);
-        }
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        fast.gather(&mut a, &mut sink);
-        oracle.gather(&mut b, &mut sink);
-        a.sort_unstable_by_key(|&(k, _)| k);
-        assert_eq!(a, b);
     }
 }

@@ -1,10 +1,12 @@
 //! Equivalence: the sweep-kernel execution paths are interchangeable.
 //!
 //! The hash reference ([`asa_infomap::driver::HashEngine`], the generic
-//! kernel over `FastAccumulator` — the paper's Algorithm 1), the host
-//! SPA kernel, and the distributed engine at 1 and 3 ranks must produce
-//! identical partitions and 0-ULP codelengths on every network — the
-//! fast paths are pure perf substitutions. As an absolute
+//! kernel over `ChainedAccumulator` — the paper's Algorithm 1 on its
+//! Baseline hash table), the Native column of Tables III/IV (that engine
+//! on a 1- and a 2-thread pool), the host SPA kernel, and the distributed
+//! engine at 1 and 3 ranks must produce identical partitions and 0-ULP
+//! codelengths on every network — the fast paths are pure perf
+//! substitutions. As an absolute
 //! anchor, every reported codelength must also match a from-scratch
 //! recomputation on the returned partition.
 //!
@@ -15,6 +17,7 @@
 
 use asa_graph::{CsrGraph, GraphBuilder, Partition};
 use asa_infomap::driver::{run_with_engine, HashEngine};
+use asa_infomap::instrumented::native_infomap;
 use asa_infomap::mapeq::{self, plogp, MapState};
 use asa_infomap::{
     detect_communities, detect_communities_distributed_cancellable, CancelToken, FlowNetwork,
@@ -55,7 +58,7 @@ fn recomputed_codelength(graph: &CsrGraph, cfg: &InfomapConfig, partition: &Part
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    // hash == SPA == distributed (1 and 3 ranks):
+    // hash == native (1 and 2 cores) == SPA == distributed (1 and 3 ranks):
     // identical partitions, codelengths equal to the bit, and equal to a
     // from-scratch recomputation within 1e-9 relative.
     #[test]
@@ -88,7 +91,14 @@ proptest! {
             fresh
         );
 
-        // The distributed engine runs the host kernel per rank.
+        // The Native column: the hash reference on a `cores`-thread pool.
+        for cores in [1usize, 2] {
+            let native = native_infomap(&graph, &cfg, cores);
+            prop_assert_eq!(native.partition.labels(), spa.partition.labels());
+            prop_assert_eq!(native.codelength.to_bits(), spa.codelength.to_bits());
+        }
+
+        // The distributed engine decides on the host engine.
         for ranks in [1usize, 3] {
             let (dist, _) =
                 detect_communities_distributed_cancellable(&graph, &cfg, ranks, &obs, &none);

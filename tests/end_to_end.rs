@@ -129,7 +129,7 @@ fn devices_produce_identical_partitions() {
             ..AsaConfig::paper_default()
         }),
     );
-    let native = native_infomap(&graph, &icfg, 2, Device::SoftwareHash);
+    let native = native_infomap(&graph, &icfg, 2);
     let host = detect_communities(&graph, &icfg);
 
     assert_eq!(base.partition.labels(), probe.partition.labels());
@@ -137,6 +137,7 @@ fn devices_produce_identical_partitions() {
     assert_eq!(base.partition.labels(), tiny.partition.labels());
     assert_eq!(base.partition.labels(), native.partition.labels());
     assert_eq!(base.partition.labels(), host.partition.labels());
+    assert_eq!(native.codelength.to_bits(), host.codelength.to_bits());
     assert!((base.codelength - host.codelength).abs() < 1e-9);
 }
 
