@@ -21,21 +21,17 @@ fn main() {
     for cores in [1usize, 2] {
         let native = native_infomap(&graph, &icfg, cores);
         let sim = simulate(&graph, cores, Device::SoftwareHash);
-        // Every sweep's decide+apply wall time, in execution order.
-        let native_seconds: Vec<f64> = native
-            .levels
-            .iter()
-            .flat_map(|l| l.sweep_seconds.iter().copied())
-            .collect();
-
-        // Level-0 (vertex phase) sweeps are the paper's "iterations".
+        // The paper's "iterations" are the vertex-phase sweeps of the
+        // first pass: level 0 of outer iteration 0 on both sides, paired
+        // sweep by sweep (the native run's first level is that phase).
+        let native_level0: &[f64] = &native.levels[0].sweep_seconds;
         let sim_level0: Vec<f64> = sim
             .sweeps
             .iter()
-            .filter(|s| s.level == 0)
+            .filter(|s| s.outer == 0 && s.level == 0)
             .map(|s| s.combined.seconds(sim.machine.freq_ghz))
             .collect();
-        let native_level0: &[f64] = &native_seconds[..sim_level0.len().min(native_seconds.len())];
+        let native_level0 = &native_level0[..sim_level0.len().min(native_level0.len())];
 
         let mut rows = Vec::new();
         for (i, (&nat, &simt)) in native_level0.iter().zip(sim_level0.iter()).enumerate() {

@@ -16,28 +16,35 @@
 //!   touched, and periodically compacts the overlay by
 //!   [`DeltaGraph::rebase`]-ing onto it.
 //! * The **fingerprint chain** — [`DeltaGraph::chain_fingerprint`] is the
-//!   FNV of the chain *anchor* (the base fingerprint at the last rebase)
-//!   concatenated with the canonicalized net overlay. Because the overlay
-//!   is net (insertions and deletions cancel against the base), the chain
-//!   head is a function of effective content: an empty net overlay hashes
-//!   to the anchor itself, so deleting arcs and re-inserting them at
-//!   their original weights restores the previous chain head, and
-//!   compaction — which only rebases — never changes the chain. Caches
-//!   and routers key graph *versions* on this value.
+//!   chain *anchor* (the base fingerprint at the last rebase) while the net
+//!   overlay is empty, else a mix of the anchor with a *multiset hash* of
+//!   the canonical overlay: the wrapping sum of a strong 64-bit mix of each
+//!   entry `(source, target, delete | weight bits)`. A batch moves the sum
+//!   by the entries it changes (old hash out, new hash in), so the head
+//!   costs O(Δ) per batch however large the overlay has grown. Because the
+//!   overlay is net (insertions and deletions cancel against the base),
+//!   the head is a function of effective content: deleting arcs and
+//!   re-inserting them at their original weights restores the previous
+//!   chain head, two batch orders that reach the same overlay reach the
+//!   same head, and compaction — which only rebases — never changes the
+//!   chain. Caches and routers key graph *versions* on this value; no
+//!   chain value is persisted.
 //!
 //! Weight semantics mirror [`crate::GraphBuilder`]: inserting an arc that
 //! already exists accumulates weight; deleting removes the arc entirely.
 //! The vertex set is fixed by the base graph. Like the builder, a version
 //! whose total weight overflows `f64` is refused:
 //! [`DeltaGraph::fingerprint_after`] reports it in O(Δ) before the batch
-//! is applied. It reads a running total, not the arc-order sum, so it
-//! refuses totals within a relative [`TOTAL_MARGIN`] of `f64::MAX` too.
+//! is applied. It reads an exact running total of the merged weights,
+//! rounded once, and refuses totals within a relative [`TOTAL_MARGIN`] of
+//! `f64::MAX` too, so the arc-order sum a materialized graph computes is
+//! finite as well.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::csr::{splice_rows, CsrError, CsrGraph, EdgeRef, NodeId, WEIGHT_OVERFLOW};
-use crate::fingerprint::Fnv64;
+use crate::exact_sum::ExactSum;
 
 /// One batch of edge mutations. Deletions apply before insertions, so a
 /// single batch can atomically re-weight an arc (`delete` + `insert`).
@@ -126,19 +133,49 @@ impl EdgeDelta {
 }
 
 /// Relative headroom below `f64::MAX` that
-/// [`DeltaGraph::fingerprint_after`] keeps. The running total and the
-/// arc-order sum of [`CsrGraph::total_arc_weight`] each differ from the
-/// exact sum by at most one rounding per addition, about 2⁻⁵³ of
-/// `f64::MAX` each, so a running total below the limit proves the
-/// materialized sum finite for fewer than 2³³ arcs plus additions since
-/// the last rebase. Totals inside the margin are refused though finite.
+/// [`DeltaGraph::fingerprint_after`] keeps. The running total is exact and
+/// rounded once; the arc-order sum of [`CsrGraph::total_arc_weight`]
+/// differs from the exact sum by at most one rounding per addition, about
+/// 2⁻⁵³ of `f64::MAX` each, so a total below the limit proves the
+/// materialized sum finite for fewer than 2³³ arcs. Totals inside the
+/// margin are refused though finite.
 pub const TOTAL_MARGIN: f64 = 1.0 / (1u64 << 20) as f64;
 
 /// The largest running total [`DeltaGraph::fingerprint_after`] accepts.
 const TOTAL_LIMIT: f64 = f64::MAX * (1.0 - TOTAL_MARGIN);
 
+/// One arc's overlay patch: `Some(w)` overrides its weight to `w`, `None`
+/// deletes it.
+type Patch = Option<f64>;
+
 /// Net per-arc patches keyed by directed `(source, target)`.
-type Overlay = BTreeMap<(NodeId, NodeId), Option<f64>>;
+type Overlay = BTreeMap<(NodeId, NodeId), Patch>;
+
+/// A batch folded against the overlay, which it leaves as it is: the
+/// arcs it names, and the chain sum, overlay size and total after it.
+struct Folded {
+    arcs: BTreeMap<(NodeId, NodeId), ArcFold>,
+    chain_sum: u64,
+    len: usize,
+    total: ExactSum,
+}
+
+/// One arc a batch names, looked up once: its overlay entry before the
+/// batch and after its operations (`None`: no entry, the arc is at its
+/// base weight), and its base weight.
+#[derive(Clone, Copy)]
+struct ArcFold {
+    before: Option<Patch>,
+    after: Option<Patch>,
+    base: Option<f64>,
+}
+
+impl ArcFold {
+    /// The arc's weight after the operations so far, if present.
+    fn weight(&self) -> Option<f64> {
+        self.after.unwrap_or(self.base)
+    }
+}
 
 /// A base [`CsrGraph`] plus the canonical net overlay of every
 /// [`EdgeDelta`] applied since the last rebase. See the module docs.
@@ -155,14 +192,16 @@ pub struct DeltaGraph {
     /// queries are a single range scan; the chain fingerprint
     /// canonicalizes by hashing only the `source <= target` half.
     overlay: Overlay,
+    /// The overlay's multiset hash: the wrapping sum of [`entry_hash`]
+    /// over its canonical entries, zero when it is empty.
+    chain_sum: u64,
     /// Batches folded in since the last rebase (compaction-policy input).
     batches_since_compact: usize,
-    /// Total arc weight of the merged view. Set to the base graph's
-    /// [`CsrGraph::total_arc_weight`] at each rebase and moved by each
-    /// patch's weight change, so it costs O(Δ) per batch. Rounding makes
-    /// it drift from the arc-order sum by up to an ulp of the largest
-    /// total it passed per addition; only [`TOTAL_LIMIT`] reads it.
-    total: f64,
+    /// Total arc weight of the merged view, exact: the base's weights
+    /// summed once at construction, then each patch adds an arc's new
+    /// weight and subtracts its old one, O(1) per arc. A rebase keeps it
+    /// as it is. Read rounded through [`DeltaGraph::total`].
+    total: ExactSum,
 }
 
 impl DeltaGraph {
@@ -171,10 +210,11 @@ impl DeltaGraph {
     pub fn new(base: Arc<CsrGraph>) -> Self {
         let anchor = base.fingerprint();
         DeltaGraph {
-            total: base.total_arc_weight(),
+            total: ExactSum::of(base.out_csr().2),
             base,
             anchor,
             overlay: BTreeMap::new(),
+            chain_sum: 0,
             batches_since_compact: 0,
         }
     }
@@ -213,28 +253,44 @@ impl DeltaGraph {
     }
 
     /// The chain head identifying the current version: the anchor when
-    /// the net overlay is empty, else FNV over anchor ∥ canonical
-    /// overlay.
+    /// the net overlay is empty, else the anchor mixed with the overlay's
+    /// multiset hash. O(1).
     pub fn chain_fingerprint(&self) -> u64 {
-        chain_of(self.anchor, &self.overlay, self.is_directed())
+        self.head(self.overlay.len(), self.chain_sum)
+    }
+
+    /// The chain head of an overlay of `len` entries whose multiset hash
+    /// is `chain_sum`.
+    fn head(&self, len: usize, chain_sum: u64) -> u64 {
+        if len == 0 {
+            self.anchor
+        } else {
+            mix(self.anchor, chain_sum)
+        }
+    }
+
+    /// Total arc weight of the merged view: the exact sum of its weights,
+    /// rounded once to the nearest `f64`. It can differ from the
+    /// arc-order sum [`CsrGraph::total_arc_weight`] of a materialization
+    /// in the last bits, which are that sum's roundings. O(1).
+    pub fn total(&self) -> f64 {
+        self.total.value()
     }
 
     /// The chain head `apply(delta)` would produce, without mutating
     /// anything; an error when the merged total weight would overflow
     /// `f64` (which no checked [`CsrGraph`] constructor accepts) or come
-    /// within [`TOTAL_MARGIN`] of it. Costs O(Δ) plus a copy of the
-    /// overlay.
+    /// within [`TOTAL_MARGIN`] of it. O(Δ log overlay): the batch folds
+    /// into a side map of the entries it changes.
     ///
     /// # Panics
     /// Panics where [`DeltaGraph::apply`] does.
     pub fn fingerprint_after(&self, delta: &EdgeDelta) -> Result<u64, CsrError> {
-        let mut overlay = self.overlay.clone();
-        let total = self.total + self.fold(&mut overlay, delta);
-        // NaN: one batch accumulated an arc to infinity and past it.
-        if total.is_nan() || total > TOTAL_LIMIT {
+        let folded = self.fold(delta);
+        if folded.total.value() > TOTAL_LIMIT {
             return Err(WEIGHT_OVERFLOW);
         }
-        Ok(chain_of(self.anchor, &overlay, self.is_directed()))
+        Ok(self.head(folded.len, folded.chain_sum))
     }
 
     /// Folds one batch into the net overlay and returns the new chain
@@ -245,52 +301,94 @@ impl DeltaGraph {
     /// Panics if an operation references a vertex outside the base
     /// graph's vertex set.
     pub fn apply(&mut self, delta: &EdgeDelta) -> u64 {
-        // Split the borrow: fold writes a detached map, never `self`.
-        let mut overlay = std::mem::take(&mut self.overlay);
-        self.total += self.fold(&mut overlay, delta);
-        self.overlay = overlay;
+        let folded = self.fold(delta);
+        for (arc, fold) in folded.arcs {
+            match fold.after {
+                Some(patch) => self.overlay.insert(arc, patch),
+                None => self.overlay.remove(&arc),
+            };
+        }
+        debug_assert_eq!(self.overlay.len(), folded.len);
+        self.chain_sum = folded.chain_sum;
+        self.total = folded.total;
         if !delta.is_empty() {
             self.batches_since_compact += 1;
         }
         self.chain_fingerprint()
     }
 
-    /// Applies `delta`'s operations onto `overlay` (deletions first),
-    /// normalizing away patches that restore an arc to its base weight.
-    /// Returns the change in the merged total weight.
-    fn fold(&self, overlay: &mut Overlay, delta: &EdgeDelta) -> f64 {
+    /// Folds `delta`'s operations (deletions first) against the overlay
+    /// without changing it, normalizing away patches that restore an arc
+    /// to its base weight. O(Δ log overlay).
+    fn fold(&self, delta: &EdgeDelta) -> Folded {
         let n = self.num_nodes() as NodeId;
         let mirror = !self.is_directed();
-        let mut change = 0.0;
+        let mut arcs = BTreeMap::new();
+        let mut total = self.total.clone();
         for &(u, v) in delta.deletes() {
             assert!(u < n && v < n, "delete ({u},{v}) outside 0..{n}");
             for (s, t) in arc_and_mirror(u, v, mirror) {
-                change -= self.weight_in(overlay, s, t).unwrap_or(0.0);
-                if self.base_weight(s, t).is_some() {
-                    overlay.insert((s, t), None);
-                } else {
-                    // Absent in the base: absence is the default state.
-                    overlay.remove(&(s, t));
+                let arc = self.arc_fold(&mut arcs, s, t);
+                if let Some(w) = arc.weight() {
+                    total.sub(w);
                 }
+                // Absent in the base: absence is the default state.
+                arc.after = arc.base.map(|_| None);
             }
         }
         for &(u, v, w) in delta.inserts() {
             assert!(u < n && v < n, "insert ({u},{v}) outside 0..{n}");
             for (s, t) in arc_and_mirror(u, v, mirror) {
-                let current = self.weight_in(overlay, s, t).unwrap_or(0.0);
-                let next = current + w;
-                change += next - current;
+                let arc = self.arc_fold(&mut arcs, s, t);
+                let current = arc.weight();
+                let next = current.unwrap_or(0.0) + w;
+                if let Some(current) = current {
+                    total.sub(current);
+                }
+                total.add(next);
                 // A patch that lands exactly on the base weight is a
                 // no-op: drop it so the overlay stays net (this is what
                 // makes delete-then-reinsert restore the chain head).
-                if self.base_weight(s, t).map(f64::to_bits) == Some(next.to_bits()) {
-                    overlay.remove(&(s, t));
-                } else {
-                    overlay.insert((s, t), Some(next));
-                }
+                let restored = arc.base.map(f64::to_bits) == Some(next.to_bits());
+                arc.after = (!restored).then_some(Some(next));
             }
         }
-        change
+        // Each changed canonical entry takes its old hash out of the
+        // multiset and puts its new one in.
+        let (mut chain_sum, mut len) = (self.chain_sum, self.overlay.len());
+        for (&(s, t), fold) in &arcs {
+            len = len + usize::from(fold.after.is_some()) - usize::from(fold.before.is_some());
+            if !mirror || s <= t {
+                let hash = |entry: Option<Patch>| entry.map_or(0, |p| entry_hash(s, t, p));
+                chain_sum = chain_sum
+                    .wrapping_sub(hash(fold.before))
+                    .wrapping_add(hash(fold.after));
+            }
+        }
+        Folded {
+            arcs,
+            chain_sum,
+            len,
+            total,
+        }
+    }
+
+    /// Arc `(s, t)`'s entry in `arcs`, looked up in the overlay and the
+    /// base the first time the batch names it.
+    fn arc_fold<'a>(
+        &self,
+        arcs: &'a mut BTreeMap<(NodeId, NodeId), ArcFold>,
+        s: NodeId,
+        t: NodeId,
+    ) -> &'a mut ArcFold {
+        arcs.entry((s, t)).or_insert_with(|| {
+            let before = self.overlay.get(&(s, t)).copied();
+            ArcFold {
+                before,
+                after: before,
+                base: self.base_weight(s, t),
+            }
+        })
     }
 
     /// The base graph's weight for arc `(u, v)`, if present.
@@ -300,12 +398,7 @@ impl DeltaGraph {
 
     /// Effective weight of arc `(u, v)` in the merged view, if present.
     pub fn arc_weight(&self, u: NodeId, v: NodeId) -> Option<f64> {
-        self.weight_in(&self.overlay, u, v)
-    }
-
-    /// Weight of arc `(u, v)` in the base patched by `overlay`, if present.
-    fn weight_in(&self, overlay: &Overlay, u: NodeId, v: NodeId) -> Option<f64> {
-        match overlay.get(&(u, v)) {
+        match self.overlay.get(&(u, v)) {
             Some(&patch) => patch,
             None => self.base_weight(u, v),
         }
@@ -417,11 +510,12 @@ impl DeltaGraph {
     /// Compacts the overlay onto `merged`, a materialization of the
     /// current view ([`DeltaGraph::materialize`], or the
     /// [`DeltaGraph::splice`] a caller already holds, so no second merge
-    /// runs): `merged` becomes the base, the overlay empties and the
-    /// running total is set to `merged`'s arc-order sum. The chain head is
-    /// **unchanged** — the new anchor is the old chain head, so caches
-    /// keyed on [`DeltaGraph::chain_fingerprint`] keep hitting across
-    /// compactions.
+    /// runs): `merged` becomes the base and the overlay and its multiset
+    /// hash empty. The exact total already is `merged`'s, so it stays as
+    /// it is, and the rebase is O(overlay) to drop the patches. The chain
+    /// head is **unchanged** — the new anchor is the old chain head, so
+    /// caches keyed on [`DeltaGraph::chain_fingerprint`] keep hitting
+    /// across compactions.
     pub fn rebase(&mut self, merged: Arc<CsrGraph>) {
         debug_assert_eq!(
             merged.fingerprint(),
@@ -429,9 +523,9 @@ impl DeltaGraph {
             "rebase onto a graph that is not the merged view"
         );
         self.anchor = self.chain_fingerprint();
-        self.total = merged.total_arc_weight();
         self.base = merged;
         self.overlay.clear();
+        self.chain_sum = 0;
         self.batches_since_compact = 0;
     }
 }
@@ -443,31 +537,25 @@ fn arc_and_mirror(u: NodeId, v: NodeId, mirror: bool) -> impl Iterator<Item = (N
     std::iter::once((u, v)).chain(second)
 }
 
-/// FNV over anchor ∥ canonical overlay: each patch contributes its
-/// endpoints, a delete/override tag, and the weight bit pattern. For
-/// undirected graphs only the `source <= target` half participates (the
-/// mirrored entries are redundant).
-fn chain_of(anchor: u64, overlay: &Overlay, directed: bool) -> u64 {
-    if overlay.is_empty() {
-        return anchor;
+/// The multiset hash of one canonical overlay entry: arc `(u, v)` with
+/// its patch. A delete hashes the tag `u64::MAX`, which no positive finite
+/// weight's bit pattern equals.
+fn entry_hash(u: NodeId, v: NodeId, patch: Patch) -> u64 {
+    let arc = u64::from(u) << 32 | u64::from(v);
+    mix(arc, patch.map_or(u64::MAX, f64::to_bits))
+}
+
+/// A strong 64-bit mix of two words: the SplitMix64 finalizer, a
+/// bijection, applied to `a` offset by the golden ratio, xored with `b`
+/// and applied again. For a fixed `a` it is a bijection of `b`, and the
+/// other way round.
+fn mix(a: u64, b: u64) -> u64 {
+    fn finalize(mut z: u64) -> u64 {
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
     }
-    let mut h = Fnv64::new();
-    h.write_u64(anchor);
-    for (&(u, v), &patch) in overlay {
-        if !directed && u > v {
-            continue;
-        }
-        h.write_u64(u as u64);
-        h.write_u64(v as u64);
-        match patch {
-            None => h.write_u64(0),
-            Some(w) => {
-                h.write_u64(1);
-                h.write_f64(w);
-            }
-        }
-    }
-    h.finish()
+    finalize(finalize(a.wrapping_add(0x9e37_79b9_7f4a_7c15)) ^ b)
 }
 
 #[cfg(test)]
@@ -609,9 +697,9 @@ mod tests {
             }
             let want = dg.materialize().total_arc_weight();
             assert!(
-                (dg.total - want).abs() <= 1e-12 * want,
+                (dg.total() - want).abs() <= 1e-12 * want,
                 "{} vs {want}",
-                dg.total
+                dg.total()
             );
         }
     }
@@ -654,14 +742,13 @@ mod tests {
         }
         // Batches 1 (total exactly f64::MAX) and 3 (past it) are refused.
         assert_eq!(refused, 2);
-        // The running total lost the small weights to the huge ones that
-        // came and went; a rebase sets it to the arc-order sum again.
-        let drifted = dg.total;
+        // The exact total kept the small weights through the huge ones
+        // that came and went, so it needs no rebase to read the sum.
+        assert_eq!(dg.total(), 13.0);
         dg.rebase(Arc::new(dg.materialize()));
-        assert_ne!(drifted, dg.total);
-        assert_eq!(dg.total.to_bits(), dg.base().total_arc_weight().to_bits());
+        assert_eq!(dg.total().to_bits(), dg.base().total_arc_weight().to_bits());
         // Left: 1-2 (2 + 3), 3-0 and 0-2.
-        assert_eq!(dg.total, 2.0 * (5.0 + 1.0 + 0.5));
+        assert_eq!(dg.total(), 2.0 * (5.0 + 1.0 + 0.5));
     }
 
     #[test]
@@ -825,7 +912,7 @@ mod tests {
                     assert!(Arc::ptr_eq(dg.base(), &merged));
                     assert_eq!(dg.chain_fingerprint(), head);
                     assert_eq!(dg.pending_patches(), 0);
-                    assert_eq!(dg.total, merged.total_arc_weight());
+                    assert_eq!(dg.total(), merged.total_arc_weight());
                 }
             }
         }

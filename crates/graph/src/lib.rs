@@ -29,6 +29,7 @@ pub mod connectivity;
 pub mod csr;
 pub mod degree;
 pub mod delta;
+mod exact_sum;
 pub mod fingerprint;
 pub mod generators;
 pub mod io;

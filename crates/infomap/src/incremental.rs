@@ -6,21 +6,29 @@
 //! its flow network and the partition's module statistics alive and, on
 //! an [`EdgeDelta`]:
 //!
-//! 1. **Patch** — splices the batch's rows into the merged CSR
+//! 1. **Patch** — folds the batch into the overlay, which moves the chain
+//!    head and the exact total weight in O(Δ) ([`DeltaGraph::apply`]),
+//!    then splices the batch's rows into the merged CSR
 //!    ([`DeltaGraph::splice`]): only the rows holding an edited arc are
 //!    rewritten, every other span is copied. For undirected graphs the
-//!    flows are `w / 2W` up to one normalizer, so an edit rescales every
-//!    flow by one factor: the kept network is copied with that factor
-//!    applied and only the edited arcs, their endpoints' visit rates and
-//!    row totals are computed again; the kept module statistics rescale
-//!    in O(modules) and move only by the edited arcs' exits. No arc is
-//!    re-derived from the graph and no module statistic is re-summed over
-//!    the arcs. Directed flow is PageRank, which an edit moves everywhere
-//!    by different amounts, so directed graphs rebuild the flow network
-//!    and module statistics from the spliced CSR.
+//!    flows are `w / 2W` up to one normalizer, read from the overlay's
+//!    exact total rather than summed over the arcs, so an edit rescales
+//!    every flow by one factor: the kept network is copied with that
+//!    factor applied and only the edited arcs, their endpoints' visit
+//!    rates and row totals are computed again; the kept module statistics
+//!    rescale in O(modules) and move only by the edited arcs' exits. The
+//!    node term `Σ plogp(p)` follows in O(Δ): every untouched flow with an
+//!    arc is `f·p`, so its share is `f·S + f·log₂f·P` from the kept sums
+//!    `S = Σ plogp(p)` and `P = Σ p`, and only the edited endpoints' terms
+//!    are taken out and put back. No arc is re-derived from the graph and
+//!    no module statistic is re-summed over the arcs. Directed flow is
+//!    PageRank, which an edit moves everywhere by different amounts, so
+//!    directed graphs rebuild the flow network and module statistics from
+//!    the spliced CSR.
 //! 2. **Touched frontier** — the endpoints of changed arcs plus the
 //!    boundary vertices of their modules (members with an arc crossing
-//!    the module boundary) form the initial active set.
+//!    the module boundary) form the initial active set. A symmetric
+//!    network's in-rows are its out-rows, so only those are scanned.
 //! 3. **Frontier-restricted sweeps** — the schedule's one sweep body
 //!    (the same one multilevel levels and refinement run) over the
 //!    frontier instead of every vertex, with the dual-SPA kernel through
@@ -41,10 +49,13 @@
 //! The incremental pass never coarsens, so it can only refine locally;
 //! the drift budget is what bounds the slow quality erosion this could
 //! otherwise accumulate across many batches. The patched flows drift
-//! from a rebuilt network by a few roundings per batch; the codelength the
-//! state reports stays within 1e-9 of a from-scratch recomputation
-//! (`tests/incremental.rs`). Telemetry: `incr.patch` and `incr.frontier`
-//! spans, `infomap.incr.frontier_size` / `infomap.incr.ripple_rounds`
+//! from a rebuilt network by a few roundings per batch (and by the last
+//! bits between the exact total and the arc-order sum a rebuild divides
+//! by); the codelength the state reports stays within 1e-9 of a
+//! from-scratch recomputation (`tests/incremental.rs`). Telemetry:
+//! `incr.patch` (the overlay fold, the splice and the flow and statistics
+//! patch) and `incr.frontier` spans,
+//! `infomap.incr.frontier_size` / `infomap.incr.ripple_rounds`
 //! gauges (plus flight-recorder instants) per batch and an
 //! `infomap.incr.fallback` counter/instant when the guard fires.
 
@@ -149,6 +160,9 @@ pub struct IncrementalState {
     /// Undirected graphs: the flow per unit of arc weight `flow` was
     /// built or patched with, `(1 − ISOLATED_FLOW · isolated) / 2W`.
     flow_per_weight: f64,
+    /// Undirected graphs: the node term's sums over the vertices of
+    /// `flow` that have an arc, the flows a rescale multiplies.
+    node_term: NodeTerm,
     /// Vertices of `merged` with no arc at all.
     isolated: usize,
     /// How much the rescales since `state` was last built can have grown
@@ -179,7 +193,8 @@ impl IncrementalState {
         let graph = DeltaGraph::new(Arc::clone(&base));
         let isolated = base.nodes().filter(|&u| base.out_degree(u) == 0).count();
         let state = IncrementalState {
-            flow_per_weight: flow_per_weight(isolated, &base),
+            flow_per_weight: flow_per_weight(isolated, base.total_arc_weight()),
+            node_term: NodeTerm::of(&flow, &base),
             isolated,
             rounding_gain: 1.0,
             state: module_state(&flow, &result.partition, &cfg),
@@ -277,12 +292,13 @@ impl IncrementalState {
                 chain_fingerprint: self.graph.chain_fingerprint(),
             };
         }
-        let chain = self.graph.apply(delta);
         let t = Instant::now();
-        {
+        let chain = {
             let _sp = obs.span("incr.patch");
+            let chain = self.graph.apply(delta);
             self.patch(delta);
-        }
+            chain
+        };
         let mut timings = KernelTimings {
             pagerank: t.elapsed(),
             ..KernelTimings::default()
@@ -390,10 +406,17 @@ impl IncrementalState {
         let merged = Arc::new(self.graph.splice(&self.merged, delta));
         let prev = std::mem::replace(&mut self.merged, merged);
         let touched = delta.endpoints();
+        // The node term's sums over the untouched vertices with an arc:
+        // the touched ones' old terms come out here and their new ones go
+        // back in once the flows are patched.
+        let mut node_term = self.node_term;
         for &u in &touched {
-            let was = usize::from(prev.out_degree(u) == 0);
-            let is = usize::from(self.merged.out_degree(u) == 0);
-            self.isolated = self.isolated + is - was;
+            let was = prev.out_degree(u) == 0;
+            if !was {
+                node_term.remove(self.flow.node_flow(u));
+            }
+            let is = self.merged.out_degree(u) == 0;
+            self.isolated = self.isolated + usize::from(is) - usize::from(was);
         }
         let was_empty = prev.num_arcs() == 0;
         // Free the old CSR (unless the overlay's base still holds it)
@@ -406,7 +429,7 @@ impl IncrementalState {
             self.reseed(FlowNetwork::from_graph(&self.merged, &self.cfg));
             return;
         }
-        let flow_per_weight = flow_per_weight(self.isolated, &self.merged);
+        let flow_per_weight = flow_per_weight(self.isolated, self.graph.total());
         let factor = flow_per_weight / self.flow_per_weight;
         let changed = delta.arcs(true);
         let flow = (self.flow).patched_undirected(
@@ -423,12 +446,20 @@ impl IncrementalState {
         // the weight leaves. Past `MAX_ROUNDING_GAIN` the statistics are
         // summed afresh from the patched flows, which are only ever
         // multiplied and so keep their relative precision.
+        // The node term's sums rescale the same way and carry the same
+        // rounding, so they are summed afresh with the statistics.
         self.rounding_gain = (self.rounding_gain * factor).max(1.0);
         if self.rounding_gain > MAX_ROUNDING_GAIN {
             self.state = module_state(&flow, &self.partition, &self.cfg);
+            self.node_term = NodeTerm::of(&flow, &self.merged);
             self.rounding_gain = 1.0;
         } else {
-            let node_plogp = flow.node_flows().iter().copied().map(plogp).sum();
+            node_term.rescale(factor);
+            for &u in touched.iter().filter(|&&u| self.merged.out_degree(u) != 0) {
+                node_term.insert(flow.node_flow(u));
+            }
+            self.node_term = node_term;
+            let node_plogp = node_term.plogp + self.isolated as f64 * plogp(ISOLATED_FLOW);
             (self.state).patch(
                 &self.flow,
                 &flow,
@@ -443,11 +474,17 @@ impl IncrementalState {
     }
 
     /// Replaces the kept flow network by `flow`, a network built from
-    /// scratch, and the module statistics by ones built on it.
+    /// scratch, and the module statistics by ones built on it. A directed
+    /// network is rebuilt every batch and never rescaled, so only an
+    /// undirected one takes the normalizer and node-term sums (over the
+    /// arc-order total [`FlowNetwork::from_graph`] divided by).
     fn reseed(&mut self, flow: FlowNetwork) {
         self.state = module_state(&flow, &self.partition, &self.cfg);
+        if !self.merged.is_directed() {
+            self.flow_per_weight = flow_per_weight(self.isolated, self.merged.total_arc_weight());
+            self.node_term = NodeTerm::of(&flow, &self.merged);
+        }
         self.flow = flow;
-        self.flow_per_weight = flow_per_weight(self.isolated, &self.merged);
         self.rounding_gain = 1.0;
     }
 
@@ -486,20 +523,61 @@ impl IncrementalState {
 const MAX_ROUNDING_GAIN: f64 = 2.0;
 
 /// Module statistics of `partition` on `flow`, with the node term of
-/// `flow` itself.
+/// `flow` itself summed exactly as a build does.
 fn module_state(flow: &FlowNetwork, partition: &Partition, cfg: &InfomapConfig) -> MapState {
     let node_plogp = flow.node_flows().iter().copied().map(plogp).sum();
     MapState::with_options(flow, partition, node_plogp, cfg.teleport_mode())
 }
 
-/// Flow per unit of arc weight of the undirected `graph` with `isolated`
-/// isolated vertices, as [`crate::pagerank::undirected_stationary`]
-/// distributes it: over the arc-order sum of the weights, the exact total
-/// a rebuilt network divides by. (The overlay's running total is no
-/// substitute: a weight that outweighs the rest and then leaves again
-/// takes the small ones with it.)
-fn flow_per_weight(isolated: usize, graph: &CsrGraph) -> f64 {
-    (1.0 - ISOLATED_FLOW * isolated as f64) / graph.total_arc_weight()
+/// Flow per unit of arc weight of an undirected graph with `isolated`
+/// isolated vertices and total arc weight `total`, as
+/// [`crate::pagerank::undirected_stationary`] distributes it. A build
+/// passes the arc-order sum [`CsrGraph::total_arc_weight`] its network
+/// divided by; a patch passes the overlay's exact total
+/// ([`DeltaGraph::total`]), which needs no pass over the arcs and, unlike
+/// a running sum, keeps the small weights through a huge one that comes
+/// and goes. The two differ only in the arc-order sum's roundings.
+fn flow_per_weight(isolated: usize, total: f64) -> f64 {
+    (1.0 - ISOLATED_FLOW * isolated as f64) / total
+}
+
+/// `Σ plogp(p)` and `Σ p` over the node flows `p` of the vertices that
+/// have an arc. A rescale by `f` multiplies every such flow, and
+/// `plogp(f·p) = f·plogp(p) + f·log₂f·p`, so the sums follow it in O(1);
+/// isolated vertices keep [`ISOLATED_FLOW`] and are counted apart.
+#[derive(Debug, Clone, Copy)]
+struct NodeTerm {
+    plogp: f64,
+    flow: f64,
+}
+
+impl NodeTerm {
+    /// The sums over `flow`'s vertices that have an arc in `graph`.
+    fn of(flow: &FlowNetwork, graph: &CsrGraph) -> Self {
+        let mut term = NodeTerm {
+            plogp: 0.0,
+            flow: 0.0,
+        };
+        for u in graph.nodes().filter(|&u| graph.out_degree(u) != 0) {
+            term.insert(flow.node_flow(u));
+        }
+        term
+    }
+
+    fn insert(&mut self, p: f64) {
+        self.plogp += plogp(p);
+        self.flow += p;
+    }
+
+    fn remove(&mut self, p: f64) {
+        self.plogp -= plogp(p);
+        self.flow -= p;
+    }
+
+    fn rescale(&mut self, factor: f64) {
+        self.plogp = factor * self.plogp + factor * factor.log2() * self.flow;
+        self.flow *= factor;
+    }
 }
 
 /// The touched frontier: `endpoints` plus every boundary vertex (one
@@ -517,13 +595,15 @@ fn initial_frontier(
         touched_module[labels[e as usize] as usize] = true;
     }
     let mut frontier: Vec<NodeId> = endpoints.to_vec();
+    // A symmetric network's in-rows are its out-rows.
+    let symmetric = flow.is_symmetric();
     for u in 0..flow.num_nodes() as NodeId {
         let m = labels[u as usize];
         if !touched_module[m as usize] {
             continue;
         }
         let crosses = flow.out_arcs(u).any(|(v, _)| labels[v as usize] != m)
-            || flow.in_arcs(u).any(|(v, _)| labels[v as usize] != m);
+            || (!symmetric && flow.in_arcs(u).any(|(v, _)| labels[v as usize] != m));
         if crosses {
             frontier.push(u);
         }

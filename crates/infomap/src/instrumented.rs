@@ -63,7 +63,9 @@ impl Device {
 /// Counters of one simulated sweep (one "iteration").
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SweepSim {
-    /// Hierarchy level (0 = vertex phase).
+    /// Outer (refinement) iteration, 0-based.
+    pub outer: usize,
+    /// Hierarchy level within the outer iteration (0 = vertex phase).
     pub level: usize,
     /// Sweep index within the level.
     pub sweep: usize,
@@ -355,6 +357,7 @@ impl<A: FlowAccumulator + Send> DecideEngine for SimEngine<A> {
         self.sim_seconds += start.elapsed().as_secs_f64();
         let combined = KernelReport::parallel(per_core.iter());
         self.sweeps.push(SweepSim {
+            outer: ctx.outer,
             level: ctx.level,
             sweep: ctx.sweep,
             active: ctx.active.len(),

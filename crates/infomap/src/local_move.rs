@@ -219,7 +219,8 @@ pub fn apply_decisions(
 }
 
 /// The active set for the next sweep: every moved vertex plus its in- and
-/// out-neighbours (their best module may have changed), deduplicated and
+/// out-neighbours (their best module may have changed; a symmetric
+/// network's out-row is both, so it is scanned once), deduplicated and
 /// sorted into `out`. `mark` is the dedup bitmap (must be all-false, which
 /// this function restores before returning, so a buffer can be threaded
 /// through every sweep). O(touched log touched) instead of an O(n) scan,
@@ -240,13 +241,16 @@ pub fn next_active_into(
             out.push(v);
         }
     };
+    let symmetric = flow.is_symmetric();
     for &u in moved {
         push(mark, out, u);
         for (v, _) in flow.out_arcs(u) {
             push(mark, out, v);
         }
-        for (v, _) in flow.in_arcs(u) {
-            push(mark, out, v);
+        if !symmetric {
+            for (v, _) in flow.in_arcs(u) {
+                push(mark, out, v);
+            }
         }
     }
     out.sort_unstable();
